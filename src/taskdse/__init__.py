@@ -25,11 +25,9 @@ from .model import (
     expand_comm_tasks,
 )
 from .generators import Generator, arrival_window, sample_arrivals, check_variability
-from .zones import Bound, DBM
 from .simulator import simulate, run_campaign, CampaignResult, TimedTrace, Event
 from .reachability import (
     reach_bounds,
-    build_network,
     ReachOptions,
     ReachResult,
     BudgetExceeded,

@@ -204,7 +204,9 @@ def _cmd_simulate(args) -> int:
     model, h = _load(args.file)
     if args.runs < 1:
         raise config.ConfigError("--runs", "need at least one run")
-    horizon = to_ticks(args.horizon) if args.horizon is not None else None
+    horizon = None if args.horizon is None else config._ticks(args.horizon, "--horizon")
+    if horizon is not None and horizon <= 0:
+        raise config.ConfigError("--horizon", "horizon must be positive")
     specs = default_metrics(model)
     campaign = run_campaign(model, args.runs, args.seed, specs,
                             horizon=horizon, keep_traces=args.traces, model_hash=h)

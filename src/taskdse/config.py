@@ -78,7 +78,7 @@ def _integer(v, path: str) -> int:
 def _ticks(v, path: str) -> int:
     try:
         return to_ticks(v)
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         raise ConfigError(path, str(e)) from None
 
 

@@ -75,13 +75,19 @@ def busy_intervals(trace: TimedTrace) -> dict[str, list[tuple[int, int]]]:
     return out
 
 
+def _observed_busy(trace: TimedTrace) -> dict[str, list[tuple[int, int]]]:
+    """busy_intervals cut off at the trace's horizon."""
+    h = trace.horizon
+    return {r: [(min(s, h), min(e, h)) for s, e in iv] for r, iv in busy_intervals(trace).items()}
+
+
 def utilization(trace: TimedTrace) -> dict[str, float]:
     """Busy fraction of the horizon per resource."""
     if trace.horizon <= 0:
         return {r: 0.0 for r in busy_intervals(trace)}
     return {
         r: sum(e - s for s, e in iv) / trace.horizon
-        for r, iv in busy_intervals(trace).items()
+        for r, iv in _observed_busy(trace).items()
     }
 
 
@@ -91,11 +97,13 @@ def energy(trace: TimedTrace, platform: Platform) -> float:
     A powered-on processor draws its lowest-frequency static power while idle
     and static+dynamic at the running frequency while busy; interconnects draw
     static power for the whole horizon plus dynamic power while transferring.
+    Work past the horizon is not counted.
     """
     horizon = trace.horizon / SCALE
+    intervals = _observed_busy(trace)
     busy: dict[str, float] = {}
     total = 0.0
-    for res, iv in busy_intervals(trace).items():
+    for res, iv in intervals.items():
         busy[res] = sum(en - st for st, en in iv) / SCALE
 
     ic_ids = {ic.id for ic in platform.interconnects}
@@ -104,7 +112,7 @@ def energy(trace: TimedTrace, platform: Platform) -> float:
     for e in trace.events:
         if e.kind == "start" and e.resource not in ic_ids:
             per_start.setdefault(e.resource, []).append(e)
-    for res, iv in busy_intervals(trace).items():
+    for res, iv in intervals.items():
         if res in ic_ids:
             continue
         proc = platform.processor(res)

@@ -362,6 +362,13 @@ def validate_model(m: SystemModel) -> list[Violation]:
             out.append(Violation("UnknownEdgeRef", f"{key[0]}->{key[1]}", "edge_interconnect"))
         if iid not in ic_ids:
             out.append(Violation("UnknownInterconnect", iid, f"route of {key[0]}->{key[1]}"))
+    if not ic_ids:
+        for job in m.job_types:
+            kinds = {t.id: t.kind for t in job.tasks}
+            for e in job.edges:
+                if _needs_transfer(e, kinds, dep, m.platform):
+                    out.append(Violation("MissingInterconnect", f"{job.name}.{e.src}->{e.dst}",
+                                         "needs a transfer but the platform has no interconnect"))
 
     # generators -----------------------------------------------------------
     gen_jobs = []
@@ -416,9 +423,11 @@ def task_duration(task: TaskSpec, frequency) -> TimeInterval:
     return duration_interval(task.work, frequency)
 
 
-def _needs_transfer(edge: DataEdge, dep: Deployment, platform: Platform) -> bool:
+def _needs_transfer(edge: DataEdge, kinds: dict[str, str], dep: Deployment, platform: Platform) -> bool:
     if edge.volume == 0:
         return False  # pure precedence, nothing moves
+    if COMMUNICATION in (kinds.get(edge.src), kinds.get(edge.dst)):
+        return False  # already routed through a communication task
     src_pe = dep.mapping.get(edge.src)
     dst_pe = dep.mapping.get(edge.dst)
     if src_pe is not None and dst_pe is not None and src_pe != dst_pe:
@@ -447,10 +456,7 @@ def expand_comm_tasks(job: JobType, dep: Deployment, platform: Platform) -> JobT
     existing = set(kinds)
 
     for edge in job.edges:
-        if kinds.get(edge.src) == COMMUNICATION or kinds.get(edge.dst) == COMMUNICATION:
-            edges.append(edge)
-            continue
-        if not _needs_transfer(edge, dep, platform):
+        if not _needs_transfer(edge, kinds, dep, platform):
             edges.append(edge)
             continue
         iid = dep.edge_interconnect.get(edge.key)

@@ -28,26 +28,27 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .generators import BIBOUNDED_VAR, BOUNDED_VAR, JITTER, PERIODIC, UNCERTAIN
-from .model import (
-    COMMUNICATION,
-    SystemModel,
-    TimeInterval,
-    duration_interval,
-    expand_comm_tasks,
-)
+from .model import COMMUNICATION, SystemModel, TimeInterval, expand_comm_tasks, task_duration
 from .schedulers import (
+    DONE,
+    RUNNING,
+    TaskGraph,
     TaskRef,
+    admit,
     apply_dispatch,
     empty_state,
     enqueue,
+    finish,
+    frequency_for,
     next_dispatch,
-    ready_order,
     release,
+    strict_view,
 )
 from .zones import (
     clock_window,
@@ -62,7 +63,7 @@ from .zones import (
     LE_ZERO,
 )
 
-PENDING, QUEUED, RUNNING, DONE = 0, 1, 2, 3
+MERGE_LIMIT = 4096  # skip hull checks beyond this many differing entries
 
 _GROUP = {"T": 0, "M": 1, "resp": 2, "run": 3, "gen": 4}
 
@@ -81,7 +82,6 @@ class ReachOptions:
     state_cap: int = 2_000_000
     merge: bool = True  # exact union merging (off: plain inclusion antichain)
     purge: bool = True  # project away dead clocks (off: keep dimensions)
-    merge_limit: int = 4096  # skip hull checks beyond this many differing entries
 
 
 @dataclass
@@ -112,22 +112,17 @@ class Network:
         self.options = options or ReachOptions()
         self.dep = model.deployment
         self.platform = model.platform
-        self.jobs = {
-            jt.name: expand_comm_tasks(jt, self.dep, self.platform) for jt in model.job_types
-        }
-        self.task_maps = {n: j.task_map() for n, j in self.jobs.items()}
-        self.preds = {n: j.preds() for n, j in self.jobs.items()}
-        self.succs = {n: j.succs() for n, j in self.jobs.items()}
-        self.task_index = {
-            n: {t.id: i for i, t in enumerate(j.tasks)} for n, j in self.jobs.items()
+        graphs = {
+            jt.name: TaskGraph(expand_comm_tasks(jt, self.dep, self.platform), self.dep)
+            for jt in model.job_types
         }
         self.K = [min(g.count, model.instance_bound) for g in model.generators]
-        self.inst_job: list[str] = []
+        self.inst_graph: list[TaskGraph] = []
         self.inst_of: dict[tuple[int, int], int] = {}
         for gidx, g in enumerate(model.generators):
             for k in range(1, self.K[gidx] + 1):
-                self.inst_of[(gidx, k)] = len(self.inst_job)
-                self.inst_job.append(g.job_type)
+                self.inst_of[(gidx, k)] = len(self.inst_graph)
+                self.inst_graph.append(graphs[g.job_type])
         self._wins: dict = {}
 
         gen_clocks = 0
@@ -137,7 +132,7 @@ class Network:
             elif g.variant in (BOUNDED_VAR, BIBOUNDED_VAR):
                 gen_clocks += g.max_events
         resources = len(self.platform.active_processors()) + len(self.platform.interconnects)
-        concurrent = min(len(self.inst_job), self.dep.queue_capacity)
+        concurrent = min(len(self.inst_graph), self.dep.queue_capacity)
         need = 2 + concurrent + resources + gen_clocks
         if need > self.options.clock_budget:
             raise BudgetExceeded(
@@ -148,28 +143,20 @@ class Network:
         key = (ref.job, ref.task, resource)
         w = self._wins.get(key)
         if w is None:
-            task = self.task_maps[ref.job][ref.task]
-            if task.kind == COMMUNICATION:
-                w = (task.work.lo, task.work.hi)
-            else:
-                f = self.dep.task_frequency.get(ref.task)
-                if f is None:
-                    f = self.platform.processor(resource).min_frequency()
-                d = duration_interval(task.work, f)
-                w = (d.lo, d.hi)
-            self._wins[key] = w
+            task = self.inst_graph[ref.instance].task(ref.task)
+            f = None
+            if task.kind != COMMUNICATION:
+                f = frequency_for(ref.task, resource, self.dep, self.platform)
+            d = task_duration(task, f)
+            w = self._wins[key] = (d.lo, d.hi)
         return w
 
     def initial(self) -> DState:
         return DState(
             arrivals=(0,) * len(self.model.generators),
-            insts=(None,) * len(self.inst_job),
+            insts=(None,) * len(self.inst_graph),
             sched=empty_state(self.platform),
         )
-
-
-def build_network(model: SystemModel, options: ReachOptions | None = None) -> Network:
-    return Network(model, options)
 
 
 # ---------------------------------------------------------------------------
@@ -229,59 +216,32 @@ def _freeze(arrivals, insts, sched) -> DState:
 def _cascade(net: Network, insts: list, sched):
     """Fire every start the policy allows; returns created run clocks."""
     resets = []
-
-    def strict_view(pe_id):
-        out = []
-        for i, st in enumerate(insts):
-            if not isinstance(st, (tuple, list)) or all(s == DONE for s in st):
-                continue
-            job = net.inst_job[i]
-            tidx = net.task_index[job]
-            for t in net.jobs[job].tasks:
-                if t.kind == COMMUNICATION or net.dep.mapping.get(t.id) != pe_id:
-                    continue
-                s = st[tidx[t.id]]
-                if s in (RUNNING, DONE):
-                    continue
-                enabled = all(st[tidx[p]] == DONE for p in net.preds[job][t.id])
-                out.append((TaskRef(i, job, t.id), enabled))
-        return out
-
+    view = partial(strict_view, insts, net.inst_graph)
     while True:
-        disp = next_dispatch(sched, net.dep, net.platform, strict_view)
+        disp = next_dispatch(sched, net.dep, net.platform, view)
         if disp is None:
             return sched, resets
-        job = disp.ref.job
-        task = net.task_maps[job][disp.ref.task]
+        ref = disp.ref
+        graph = net.inst_graph[ref.instance]
+        task = graph.task(ref.task)
         sched = apply_dispatch(sched, disp, net.dep, task.kind == COMMUNICATION)
-        st = list(insts[disp.ref.instance])
-        st[net.task_index[job][disp.ref.task]] = RUNNING
-        insts[disp.ref.instance] = st
-        resets.append(("run", disp.ref.instance, disp.ref.task))
+        st = list(insts[ref.instance])
+        st[graph.index[ref.task]] = RUNNING
+        insts[ref.instance] = st
+        resets.append(("run", ref.instance, ref.task))
 
 
 def _after_end(net: Network, d: DState, resource: str, ref: TaskRef):
-    job = ref.job
-    tidx = net.task_index[job]
+    graph = net.inst_graph[ref.instance]
     insts = list(d.insts)
-    st = list(insts[ref.instance])
-    st[tidx[ref.task]] = DONE
-    insts[ref.instance] = st
+    st = insts[ref.instance] = list(insts[ref.instance])
     sched = release(d.sched, resource)
-    completed = all(s == DONE for s in st)
-    if not completed:
-        newly = []
-        for succ in net.succs[job][ref.task]:
-            if st[tidx[succ]] != PENDING:
-                continue
-            if all(st[tidx[p]] == DONE for p in net.preds[job][succ]):
-                newly.append(TaskRef(ref.instance, job, succ))
-        for nref in ready_order(newly):
-            st[tidx[nref.task]] = QUEUED
-            sched = enqueue(sched, nref, net.task_maps[job][nref.task], net.dep)
+    newly = finish(graph, st, ref)
+    for nref in newly or ():
+        sched = enqueue(sched, nref, graph.task(nref.task), net.dep)
     sched, resets = _cascade(net, insts, sched)
     d2 = _freeze(d.arrivals, insts, sched)
-    return d2, resets, (ref.instance if completed else None)
+    return d2, resets, (ref.instance if newly is None else None)
 
 
 def _after_arrival(net: Network, d: DState, gidx: int):
@@ -289,7 +249,6 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     k = d.arrivals[gidx] + 1
     arrivals = tuple(a + 1 if i == gidx else a for i, a in enumerate(d.arrivals))
     inst = net.inst_of[(gidx, k)]
-    job = net.inst_job[inst]
     insts = list(d.insts)
     resets = []
     g = net.model.generators[gidx]
@@ -305,13 +264,11 @@ def _after_arrival(net: Network, d: DState, gidx: int):
         d2 = DState(arrivals, tuple(tuple(s) if isinstance(s, list) else s for s in insts), d.sched, True)
         return d2, resets
 
-    st = [PENDING] * len(net.jobs[job].tasks)
-    insts[inst] = st
+    graph = net.inst_graph[inst]
+    insts[inst], sources = admit(graph, inst)
     sched = d.sched
-    sources = [TaskRef(inst, job, t.id) for t in net.jobs[job].tasks if not net.preds[job][t.id]]
-    for ref in ready_order(sources):
-        st[net.task_index[job][ref.task]] = QUEUED
-        sched = enqueue(sched, ref, net.task_maps[job][ref.task], net.dep)
+    for ref in sources:
+        sched = enqueue(sched, ref, graph.task(ref.task), net.dep)
     sched, more = _cascade(net, insts, sched)
     return _freeze(arrivals, insts, sched), resets + more
 
@@ -429,10 +386,9 @@ def _family_hull(mats: list):
 class _Store:
     """Per-configuration zone antichains with inclusion pruning and merging."""
 
-    def __init__(self, merge: bool, merge_limit: int):
+    def __init__(self, merge: bool):
         self.zones: dict[DState, dict[bytes, np.ndarray]] = {}
         self.merge = merge
-        self.merge_limit = merge_limit
         self.merges = 0
 
     def get(self, d: DState, b: bytes):
@@ -457,7 +413,7 @@ class _Store:
                 for ob in list(zs):
                     om = zs[ob]
                     h = np.maximum(mat, om)
-                    if _hull_is_union(h, mat, om, self.merge_limit):
+                    if _hull_is_union(h, mat, om, MERGE_LIMIT):
                         del zs[ob]
                         mat = h
                         self.merges += 1
@@ -524,7 +480,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
     """
     opts = options or ReachOptions()
     net = Network(model, opts)
-    store = _Store(opts.merge, opts.merge_limit)
+    store = _Store(opts.merge)
     acc = _Acc()
 
     d0 = net.initial()

@@ -6,6 +6,10 @@ therefore run the exact same decision code.  Tie-breaks are total: tasks that
 become ready at the same instant enqueue in (instance index, job name, task id)
 order, and free processors are considered in ascending id order.
 
+The enabling rules live here too: both engines track each admitted instance
+as a list of PENDING/QUEUED/RUNNING/DONE task statuses over one TaskGraph, and
+`admit`, `finish` and `strict_view` decide which task instances become ready.
+
 Policies for computation tasks:
 
   fifo_global            one central queue, any free processor
@@ -20,14 +24,16 @@ whatever the policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .model import COMMUNICATION, Deployment, Platform, TaskSpec
+from .model import COMMUNICATION, Deployment, JobType, Platform, TaskSpec
+
+PENDING, QUEUED, RUNNING, DONE = 0, 1, 2, 3
 
 
-@dataclass(frozen=True, order=True)
-class TaskRef:
+class TaskRef(NamedTuple):
     """One task instance: (instance index, job, task) is also the tie-break key."""
 
     instance: int
@@ -40,6 +46,76 @@ def ready_order(refs: list[TaskRef]) -> list[TaskRef]:
     return sorted(refs)
 
 
+class TaskGraph:
+    """Static structure of one job type after expand_comm_tasks.
+
+    Tasks are addressed by their position in `tasks`; `preds`, `succs`,
+    `sources` and `on_pe` (computation tasks mapped to each processor, in
+    task order) hold positions too.
+    """
+
+    def __init__(self, job: JobType, dep: Deployment):
+        self.name = job.name
+        self.tasks = job.tasks
+        self.index = {t.id: i for i, t in enumerate(job.tasks)}
+        preds, succs = job.preds(), job.succs()
+        self.preds = [[self.index[p] for p in preds[t.id]] for t in job.tasks]
+        self.succs = [[self.index[s] for s in succs[t.id]] for t in job.tasks]
+        self.sources = [i for i, p in enumerate(self.preds) if not p]
+        self.on_pe: dict[str, list[int]] = {}
+        for i, t in enumerate(job.tasks):
+            pe = dep.mapping.get(t.id)
+            if t.kind != COMMUNICATION and pe is not None:
+                self.on_pe.setdefault(pe, []).append(i)
+
+    def task(self, task_id: str) -> TaskSpec:
+        return self.tasks[self.index[task_id]]
+
+
+def admit(graph: TaskGraph, instance: int) -> tuple[list[int], list[TaskRef]]:
+    """Statuses of a freshly admitted instance and its queued source tasks."""
+    st = [PENDING] * len(graph.tasks)
+    for i in graph.sources:
+        st[i] = QUEUED
+    return st, ready_order([TaskRef(instance, graph.name, graph.tasks[i].id) for i in graph.sources])
+
+
+def finish(graph: TaskGraph, st: list[int], ref: TaskRef) -> list[TaskRef] | None:
+    """Mark `ref` DONE; None when that completes its instance, else the
+    successors it enables, now QUEUED and in ready order."""
+    st[graph.index[ref.task]] = DONE
+    if all(s == DONE for s in st):
+        return None
+    newly = [
+        TaskRef(ref.instance, ref.job, graph.tasks[k].id)
+        for k in graph.succs[graph.index[ref.task]]
+        if st[k] == PENDING and all(st[p] == DONE for p in graph.preds[k])
+    ]
+    for nref in newly:
+        st[graph.index[nref.task]] = QUEUED
+    return ready_order(newly)
+
+
+def strict_view(insts, graphs, pe_id: str) -> list[tuple[TaskRef, bool]]:
+    """Incomplete task instances mapped to `pe_id` as (ref, enabled) pairs.
+
+    `insts[i]` is instance i's status list (anything else when it is not
+    admitted) and `graphs[i]` its TaskGraph; strict_priority_local picks
+    among these pairs.
+    """
+    out = []
+    for i, st in enumerate(insts):
+        if not isinstance(st, (tuple, list)):
+            continue
+        graph = graphs[i]
+        for k in graph.on_pe.get(pe_id, ()):
+            if st[k] in (RUNNING, DONE):
+                continue
+            enabled = all(st[p] == DONE for p in graph.preds[k])
+            out.append((TaskRef(i, graph.name, graph.tasks[k].id), enabled))
+    return out
+
+
 @dataclass(frozen=True)
 class Dispatch:
     ref: TaskRef
@@ -47,8 +123,7 @@ class Dispatch:
     frequency: Fraction | None  # None on interconnects
 
 
-@dataclass(frozen=True)
-class SchedulerState:
+class SchedulerState(NamedTuple):
     queue: tuple[TaskRef, ...] = ()  # fifo_global
     level_queues: tuple[tuple[int, tuple[TaskRef, ...]], ...] = ()  # priority, desc
     local_queues: tuple[tuple[str, tuple[TaskRef, ...]], ...] = ()  # per pe, asc id
@@ -85,26 +160,27 @@ def enqueue(state: SchedulerState, ref: TaskRef, task: TaskSpec, dep: Deployment
     """Queue one enabled task instance according to the deployment policy."""
     if task.kind == COMMUNICATION:
         q = _tuple_map_get(state.ic_queues, task.interconnect)
-        return replace(state, ic_queues=_tuple_map_set(state.ic_queues, task.interconnect, q + (ref,)))
+        return state._replace(ic_queues=_tuple_map_set(state.ic_queues, task.interconnect, q + (ref,)))
 
     policy = dep.policy
     if policy == "fifo_global":
-        return replace(state, queue=state.queue + (ref,))
+        return state._replace(queue=state.queue + (ref,))
     if policy == "fifo_priority_global":
         level = dep.priorities.get(ref.task, 0)
         q = _tuple_map_get(state.level_queues, level)
-        return replace(state, level_queues=_tuple_map_set(state.level_queues, level, q + (ref,)))
+        return state._replace(level_queues=_tuple_map_set(state.level_queues, level, q + (ref,)))
     if policy == "fifo_local":
         pe = dep.mapping[ref.task]
         q = _tuple_map_get(state.local_queues, pe)
-        return replace(state, local_queues=_tuple_map_set(state.local_queues, pe, q + (ref,)))
+        return state._replace(local_queues=_tuple_map_set(state.local_queues, pe, q + (ref,)))
     if policy == "strict_priority_local":
         # hold-back policy keeps no queue; dispatch scans the incomplete set
         return state
     raise ValueError(f"unknown policy {policy}")
 
 
-def _frequency_for(task_id: str, pe_id: str, dep: Deployment, platform: Platform) -> Fraction:
+def frequency_for(task_id: str, pe_id: str, dep: Deployment, platform: Platform) -> Fraction:
+    """A computation task's frequency on `pe_id`: its pinned one, else the lowest."""
     f = dep.task_frequency.get(task_id)
     if f is not None:
         return f
@@ -123,6 +199,7 @@ def next_dispatch(
     None; that exhausts every work-conserving start without letting time pass.
     `strict_view(pe_id)` is required by strict_priority_local: it returns the
     processor's incomplete mapped task instances as (ref, enabled) pairs.
+    Both engines pass the module's strict_view bound to their statuses.
     """
     busy = {rid for rid, _ in state.running}
     pes = [p for p in platform.active_processors() if p.id not in busy]
@@ -133,16 +210,16 @@ def next_dispatch(
         if policy == "fifo_global":
             if state.queue:
                 ref = state.queue[0]
-                return Dispatch(ref, pe.id, _frequency_for(ref.task, pe.id, dep, platform))
+                return Dispatch(ref, pe.id, frequency_for(ref.task, pe.id, dep, platform))
         elif policy == "fifo_priority_global":
             for level, q in sorted(state.level_queues, key=lambda e: -e[0]):
                 if q:
-                    return Dispatch(q[0], pe.id, _frequency_for(q[0].task, pe.id, dep, platform))
+                    return Dispatch(q[0], pe.id, frequency_for(q[0].task, pe.id, dep, platform))
         elif policy == "fifo_local":
             q = _tuple_map_get(state.local_queues, pe.id)
             if q:
                 ref = q[0]
-                return Dispatch(ref, pe.id, _frequency_for(ref.task, pe.id, dep, platform))
+                return Dispatch(ref, pe.id, frequency_for(ref.task, pe.id, dep, platform))
         elif policy == "strict_priority_local":
             pending = strict_view(pe.id)
             if pending:
@@ -150,7 +227,7 @@ def next_dispatch(
                 best = min(pending, key=lambda p: (p[0].instance, -dep.priorities.get(p[0].task, 0), p[0]))
                 ref, enabled = best
                 if enabled:
-                    return Dispatch(ref, pe.id, _frequency_for(ref.task, pe.id, dep, platform))
+                    return Dispatch(ref, pe.id, frequency_for(ref.task, pe.id, dep, platform))
                 # hold: this processor waits for its top task
         else:
             raise ValueError(f"unknown policy {policy}")
@@ -165,22 +242,22 @@ def apply_dispatch(state: SchedulerState, d: Dispatch, dep: Deployment, is_comm:
     """Remove the dispatched task from its queue and mark the resource busy."""
     if is_comm:
         q = _tuple_map_get(state.ic_queues, d.resource)
-        state = replace(state, ic_queues=_tuple_map_set(state.ic_queues, d.resource, q[1:]))
+        state = state._replace(ic_queues=_tuple_map_set(state.ic_queues, d.resource, q[1:]))
     else:
         policy = dep.policy
         if policy == "fifo_global":
-            state = replace(state, queue=state.queue[1:])
+            state = state._replace(queue=state.queue[1:])
         elif policy == "fifo_priority_global":
             level = dep.priorities.get(d.ref.task, 0)
             q = _tuple_map_get(state.level_queues, level)
-            state = replace(state, level_queues=_tuple_map_set(state.level_queues, level, q[1:]))
+            state = state._replace(level_queues=_tuple_map_set(state.level_queues, level, q[1:]))
         elif policy == "fifo_local":
             q = _tuple_map_get(state.local_queues, d.resource)
-            state = replace(state, local_queues=_tuple_map_set(state.local_queues, d.resource, q[1:]))
+            state = state._replace(local_queues=_tuple_map_set(state.local_queues, d.resource, q[1:]))
         # strict_priority_local keeps no queue
-    return replace(state, running=_tuple_map_set(state.running, d.resource, d.ref))
+    return state._replace(running=_tuple_map_set(state.running, d.resource, d.ref))
 
 
 def release(state: SchedulerState, resource: str) -> SchedulerState:
     running = tuple(e for e in state.running if e[0] != resource)
-    return replace(state, running=running)
+    return state._replace(running=running)

@@ -2,8 +2,9 @@
 
 Each run draws arrival times and task durations uniformly from the model's
 windows and replays the deployment's scheduling policy exactly as the formal
-engine encodes it (same policy kernel, same tick arithmetic), so every
-simulated completion time falls inside the formally derived bounds.
+engine encodes it (same task graph, enabling rules and policy kernel, same
+tick arithmetic), so every simulated completion time falls inside the
+formally derived bounds.
 
 Event processing is strictly sequential and fully deterministic: heap order is
 (time, rank, tiebreak) with ends before arrivals before starts at equal time,
@@ -14,20 +15,24 @@ start the policy allows before the next event is popped.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .generators import sample_arrivals
 from .metrics import MetricSpec, Report, TIME_KINDS, default_metrics, extract, summarize
 from .model import COMMUNICATION, SystemModel, expand_comm_tasks, task_duration
 from .rng import SplitMix64, stream_for
 from .schedulers import (
-    TaskRef,
+    RUNNING,
+    TaskGraph,
+    admit,
     apply_dispatch,
     empty_state,
     enqueue,
+    finish,
     next_dispatch,
-    ready_order,
     release,
+    strict_view,
 )
 from .timebase import SCALE, format_ticks_fixed
 
@@ -82,19 +87,6 @@ class TimedTrace:
         return "\n".join(self.lines()) + "\n"
 
 
-@dataclass
-class _Instance:
-    job: str
-    generator: int
-    arrival: int
-    total: int
-    done: set = field(default_factory=set)
-    started: set = field(default_factory=set)
-    admitted: bool = False
-    dropped: bool = False
-    completion: int | None = None
-
-
 def simulate(model: SystemModel, seed, run_index: int = 0,
              horizon: int | None = None, model_hash: str = "") -> TimedTrace:
     """One run; `seed` is a campaign seed (int) or a ready-made stream."""
@@ -104,10 +96,7 @@ def simulate(model: SystemModel, seed, run_index: int = 0,
         rng, meta_seed = stream_for(seed, run_index), seed
     dep = model.deployment
     platform = model.platform
-    jobs = {jt.name: expand_comm_tasks(jt, dep, platform) for jt in model.job_types}
-    task_maps = {name: j.task_map() for name, j in jobs.items()}
-    pred_maps = {name: j.preds() for name, j in jobs.items()}
-    succ_maps = {name: j.succs() for name, j in jobs.items()}
+    graphs = {jt.name: TaskGraph(expand_comm_tasks(jt, dep, platform), dep) for jt in model.job_types}
 
     # arrivals are drawn up front, generator declaration order, then numbered
     # globally by (time, generator, index) so instance ids are canonical
@@ -117,98 +106,68 @@ def simulate(model: SystemModel, seed, run_index: int = 0,
             raw.append((t, gidx, k))
     raw.sort()
 
-    instances: list[_Instance] = []
+    inst_graph: list[TaskGraph] = []
     heap: list = []
     for inst, (t, gidx, _k) in enumerate(raw):
-        g = model.generators[gidx]
-        instances.append(_Instance(g.job_type, gidx, t, total=len(jobs[g.job_type].tasks)))
-        heapq.heappush(heap, (t, RANK["arrival"], (gidx, inst), ("arrival", inst)))
+        inst_graph.append(graphs[model.generators[gidx].job_type])
+        heapq.heappush(heap, (t, RANK["arrival"], (gidx, inst), None))
 
+    # per instance: None until admitted or when dropped, else task statuses
+    insts: list[list[int] | None] = [None] * len(raw)
     sched = empty_state(platform)
-    running: dict[str, tuple[TaskRef, int]] = {}  # resource -> (ref, end time)
     last_freq: dict[str, object] = {}
     events: list[Event] = []
+    view = partial(strict_view, insts, inst_graph)
     backlog = 0
     overflow_count = 0
-
-    def strict_view(pe_id):
-        out = []
-        for inst, rec in enumerate(instances):
-            if not rec.admitted or rec.completion is not None:
-                continue
-            tm, preds = task_maps[rec.job], pred_maps[rec.job]
-            for t in jobs[rec.job].tasks:
-                if t.kind == COMMUNICATION or dep.mapping.get(t.id) != pe_id:
-                    continue
-                if t.id in rec.started or t.id in rec.done:
-                    continue
-                enabled = all(p in rec.done for p in preds[t.id])
-                out.append((TaskRef(inst, rec.job, t.id), enabled))
-        return out
 
     def cascade(now: int):
         nonlocal sched
         while True:
-            d = next_dispatch(sched, dep, platform, strict_view)
+            d = next_dispatch(sched, dep, platform, view)
             if d is None:
                 return
-            rec = instances[d.ref.instance]
-            task = task_maps[rec.job][d.ref.task]
+            ref = d.ref
+            graph = inst_graph[ref.instance]
+            task = graph.task(ref.task)
             is_comm = task.kind == COMMUNICATION
             sched = apply_dispatch(sched, d, dep, is_comm)
-            rec.started.add(d.ref.task)
+            insts[ref.instance][graph.index[ref.task]] = RUNNING
             window = task_duration(task, d.frequency)
             dur = window.lo if window.lo == window.hi else rng.uniform_ticks(window.lo, window.hi)
             if not is_comm and last_freq.get(d.resource) != d.frequency:
                 last_freq[d.resource] = d.frequency
                 events.append(Event(now, "freq_set", resource=d.resource, frequency=d.frequency))
-            events.append(Event(now, "start", d.ref.instance, rec.job, d.ref.task, d.resource, d.frequency))
-            running[d.resource] = (d.ref, now + dur)
-            heapq.heappush(
-                heap,
-                (now + dur, RANK["end"], (d.ref.instance, rec.job, d.ref.task), ("end", d.resource)),
-            )
+            events.append(Event(now, "start", ref.instance, ref.job, ref.task, d.resource, d.frequency))
+            heapq.heappush(heap, (now + dur, RANK["end"], ref, d.resource))
 
+    # heap entries: (time, rank, key, resource); the key, (generator,
+    # instance) for an arrival and the TaskRef for an end, breaks ties
     while heap:
-        now, _rank, _tb, payload = heapq.heappop(heap)
-        if payload[0] == "arrival":
-            inst = payload[1]
-            rec = instances[inst]
+        now, rank, key, resource = heapq.heappop(heap)
+        if rank == RANK["arrival"]:
+            gidx, inst = key
+            graph = inst_graph[inst]
             if backlog >= dep.queue_capacity:
-                rec.dropped = True
                 overflow_count += 1
-                events.append(Event(now, "overflow", inst, rec.job, generator=rec.generator))
+                events.append(Event(now, "overflow", inst, graph.name, generator=gidx))
                 continue
             backlog += 1
-            rec.admitted = True
-            events.append(Event(now, "arrival", inst, rec.job, generator=rec.generator))
-            sources = [
-                TaskRef(inst, rec.job, t.id)
-                for t in jobs[rec.job].tasks
-                if not pred_maps[rec.job][t.id]
-            ]
-            for ref in ready_order(sources):
-                sched = enqueue(sched, ref, task_maps[rec.job][ref.task], dep)
+            events.append(Event(now, "arrival", inst, graph.name, generator=gidx))
+            insts[inst], sources = admit(graph, inst)
+            for ref in sources:
+                sched = enqueue(sched, ref, graph.task(ref.task), dep)
             cascade(now)
         else:  # end
-            resource = payload[1]
-            ref, _endt = running.pop(resource)
+            ref = key
             sched = release(sched, resource)
-            rec = instances[ref.instance]
-            rec.done.add(ref.task)
-            events.append(Event(now, "end", ref.instance, rec.job, ref.task, resource))
-            if len(rec.done) == rec.total:
-                rec.completion = now
+            graph = inst_graph[ref.instance]
+            events.append(Event(now, "end", ref.instance, ref.job, ref.task, resource))
+            newly = finish(graph, insts[ref.instance], ref)
+            if newly is None:
                 backlog -= 1
-            else:
-                newly = []
-                for succ in succ_maps[rec.job][ref.task]:
-                    if succ in rec.started or succ in rec.done:
-                        continue
-                    if all(p in rec.done for p in pred_maps[rec.job][succ]):
-                        newly.append(TaskRef(ref.instance, rec.job, succ))
-                for nref in ready_order(newly):
-                    sched = enqueue(sched, nref, task_maps[rec.job][nref.task], dep)
+            for nref in newly or ():
+                sched = enqueue(sched, nref, graph.task(nref.task), dep)
             cascade(now)
 
     # events stay in processing order: non-decreasing time, ends handled

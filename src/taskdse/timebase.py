@@ -64,10 +64,5 @@ def format_ticks_fixed(ticks: int) -> str:
     return f"{sign}{units}.{frac:06d}"
 
 
-def floor_div(num: int, den: int) -> int:
-    # Python floordiv already floors toward -inf, which is what bounds need.
-    return num // den
-
-
 def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)

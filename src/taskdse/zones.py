@@ -10,19 +10,15 @@ in an encoded int64 form so the hot path can run on numpy arrays:
 
 The encoding is order-preserving, and bound addition is a shift/or dance that
 never allocates Python objects.  Canonical form is the all-pairs shortest-path
-tightening; a zone is empty exactly when tightening drives a diagonal entry
-negative.  All public operations preserve canonical form, so inclusion is a
-plain entrywise comparison.
+tightening.  Every operation here maps canonical zones to canonical zones;
+constrain_one does it with one incremental pass and reports an empty zone
+when the new bound closes a negative cycle.  Inclusion is therefore a plain
+entrywise comparison.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from .model import TimeInterval
 
 INF_ENC = 1 << 62
 LE_ZERO = 1  # enc(0, weak)
@@ -54,14 +50,6 @@ def _mat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def new_zero(m: int) -> np.ndarray:
     """Zone where all m clocks equal 0 (canonical)."""
     return np.full((m, m), LE_ZERO, dtype=np.int64)
-
-
-def close_all(mat: np.ndarray) -> bool:
-    """Floyd-Warshall tightening in place; returns False if the zone is empty."""
-    m = mat.shape[0]
-    for k in range(m):
-        mat[:] = np.minimum(mat, _mat_add(mat[:, k : k + 1], mat[k : k + 1, :]))
-    return bool((np.diagonal(mat) >= LE_ZERO).all())
 
 
 def constrain_one(mat: np.ndarray, i: int, j: int, bound: int) -> bool:
@@ -115,168 +103,3 @@ def clock_window(mat: np.ndarray, c: int) -> tuple[int, int | None]:
     up = int(mat[c, 0])
     hi = None if up >= INF_ENC else (up >> 1)
     return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# public wrapper
-
-
-@dataclass(frozen=True)
-class Bound:
-    """One difference bound: value may be math.inf for 'no constraint'."""
-
-    value: int | float
-    strict: bool = False
-
-    def __post_init__(self):
-        if self.value is math.inf:
-            return
-        if not isinstance(self.value, int):
-            raise ValueError("finite bounds must be integers (tick units)")
-
-    def encoded(self) -> int:
-        if self.value is math.inf:
-            return INF_ENC
-        return enc(self.value, self.strict)
-
-    @staticmethod
-    def decode(e: int) -> "Bound":
-        if e >= INF_ENC:
-            return Bound(math.inf)
-        return Bound(e >> 1, strict=not (e & 1))
-
-    def __str__(self) -> str:
-        if self.value is math.inf:
-            return "<inf"
-        return f"{'<' if self.strict else '<='}{self.value}"
-
-
-class DBM:
-    """Zone over n clocks (plus the implicit zero clock at index 0).
-
-    Instances behave as values: every operation returns a new DBM.  Freshly
-    built matrices are not canonical until canonical() runs; the query
-    operations insist on canonical input rather than canonicalizing behind
-    the caller's back.
-    """
-
-    def __init__(self, n: int, raw: np.ndarray | None = None, canonical: bool = False, empty: bool = False):
-        if n < 0:
-            raise ValueError("clock count must be non-negative")
-        self.n = n
-        self.raw = new_zero(n + 1) if raw is None else raw
-        if self.raw.shape != (n + 1, n + 1):
-            raise ValueError("matrix shape does not match clock count")
-        self._canonical = canonical
-        self._empty = empty
-
-    @classmethod
-    def zero(cls, n: int) -> "DBM":
-        return cls(n, canonical=True)
-
-    @classmethod
-    def unconstrained(cls, n: int) -> "DBM":
-        raw = np.full((n + 1, n + 1), INF_ENC, dtype=np.int64)
-        np.fill_diagonal(raw, LE_ZERO)
-        raw[0, :] = LE_ZERO  # clocks are non-negative
-        return cls(n, raw, canonical=True)
-
-    def _require_canonical(self, op: str) -> None:
-        if not self._canonical:
-            raise ValueError(f"{op} requires a canonical DBM")
-
-    def _require_nonempty(self, op: str) -> None:
-        self._require_canonical(op)
-        if self._empty:
-            raise ValueError(f"{op} on an empty zone")
-
-    def entry(self, i: int, j: int) -> Bound:
-        return Bound.decode(int(self.raw[i, j]))
-
-    def with_entry(self, i: int, j: int, bound: Bound) -> "DBM":
-        raw = self.raw.copy()
-        raw[i, j] = bound.encoded()
-        return DBM(self.n, raw)
-
-    def canonical(self) -> "DBM":
-        """All-pairs shortest-path tightening; idempotent."""
-        if self._canonical:
-            return self
-        raw = self.raw.copy()
-        ok = close_all(raw)
-        return DBM(self.n, raw, canonical=True, empty=not ok)
-
-    def is_empty(self) -> bool:
-        self._require_canonical("is_empty")
-        return self._empty
-
-    def up(self) -> "DBM":
-        """Future of the zone: any point may elapse arbitrarily."""
-        self._require_nonempty("up")
-        raw = self.raw.copy()
-        elapse(raw)
-        return DBM(self.n, raw, canonical=True)
-
-    def reset(self, c: int) -> "DBM":
-        self._require_nonempty("reset")
-        self._check_clock(c)
-        raw = self.raw.copy()
-        reset_zero(raw, c)
-        return DBM(self.n, raw, canonical=True)
-
-    def constrain(self, i: int, j: int, bound: Bound) -> "DBM":
-        """Intersect with c_i - c_j ~ bound; result may be empty."""
-        self._require_nonempty("constrain")
-        if not (0 <= i <= self.n and 0 <= j <= self.n) or i == j:
-            raise ValueError("constraint indices out of range")
-        raw = self.raw.copy()
-        ok = constrain_one(raw, i, j, bound.encoded())
-        return DBM(self.n, raw, canonical=True, empty=not ok)
-
-    def includes(self, other: "DBM") -> bool:
-        self._require_canonical("includes")
-        other._require_canonical("includes")
-        if self.n != other.n:
-            raise ValueError("clock counts differ")
-        if other._empty:
-            return True
-        if self._empty:
-            return False
-        return zone_includes(self.raw, other.raw)
-
-    def clock_bounds(self, c: int) -> TimeInterval:
-        self._require_nonempty("clock_bounds")
-        self._check_clock(c)
-        lo, hi = clock_window(self.raw, c)
-        return TimeInterval(lo, math.inf if hi is None else hi)
-
-    def _check_clock(self, c: int) -> None:
-        if not (1 <= c <= self.n):
-            raise ValueError(f"clock index {c} out of range 1..{self.n}")
-
-    def dump(self, names: list[str] | None = None) -> str:
-        """Readable constraint listing, one line per finite off-diagonal entry."""
-        labels = ["0"] + (names if names else [f"c{i}" for i in range(1, self.n + 1)])
-        if names and len(names) != self.n:
-            raise ValueError("need one name per clock")
-        lines = []
-        for i in range(self.n + 1):
-            for j in range(self.n + 1):
-                if i == j:
-                    continue
-                b = self.entry(i, j)
-                if b.value is math.inf:
-                    continue
-                lines.append(f"{labels[i]} - {labels[j]} {b}")
-        return "\n".join(lines)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DBM)
-            and self.n == other.n
-            and bool((self.raw == other.raw).all())
-        )
-
-    def __repr__(self) -> str:
-        state = "empty" if self._empty else ("canonical" if self._canonical else "raw")
-        return f"DBM(n={self.n}, {state})"

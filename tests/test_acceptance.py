@@ -14,13 +14,14 @@ import pytest
 
 from taskdse import cli, fixtures
 from taskdse.generators import Generator, check_variability, sample_arrivals
-from taskdse.reachability import ReachOptions, build_network, reach_bounds
+from taskdse.reachability import Network, ReachOptions, reach_bounds
 from taskdse.rng import SplitMix64, derive_seed, stream_for
 from taskdse.simulator import run_campaign
 from taskdse.timebase import SCALE, to_ticks
+from taskdse.zones import clock_window, zone_includes
 
 from test_generators import _oracle_check
-from test_zones import grid_points, random_weak_dbm, satisfies
+from test_zones import grid_points, random_weak_zone, satisfies
 
 SEED = 20260819
 U = to_ticks
@@ -40,7 +41,7 @@ def test_criterion_01_simulation_inside_formal_bounds():
     t0 = time.time()
     checked = 0
     for name, m in _soundness_fixtures():
-        build_network(m)  # fits the default 25-clock budget
+        Network(m)  # fits the default 25-clock budget
         r = reach_bounds(m)
         c = run_campaign(m, 1000, seed=SEED)
         for v in c.values("makespan"):
@@ -169,21 +170,20 @@ def test_criterion_08_dbm_against_integer_point_oracle():
     for case in range(500):
         n = 1 + int(rng.next_u64() % 4)
         pts = grid_points(n)
-        a = random_weak_dbm(rng, n)
-        b = random_weak_dbm(rng, n)
-        in_a, in_b = satisfies(a, pts), satisfies(b, pts)
+        a, cons_a = random_weak_zone(rng, n)
+        b, cons_b = random_weak_zone(rng, n)
+        in_a, in_b = satisfies(cons_a, pts), satisfies(cons_b, pts)
 
-        assert a.is_empty() == (not in_a.any()), f"case {case}: emptiness"
-        assert b.is_empty() == (not in_b.any()), f"case {case}: emptiness"
-        if not a.is_empty() and not b.is_empty():
-            assert a.includes(b) == bool((~in_b | in_a).all()), f"case {case}: inclusion"
+        assert (a is None) == (not in_a.any()), f"case {case}: emptiness"
+        assert (b is None) == (not in_b.any()), f"case {case}: emptiness"
+        if a is not None and b is not None:
+            assert zone_includes(a, b) == bool((~in_b | in_a).all()), f"case {case}: inclusion"
             inclusion_checked += 1
-        if not a.is_empty():
+        if a is not None:
             for c in range(1, n + 1):
-                w = a.clock_bounds(c)
                 col = pts[in_a, c - 1]
-                assert (w.lo, w.hi) == (int(col.min()), int(col.max())), f"case {case}"
-    print(f"criterion 8: PASS - 500 random DBMs agree with the brute-force "
+                assert clock_window(a, c) == (int(col.min()), int(col.max())), f"case {case}"
+    print(f"criterion 8: PASS - 500 random zones agree with the brute-force "
           f"lattice oracle ({inclusion_checked} inclusion pairs)")
 
 

@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from taskdse import cli
+from taskdse import cli, config, fixtures
+from taskdse.model import DataEdge, Deployment
 
 CHAIN2 = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "chain2.json")
 BAND16 = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "band16.json")
@@ -37,6 +38,27 @@ def test_check_semantic_violations_listed(tmp_path, capsys):
     p.write_text(json.dumps(data))
     assert cli.main(["check", str(p)]) == 2
     assert "UnknownPolicy" in capsys.readouterr().err
+
+
+def _split_chain_without_interconnect(tmp_path) -> str:
+    # a->b carries data across two processors, but nothing can move it
+    m = fixtures.chain2()
+    m.platform = fixtures.indep2().platform  # two processors, no interconnect
+    m.job_types[0].edges = [DataEdge("a", "b", 64)]
+    m.deployment = Deployment(policy="fifo_local", mapping={"a": "PE0", "b": "PE1"})
+    p = tmp_path / "no_interconnect.json"
+    p.write_text(config.dumps(m))
+    return str(p)
+
+
+@pytest.mark.parametrize("verb", [["check"], ["verify"], ["simulate", "--runs", "1", "--seed", "1"]])
+def test_missing_interconnect_is_a_config_error(tmp_path, capsys, verb):
+    path = _split_chain_without_interconnect(tmp_path)
+    argv = verb[:1] + [path] + verb[1:]
+    if verb[0] != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "MissingInterconnect{chain.a->b}" in capsys.readouterr().err
 
 
 def test_verify_writes_report(tmp_path, capsys):
@@ -84,6 +106,25 @@ def test_simulate_writes_samples_and_report(tmp_path):
     assert rep["metrics"]["makespan"]["count"] == 5
     assert (out / "hist-makespan.csv").exists()
     assert not list(out.glob("trace-*.txt"))
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5", "abc", "0.0000001", "1/0"])
+def test_simulate_rejects_bad_horizon(tmp_path, capsys, horizon):
+    assert cli.main(["simulate", CHAIN2, "--runs", "1", "--seed", "1",
+                     "--horizon", horizon, "--out", str(tmp_path)]) == 2
+    assert "--horizon" in capsys.readouterr().err
+
+
+def test_simulate_short_horizon_clips_utilization(tmp_path):
+    # every chain2 run is busy from 0 past 4; a horizon of 1 sees it busy throughout
+    out = tmp_path / "h"
+    assert cli.main(["simulate", CHAIN2, "--runs", "5", "--seed", "7",
+                     "--horizon", "1", "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    util = rep["metrics"]["utilization[PE0]"]
+    assert util["min"] == util["max"] == 1.0
+    # idle static power is never charged: 1 unit busy at 0.1 + 0.9 W
+    assert rep["metrics"]["energy"]["max"] == pytest.approx(1.0)
 
 
 def test_simulate_traces_flag(tmp_path):

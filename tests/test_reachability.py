@@ -15,9 +15,9 @@ import pytest
 from taskdse import fixtures
 from taskdse.reachability import (
     BudgetExceeded,
+    Network,
     ReachOptions,
     SearchCapExceeded,
-    build_network,
     reach_bounds,
 )
 from taskdse.timebase import to_ticks
@@ -121,9 +121,9 @@ def test_state_cap_enforced():
 
 def test_clock_need_formula_on_chain2():
     # global T + makespan clock + 1 concurrent instance + 1 processor = 4
-    build_network(fixtures.chain2(), ReachOptions(clock_budget=4))
+    Network(fixtures.chain2(), ReachOptions(clock_budget=4))
     with pytest.raises(BudgetExceeded):
-        build_network(fixtures.chain2(), ReachOptions(clock_budget=3))
+        Network(fixtures.chain2(), ReachOptions(clock_budget=3))
 
 
 def test_overflow_reachable_flagged():

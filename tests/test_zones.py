@@ -1,124 +1,128 @@
-"""Difference-bound-matrix algebra, checked against an integer-point oracle.
+"""Zone kernel checked against an integer-point oracle.
 
-The randomized cases use weak (non-strict) integer bounds only; for those a
-canonical non-empty DBM always contains an integer point (shortest-path
-potentials are integral), so enumerating a bounded integer grid is an exact
-reference for emptiness, inclusion and per-clock bounds.
+The randomized cases build every zone the way the formal engine does: one
+`constrain_one` call per bound, starting from the unconstrained zone, with
+weak (non-strict) integer bounds only.  Such a zone, when non-empty, is an
+integral polytope (shortest-path potentials are integral), so enumerating a
+bounded integer grid is an exact reference for emptiness, inclusion and
+per-clock bounds.
 """
 
-import math
-
 import numpy as np
-import pytest
 
+from taskdse.reachability import MERGE_LIMIT, _hull_is_union
 from taskdse.rng import SplitMix64
 from taskdse.zones import (
-    DBM,
     INF_ENC,
     LE_ZERO,
-    Bound,
+    clock_window,
+    constrain_one,
+    elapse,
     enc,
+    enc_add,
+    enc_neg,
+    new_zero,
+    reset_zero,
     zone_includes,
 )
+
+
+def unconstrained(n: int) -> np.ndarray:
+    """Canonical zone of every non-negative valuation of n clocks."""
+    mat = np.full((n + 1, n + 1), INF_ENC, dtype=np.int64)
+    np.fill_diagonal(mat, LE_ZERO)
+    mat[0, :] = LE_ZERO  # clocks are non-negative
+    return mat
 
 
 def test_encoding_orders_strictness():
     assert enc(3, strict=True) < enc(3, strict=False) < enc(4, strict=True)
     assert LE_ZERO == enc(0, strict=False)
-    assert Bound.decode(enc(5, True)) == Bound(5, True)
-    assert Bound.decode(INF_ENC).value is math.inf
-    assert str(Bound(2, True)) == "<2"
-    assert str(Bound(2)) == "<=2"
+    assert enc_add(enc(2), enc(3, strict=True)) == enc(5, strict=True)
+    assert enc_add(INF_ENC, enc(1)) == INF_ENC
+    # not (x < 5) is -x <= -5; not (x <= 5) is -x < -5
+    assert enc_neg(enc(5, strict=True)) == enc(-5)
+    assert enc_neg(enc(5)) == enc(-5, strict=True)
 
 
 def test_zero_zone_and_unconstrained():
-    z = DBM.zero(2)
-    assert not z.is_empty()
-    assert z.clock_bounds(1) == z.clock_bounds(2)
-    assert z.clock_bounds(1).lo == 0 and z.clock_bounds(1).hi == 0
-    u = DBM.unconstrained(2)
-    assert u.clock_bounds(1).hi is math.inf
-    assert u.includes(z)
-    assert not z.includes(u)
+    z = new_zero(3)
+    assert clock_window(z, 1) == clock_window(z, 2) == (0, 0)
+    u = unconstrained(2)
+    assert clock_window(u, 1) == (0, None)
+    assert zone_includes(u, z)
+    assert not zone_includes(z, u)
 
 
 def test_negative_cycle_is_empty():
     # x - 0 <= 1 and 0 - x <= -2 cannot both hold
-    d = (
-        DBM.unconstrained(1)
-        .constrain(1, 0, Bound(1))
-        .constrain(0, 1, Bound(-2))
-    )
-    assert d.is_empty()
+    z = unconstrained(1)
+    assert constrain_one(z, 1, 0, enc(1))
+    before = z.copy()
+    assert not constrain_one(z, 0, 1, enc(-2))
+    assert (z == before).all()  # the emptying bound leaves the matrix alone
 
 
 def test_includes_reflexive_and_monotone():
-    d = DBM.zero(2).up().constrain(1, 0, Bound(5))
-    assert d.includes(d)
-    tighter = d.constrain(2, 0, Bound(3))
-    assert d.includes(tighter)
-    assert not tighter.includes(d)
+    d = new_zero(3)
+    elapse(d)
+    assert constrain_one(d, 1, 0, enc(5))
+    assert zone_includes(d, d)
+    tighter = d.copy()
+    assert constrain_one(tighter, 2, 0, enc(3))
+    assert zone_includes(d, tighter)
+    assert not zone_includes(tighter, d)
 
 
 def test_up_removes_upper_bounds_keeps_differences():
-    d = DBM.zero(2).up()
+    d = new_zero(3)
+    elapse(d)
     # both clocks advanced together: x - y stays 0
-    assert d.entry(1, 2) == Bound(0)
-    assert d.entry(2, 1) == Bound(0)
-    assert d.clock_bounds(1).hi is math.inf
+    assert d[1, 2] == LE_ZERO
+    assert d[2, 1] == LE_ZERO
+    assert clock_window(d, 1) == (0, None)
 
 
 def test_reset_pins_one_clock():
-    d = DBM.zero(2).up().constrain(1, 0, Bound(4)).reset(2)
-    assert d.clock_bounds(2).lo == 0 and d.clock_bounds(2).hi == 0
-    assert d.clock_bounds(1).hi == 4
-
-
-def test_constrain_checks_indices():
-    d = DBM.zero(1)
-    with pytest.raises(ValueError):
-        d.constrain(0, 0, Bound(1))
-    with pytest.raises(ValueError):
-        d.constrain(2, 0, Bound(1))
-
-
-def test_query_requires_canonical():
-    raw = DBM.zero(1).with_entry(1, 0, Bound(5))
-    with pytest.raises(ValueError):
-        raw.is_empty()
-    assert not raw.canonical().is_empty()
-
-
-def test_empty_zone_refuses_further_ops():
-    d = DBM.unconstrained(1).constrain(1, 0, Bound(1)).constrain(0, 1, Bound(-2))
-    with pytest.raises(ValueError):
-        d.up()
-    with pytest.raises(ValueError):
-        d.clock_bounds(1)
-
-
-def test_dump_lists_constraints():
-    d = DBM.zero(1).up().constrain(1, 0, Bound(3, strict=True))
-    text = d.dump(["x"])
-    assert "x - 0 <3" in text
+    d = new_zero(3)
+    elapse(d)
+    assert constrain_one(d, 1, 0, enc(4))
+    reset_zero(d, 2)
+    assert clock_window(d, 2) == (0, 0)
+    assert clock_window(d, 1) == (0, 4)
 
 
 # --- randomized oracle ------------------------------------------------------
 
 
-def random_weak_dbm(rng: SplitMix64, n: int, bound: int = 10) -> DBM:
-    """Random canonical DBM over n clocks, weak integer bounds <= `bound`."""
-    d = DBM.unconstrained(n)
-    raw = d.raw.copy()
+def random_weak_zone(rng: SplitMix64, n: int, bound: int = 10, scale: int = 1):
+    """Random zone over n clocks from weak integer bounds <= `bound` * `scale`.
+
+    Every bound is a multiple of `scale`.  Returns (matrix, constraints): the
+    constraints are (i, j, encoded bound) triples, and the matrix is None when
+    one `constrain_one` call found the zone empty.
+    """
+    cons = []
     for i in range(1, n + 1):
-        raw[i, 0] = enc(int(rng.next_u64() % (bound + 1)))  # x_i <= c
+        cons.append((i, 0, enc(scale * int(rng.next_u64() % (bound + 1)))))  # x_i <= c
         if rng.next_u64() % 2:
-            raw[0, i] = enc(-int(rng.next_u64() % (bound + 1)))  # x_i >= c
+            cons.append((0, i, enc(-scale * int(rng.next_u64() % (bound + 1)))))  # x_i >= c
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j and rng.next_u64() % 3 == 0:
-                raw[i, j] = enc(int(rng.next_u64() % (2 * bound + 1)) - bound)
-    return DBM(n, raw).canonical()
+                cons.append((i, j, enc(scale * (int(rng.next_u64() % (2 * bound + 1)) - bound))))
+    mat = unconstrained(n)
+    for i, j, e in cons:
+        if not constrain_one(mat, i, j, e):
+            return None, cons
+    return mat, cons
+
+
+def matrix_constraints(mat: np.ndarray) -> list:
+    """The finite off-diagonal entries of a zone as (i, j, encoded) triples."""
+    m = mat.shape[0]
+    return [(i, j, int(mat[i, j])) for i in range(m) for j in range(m)
+            if i != j and mat[i, j] < INF_ENC]
 
 
 def grid_points(n: int, bound: int = 10) -> np.ndarray:
@@ -127,46 +131,65 @@ def grid_points(n: int, bound: int = 10) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def satisfies(d: DBM, pts: np.ndarray) -> np.ndarray:
-    """Boolean mask of grid points inside the zone (weak bounds assumed)."""
+def satisfies(cons, pts: np.ndarray) -> np.ndarray:
+    """Boolean mask of grid points meeting every (i, j, encoded) bound."""
     full = np.hstack([np.zeros((len(pts), 1), dtype=pts.dtype), pts])
     ok = np.ones(len(pts), dtype=bool)
-    for i in range(d.n + 1):
-        for j in range(d.n + 1):
-            if i == j:
-                continue
-            b = d.entry(i, j)
-            if b.value is math.inf:
-                continue
-            diff = full[:, i] - full[:, j]
-            ok &= (diff < b.value) if b.strict else (diff <= b.value)
+    for i, j, e in cons:
+        diff = full[:, i] - full[:, j]
+        ok &= (diff <= e >> 1) if e & 1 else (diff < e >> 1)
     return ok
 
 
 def test_randomized_against_integer_point_oracle():
     rng = SplitMix64(0xD1CE)
+    resets = 0
     for case in range(120):
         n = 1 + int(rng.next_u64() % 3)
         pts = grid_points(n)
-        a = random_weak_dbm(rng, n)
-        b = random_weak_dbm(rng, n)
-        in_a, in_b = satisfies(a, pts), satisfies(b, pts)
+        a, cons_a = random_weak_zone(rng, n)
+        b, cons_b = random_weak_zone(rng, n)
+        in_a, in_b = satisfies(cons_a, pts), satisfies(cons_b, pts)
 
-        assert a.is_empty() == (not in_a.any()), f"case {case}: emptiness"
-        if not a.is_empty() and not b.is_empty():
-            assert a.includes(b) == bool((~in_b | in_a).all()), f"case {case}: inclusion"
-        if not a.is_empty():
+        assert (a is None) == (not in_a.any()), f"case {case}: emptiness"
+        if a is not None and b is not None:
+            assert zone_includes(a, b) == bool((~in_b | in_a).all()), f"case {case}: inclusion"
+        if a is not None:
+            assert (satisfies(matrix_constraints(a), pts) == in_a).all(), f"case {case}: closure"
             for c in range(1, n + 1):
-                w = a.clock_bounds(c)
                 col = pts[in_a, c - 1]
-                assert w.lo == int(col.min()) and w.hi == int(col.max()), f"case {case}: clock {c}"
+                assert clock_window(a, c) == (int(col.min()), int(col.max())), f"case {case}: clock {c}"
+            # resetting clock c keeps the other coordinates and pins c to 0
+            c = 1 + case % n
+            r = a.copy()
+            reset_zero(r, c)
+            others = [k for k in range(n) if k != c - 1]
+            kept = {tuple(p) for p in pts[in_a][:, others]}
+            want = (pts[:, c - 1] == 0) & np.array([tuple(p) in kept for p in pts[:, others]])
+            assert (satisfies(matrix_constraints(r), pts) == want).all(), f"case {case}: reset"
+            resets += 1
+    assert resets > 0
 
 
-def test_zone_includes_matches_wrapper():
-    rng = SplitMix64(77)
-    for _ in range(50):
-        a = random_weak_dbm(rng, 2)
-        b = random_weak_dbm(rng, 2)
-        if a.is_empty() or b.is_empty():
+def test_hull_is_union_against_integer_point_oracle():
+    # Bounds are multiples of n + 1.  A point of the hull outside both zones
+    # violates one bound of each strictly; a cycle of at most n + 1 bounds
+    # with positive slack then has slack >= n + 1, enough for all its strict
+    # bounds at once, so such a point exists on the integer grid whenever one
+    # exists in dense time.
+    rng = SplitMix64(0x4A11)
+    outcomes = set()
+    for case in range(400):
+        n = 1 + int(rng.next_u64() % 3)
+        scale = n + 1
+        a, cons_a = random_weak_zone(rng, n, scale=scale)
+        b, cons_b = random_weak_zone(rng, n, scale=scale)
+        if a is None or b is None:
             continue
-        assert zone_includes(a.raw, b.raw) == a.includes(b)
+        pts = grid_points(n, 10 * scale)
+        h = np.maximum(a, b)
+        union = satisfies(cons_a, pts) | satisfies(cons_b, pts)
+        exact = bool((satisfies(matrix_constraints(h), pts) == union).all())
+        assert _hull_is_union(h, a, b, MERGE_LIMIT) == exact, f"case {case}"
+        outcomes.add(exact)
+    assert outcomes == {True, False}
