@@ -25,7 +25,7 @@ from .model import POLICIES, LOCAL_POLICIES, SystemModel, validate_model
 from .reachability import BudgetExceeded, ReachOptions, SearchCapExceeded, reach_bounds
 from .rng import derive_seed
 from .simulator import run_campaign
-from .timebase import SCALE, as_fraction, format_ticks, to_ticks
+from .timebase import SCALE, format_ticks
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -243,7 +243,10 @@ def _parse_axes(specs: list[str]) -> list[tuple[str, list[str]]]:
 def apply_axis(model: SystemModel, name: str, value: str):
     """Mutate `model` along one sweep axis; values arrive as strings."""
     if name == "processors":
-        n = int(value)
+        try:
+            n = int(value)
+        except ValueError:
+            raise AxisError(f"processors={value!r} is not an integer") from None
         pes = model.platform.processors
         if not 1 <= n <= len(pes):
             raise AxisError(f"processors={n} outside 1..{len(pes)}")
@@ -253,11 +256,11 @@ def apply_axis(model: SystemModel, name: str, value: str):
         for i, pe in enumerate(pes):
             pe.initially_on = i < n
     elif name == "frequency":
-        f = as_fraction(value)
+        f = config._fraction(value, "--axis frequency")
         for pe in model.platform.processors:
             pe.frequencies = [f]
     elif name == "period":
-        t = to_ticks(value)
+        t = config._ticks(value, "--axis period")
         if t <= 0:
             raise AxisError("period must be positive")
         for g in model.generators:

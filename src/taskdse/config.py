@@ -48,6 +48,9 @@ class ConfigError(ValueError):
         self.path = path
         self.message = message
 
+    def __reduce__(self):  # a sweep worker's error must unpickle in the parent
+        return type(self), (self.path, self.message)
+
 
 def _need(obj: dict, key: str, path: str):
     if key not in obj:

@@ -36,10 +36,6 @@ class WorkInterval:
     def of(cls, lo, hi) -> "WorkInterval":
         return cls(to_ticks(lo), to_ticks(hi))
 
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class TimeInterval:
@@ -51,13 +47,6 @@ class TimeInterval:
     @classmethod
     def of(cls, lo, hi) -> "TimeInterval":
         return cls(to_ticks(lo), to_ticks(hi))
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    def contains(self, t: int) -> bool:
-        return self.lo <= t <= self.hi
 
 
 @dataclass(frozen=True)
@@ -84,9 +73,6 @@ class JobType:
     name: str
     tasks: list[TaskSpec]
     edges: list[DataEdge] = field(default_factory=list)
-
-    def task_map(self) -> dict[str, TaskSpec]:
-        return {t.id: t for t in self.tasks}
 
     def preds(self) -> dict[str, list[str]]:
         p: dict[str, list[str]] = {t.id: [] for t in self.tasks}
@@ -176,12 +162,6 @@ class SystemModel:
     deployment: Deployment
     instance_bound: int = 1  # K: instances analyzed formally
 
-    def job_type(self, name: str) -> JobType:
-        for j in self.job_types:
-            if j.name == name:
-                return j
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -198,8 +178,7 @@ class Violation:
         return f"{self.rule}{{{self.subject}}}{tail}"
 
 
-def _has_cycle(job: JobType) -> bool:
-    succs = job.succs()
+def _has_cycle(succs: dict[str, list[str]]) -> bool:
     state: dict[str, int] = {}  # 0 visiting, 1 done
 
     for root in succs:
@@ -259,7 +238,7 @@ def validate_model(m: SystemModel) -> list[Violation]:
                     out.append(Violation("UnknownTaskRef", f"{job.name}.{end}", f"edge {e.src}->{e.dst}"))
             if e.volume < 0:
                 out.append(Violation("NegativeVolume", f"{job.name}.{e.src}->{e.dst}"))
-        if _has_cycle(job):
+        if _has_cycle(job.succs()):
             out.append(Violation("CyclicPrecedence", job.name))
 
     # platform ----------------------------------------------------------
@@ -334,6 +313,19 @@ def validate_model(m: SystemModel) -> list[Violation]:
                 out.append(Violation("PriorityCollision", pe, f"{clash[level]} vs {task_id} at {level}"))
             else:
                 clash[level] = task_id
+        # a processor holds every lower-priority task back until its
+        # higher-priority ones are done: if that order and the precedence
+        # edges form a cycle, no instance of the job ever completes
+        for job in m.job_types:
+            succs = job.succs()
+            ranked = [t.id for t in job.tasks if t.kind == COMPUTATION
+                      and t.id in dep.mapping and t.id in dep.priorities]
+            for hi in ranked:
+                succs[hi] += [lo for lo in ranked if dep.mapping[lo] == dep.mapping[hi]
+                              and dep.priorities[lo] < dep.priorities[hi]]
+            if _has_cycle(succs) and not _has_cycle(job.succs()):
+                out.append(Violation("PriorityDeadlock", job.name,
+                                     "a processor's hold-back order contradicts the precedence edges"))
 
     for task_id, freq in dep.task_frequency.items():
         if task_id not in all_tasks:

@@ -38,11 +38,11 @@ from .model import COMMUNICATION, SystemModel, TimeInterval, expand_comm_tasks, 
 from .schedulers import (
     DONE,
     RUNNING,
+    SchedulerState,
     TaskGraph,
     TaskRef,
     admit,
     apply_dispatch,
-    empty_state,
     enqueue,
     finish,
     frequency_for,
@@ -99,9 +99,8 @@ class ReachResult:
 @dataclass(frozen=True)
 class DState:
     arrivals: tuple  # arrivals so far, per generator
-    insts: tuple  # per instance: None, "dropped", or task status tuple
+    insts: tuple  # per instance: None until admitted, else task status tuple
     sched: object  # SchedulerState
-    overflow: bool = False
 
 
 class Network:
@@ -155,7 +154,7 @@ class Network:
         return DState(
             arrivals=(0,) * len(self.model.generators),
             insts=(None,) * len(self.inst_graph),
-            sched=empty_state(self.platform),
+            sched=SchedulerState(),
         )
 
 
@@ -199,10 +198,7 @@ def _backlog(insts) -> int:
 def _terminal(net: Network, d: DState) -> bool:
     if any(a < k for a, k in zip(d.arrivals, net.K)):
         return False
-    return all(
-        st == "dropped" or (isinstance(st, tuple) and all(s == DONE for s in st))
-        for st in d.insts
-    )
+    return all(isinstance(st, tuple) and all(s == DONE for s in st) for st in d.insts)
 
 
 def _freeze(arrivals, insts, sched) -> DState:
@@ -223,8 +219,7 @@ def _cascade(net: Network, insts: list, sched):
             return sched, resets
         ref = disp.ref
         graph = net.inst_graph[ref.instance]
-        task = graph.task(ref.task)
-        sched = apply_dispatch(sched, disp, net.dep, task.kind == COMMUNICATION)
+        sched = apply_dispatch(sched, disp)
         st = list(insts[ref.instance])
         st[graph.index[ref.task]] = RUNNING
         insts[ref.instance] = st
@@ -238,14 +233,14 @@ def _after_end(net: Network, d: DState, resource: str, ref: TaskRef):
     sched = release(d.sched, resource)
     newly = finish(graph, st, ref)
     for nref in newly or ():
-        sched = enqueue(sched, nref, graph.task(nref.task), net.dep)
+        sched = enqueue(sched, nref, graph.queue[graph.index[nref.task]])
     sched, resets = _cascade(net, insts, sched)
     d2 = _freeze(d.arrivals, insts, sched)
     return d2, resets, (ref.instance if newly is None else None)
 
 
 def _after_arrival(net: Network, d: DState, gidx: int):
-    """Admit (or drop) arrival k of generator gidx; returns (d2, resets)."""
+    """Admit arrival k of generator gidx; returns (d2, resets)."""
     k = d.arrivals[gidx] + 1
     arrivals = tuple(a + 1 if i == gidx else a for i, a in enumerate(d.arrivals))
     inst = net.inst_of[(gidx, k)]
@@ -259,16 +254,11 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     if sum(d.arrivals) == 0:
         resets.append(("M",))
 
-    if _backlog(insts) >= net.dep.queue_capacity:
-        insts[inst] = "dropped"
-        d2 = DState(arrivals, tuple(tuple(s) if isinstance(s, list) else s for s in insts), d.sched, True)
-        return d2, resets
-
     graph = net.inst_graph[inst]
     insts[inst], sources = admit(graph, inst)
     sched = d.sched
     for ref in sources:
-        sched = enqueue(sched, ref, graph.task(ref.task), net.dep)
+        sched = enqueue(sched, ref, graph.queue[graph.index[ref.task]])
     sched, more = _cascade(net, insts, sched)
     return _freeze(arrivals, insts, sched), resets + more
 
@@ -539,10 +529,10 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
                 ok = True
             if not ok:
                 continue
-            d2, resets = _after_arrival(net, d, gidx)
-            if d2.overflow:
+            if _backlog(d.insts) >= net.dep.queue_capacity:
                 acc.overflow = True
                 continue  # absorbing: the run is flagged, not continued
+            d2, resets = _after_arrival(net, d, gidx)
             _push(net, store, frontier, d2, zg, idx, resets)
 
     def interval(pair):
@@ -566,11 +556,10 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
 def _push(net, store, frontier, d2, zg, old_idx, resets):
     lay2 = _layout(net, d2)
     z2 = _shift(zg, old_idx, lay2, resets)
-    idx2 = _index(lay2)
-    if not _invariants(net, d2, idx2, z2):
-        return
+    # invariants are single-clock upper bounds, so checking them before the
+    # delay as well would give the same zone: (Z & I)^ & I == Z^ & I
     elapse(z2)
-    if not _invariants(net, d2, idx2, z2):
+    if not _invariants(net, d2, _index(lay2), z2):
         return
     b2 = store.insert(d2, z2)
     if b2 is not None:

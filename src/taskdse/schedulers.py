@@ -19,7 +19,9 @@ Policies for computation tasks:
                          task or idles until that task is enabled (hold-back)
 
 Communication tasks always queue FIFO on their annotated interconnect,
-whatever the policy.
+whatever the policy.  `queue_key` resolves the policy once per task into the
+key of the one queue it waits in, so the state holds a single sorted map from
+queue key to FIFO and only the hold-back scan looks at the policy again.
 """
 
 from __future__ import annotations
@@ -46,12 +48,37 @@ def ready_order(refs: list[TaskRef]) -> list[TaskRef]:
     return sorted(refs)
 
 
+SHARED, LOCAL, LINK = 0, 1, 2  # queue kinds, in service order
+
+
+def queue_key(task: TaskSpec, dep: Deployment) -> tuple | None:
+    """The queue `task` waits in under the deployment's policy.
+
+    Keys sort in service order: shared levels from the highest priority down,
+    then per-processor queues, then interconnects by id.  None means no queue:
+    strict_priority_local scans the incomplete tasks instead.
+    """
+    if task.kind == COMMUNICATION:
+        return (LINK, task.interconnect)
+    policy = dep.policy
+    if policy == "fifo_global":
+        return (SHARED, 0)
+    if policy == "fifo_priority_global":
+        return (SHARED, -dep.priorities.get(task.id, 0))
+    if policy == "fifo_local":
+        return (LOCAL, dep.mapping[task.id])
+    if policy == "strict_priority_local":
+        return None
+    raise ValueError(f"unknown policy {policy}")
+
+
 class TaskGraph:
     """Static structure of one job type after expand_comm_tasks.
 
     Tasks are addressed by their position in `tasks`; `preds`, `succs`,
     `sources` and `on_pe` (computation tasks mapped to each processor, in
-    task order) hold positions too.
+    task order) hold positions too.  `queue[i]` is task i's queue key under
+    the deployment's policy.
     """
 
     def __init__(self, job: JobType, dep: Deployment):
@@ -67,6 +94,7 @@ class TaskGraph:
             pe = dep.mapping.get(t.id)
             if t.kind != COMMUNICATION and pe is not None:
                 self.on_pe.setdefault(pe, []).append(i)
+        self.queue = [queue_key(t, dep) for t in job.tasks]
 
     def task(self, task_id: str) -> TaskSpec:
         return self.tasks[self.index[task_id]]
@@ -121,31 +149,20 @@ class Dispatch:
     ref: TaskRef
     resource: str
     frequency: Fraction | None  # None on interconnects
+    queue: tuple | None  # the queue key it pops; None under the hold-back scan
 
 
 class SchedulerState(NamedTuple):
-    queue: tuple[TaskRef, ...] = ()  # fifo_global
-    level_queues: tuple[tuple[int, tuple[TaskRef, ...]], ...] = ()  # priority, desc
-    local_queues: tuple[tuple[str, tuple[TaskRef, ...]], ...] = ()  # per pe, asc id
-    ic_queues: tuple[tuple[str, tuple[TaskRef, ...]], ...] = ()
+    queues: tuple[tuple[tuple, tuple[TaskRef, ...]], ...] = ()  # key -> refs, non-empty, asc key
     running: tuple[tuple[str, TaskRef], ...] = ()  # resource -> task, asc id
-
-    def occupant(self, resource: str) -> TaskRef | None:
-        for rid, ref in self.running:
-            if rid == resource:
-                return ref
-        return None
-
-
-def empty_state(platform: Platform) -> SchedulerState:
-    ics = tuple((ic.id, ()) for ic in sorted(platform.interconnects, key=lambda i: i.id))
-    return SchedulerState(ic_queues=ics)
 
 
 def _tuple_map_set(entries: tuple, key, value) -> tuple:
+    """`entries` with `key` bound to `value`, or unbound when `value` is empty."""
     out = [e for e in entries if e[0] != key]
-    out.append((key, value))
-    out.sort(key=lambda e: e[0])
+    if value:
+        out.append((key, value))
+        out.sort(key=lambda e: e[0])
     return tuple(out)
 
 
@@ -156,27 +173,12 @@ def _tuple_map_get(entries: tuple, key, default=()):
     return default
 
 
-def enqueue(state: SchedulerState, ref: TaskRef, task: TaskSpec, dep: Deployment) -> SchedulerState:
-    """Queue one enabled task instance according to the deployment policy."""
-    if task.kind == COMMUNICATION:
-        q = _tuple_map_get(state.ic_queues, task.interconnect)
-        return state._replace(ic_queues=_tuple_map_set(state.ic_queues, task.interconnect, q + (ref,)))
-
-    policy = dep.policy
-    if policy == "fifo_global":
-        return state._replace(queue=state.queue + (ref,))
-    if policy == "fifo_priority_global":
-        level = dep.priorities.get(ref.task, 0)
-        q = _tuple_map_get(state.level_queues, level)
-        return state._replace(level_queues=_tuple_map_set(state.level_queues, level, q + (ref,)))
-    if policy == "fifo_local":
-        pe = dep.mapping[ref.task]
-        q = _tuple_map_get(state.local_queues, pe)
-        return state._replace(local_queues=_tuple_map_set(state.local_queues, pe, q + (ref,)))
-    if policy == "strict_priority_local":
-        # hold-back policy keeps no queue; dispatch scans the incomplete set
+def enqueue(state: SchedulerState, ref: TaskRef, key: tuple | None) -> SchedulerState:
+    """Append one enabled task instance to queue `key` (None: no queue)."""
+    if key is None:
         return state
-    raise ValueError(f"unknown policy {policy}")
+    q = _tuple_map_get(state.queues, key)
+    return state._replace(queues=_tuple_map_set(state.queues, key, q + (ref,)))
 
 
 def frequency_for(task_id: str, pe_id: str, dep: Deployment, platform: Platform) -> Fraction:
@@ -205,56 +207,32 @@ def next_dispatch(
     pes = [p for p in platform.active_processors() if p.id not in busy]
     pes.sort(key=lambda p: p.id)
 
-    policy = dep.policy
     for pe in pes:
-        if policy == "fifo_global":
-            if state.queue:
-                ref = state.queue[0]
-                return Dispatch(ref, pe.id, frequency_for(ref.task, pe.id, dep, platform))
-        elif policy == "fifo_priority_global":
-            for level, q in sorted(state.level_queues, key=lambda e: -e[0]):
-                if q:
-                    return Dispatch(q[0], pe.id, frequency_for(q[0].task, pe.id, dep, platform))
-        elif policy == "fifo_local":
-            q = _tuple_map_get(state.local_queues, pe.id)
-            if q:
-                ref = q[0]
-                return Dispatch(ref, pe.id, frequency_for(ref.task, pe.id, dep, platform))
-        elif policy == "strict_priority_local":
+        if dep.policy == "strict_priority_local":
             pending = strict_view(pe.id)
             if pending:
                 # priority is primary within an instance, instance index outer
                 best = min(pending, key=lambda p: (p[0].instance, -dep.priorities.get(p[0].task, 0), p[0]))
                 ref, enabled = best
                 if enabled:
-                    return Dispatch(ref, pe.id, frequency_for(ref.task, pe.id, dep, platform))
+                    return Dispatch(ref, pe.id, frequency_for(ref.task, pe.id, dep, platform), None)
                 # hold: this processor waits for its top task
-        else:
-            raise ValueError(f"unknown policy {policy}")
+            continue
+        for key, q in state.queues:
+            if key[0] == SHARED or key == (LOCAL, pe.id):
+                return Dispatch(q[0], pe.id, frequency_for(q[0].task, pe.id, dep, platform), key)
 
-    for iid, q in state.ic_queues:
-        if q and all(rid != iid for rid, _ in state.running):
-            return Dispatch(q[0], iid, None)
+    for key, q in state.queues:
+        if key[0] == LINK and key[1] not in busy:
+            return Dispatch(q[0], key[1], None, key)
     return None
 
 
-def apply_dispatch(state: SchedulerState, d: Dispatch, dep: Deployment, is_comm: bool) -> SchedulerState:
-    """Remove the dispatched task from its queue and mark the resource busy."""
-    if is_comm:
-        q = _tuple_map_get(state.ic_queues, d.resource)
-        state = state._replace(ic_queues=_tuple_map_set(state.ic_queues, d.resource, q[1:]))
-    else:
-        policy = dep.policy
-        if policy == "fifo_global":
-            state = state._replace(queue=state.queue[1:])
-        elif policy == "fifo_priority_global":
-            level = dep.priorities.get(d.ref.task, 0)
-            q = _tuple_map_get(state.level_queues, level)
-            state = state._replace(level_queues=_tuple_map_set(state.level_queues, level, q[1:]))
-        elif policy == "fifo_local":
-            q = _tuple_map_get(state.local_queues, d.resource)
-            state = state._replace(local_queues=_tuple_map_set(state.local_queues, d.resource, q[1:]))
-        # strict_priority_local keeps no queue
+def apply_dispatch(state: SchedulerState, d: Dispatch) -> SchedulerState:
+    """Pop the dispatched task off its queue and mark the resource busy."""
+    if d.queue is not None:
+        q = _tuple_map_get(state.queues, d.queue)
+        state = state._replace(queues=_tuple_map_set(state.queues, d.queue, q[1:]))
     return state._replace(running=_tuple_map_set(state.running, d.resource, d.ref))
 
 

@@ -20,14 +20,14 @@ from functools import partial
 
 from .generators import sample_arrivals
 from .metrics import MetricSpec, Report, TIME_KINDS, default_metrics, extract, summarize
-from .model import COMMUNICATION, SystemModel, expand_comm_tasks, task_duration
+from .model import SystemModel, expand_comm_tasks, task_duration
 from .rng import SplitMix64, stream_for
 from .schedulers import (
     RUNNING,
+    SchedulerState,
     TaskGraph,
     admit,
     apply_dispatch,
-    empty_state,
     enqueue,
     finish,
     next_dispatch,
@@ -114,7 +114,7 @@ def simulate(model: SystemModel, seed, run_index: int = 0,
 
     # per instance: None until admitted or when dropped, else task statuses
     insts: list[list[int] | None] = [None] * len(raw)
-    sched = empty_state(platform)
+    sched = SchedulerState()
     last_freq: dict[str, object] = {}
     events: list[Event] = []
     view = partial(strict_view, insts, inst_graph)
@@ -129,13 +129,11 @@ def simulate(model: SystemModel, seed, run_index: int = 0,
                 return
             ref = d.ref
             graph = inst_graph[ref.instance]
-            task = graph.task(ref.task)
-            is_comm = task.kind == COMMUNICATION
-            sched = apply_dispatch(sched, d, dep, is_comm)
+            sched = apply_dispatch(sched, d)
             insts[ref.instance][graph.index[ref.task]] = RUNNING
-            window = task_duration(task, d.frequency)
+            window = task_duration(graph.task(ref.task), d.frequency)
             dur = window.lo if window.lo == window.hi else rng.uniform_ticks(window.lo, window.hi)
-            if not is_comm and last_freq.get(d.resource) != d.frequency:
+            if d.frequency is not None and last_freq.get(d.resource) != d.frequency:
                 last_freq[d.resource] = d.frequency
                 events.append(Event(now, "freq_set", resource=d.resource, frequency=d.frequency))
             events.append(Event(now, "start", ref.instance, ref.job, ref.task, d.resource, d.frequency))
@@ -156,7 +154,7 @@ def simulate(model: SystemModel, seed, run_index: int = 0,
             events.append(Event(now, "arrival", inst, graph.name, generator=gidx))
             insts[inst], sources = admit(graph, inst)
             for ref in sources:
-                sched = enqueue(sched, ref, graph.task(ref.task), dep)
+                sched = enqueue(sched, ref, graph.queue[graph.index[ref.task]])
             cascade(now)
         else:  # end
             ref = key
@@ -167,7 +165,7 @@ def simulate(model: SystemModel, seed, run_index: int = 0,
             if newly is None:
                 backlog -= 1
             for nref in newly or ():
-                sched = enqueue(sched, nref, graph.task(nref.task), dep)
+                sched = enqueue(sched, nref, graph.queue[graph.index[nref.task]])
             cascade(now)
 
     # events stay in processing order: non-decreasing time, ends handled

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from taskdse import cli, config, fixtures
-from taskdse.model import DataEdge, Deployment
+from taskdse.model import DataEdge, Deployment, TaskSpec, WorkInterval
 
 CHAIN2 = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "chain2.json")
 BAND16 = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "band16.json")
@@ -59,6 +59,41 @@ def test_missing_interconnect_is_a_config_error(tmp_path, capsys, verb):
         argv += ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "MissingInterconnect{chain.a->b}" in capsys.readouterr().err
+
+
+def _strict_deadlocks() -> dict:
+    """strict_priority_local deployments where a processor waits forever."""
+    chain = fixtures.chain2()  # b needs a, but PE0 holds a back for b
+    chain.deployment = Deployment(policy="strict_priority_local", mapping={"a": "PE0", "b": "PE0"},
+                                  priorities={"a": 1, "b": 2})
+    # PE0 waits for a, a for b; PE1 waits for c, c for d; d waits on PE0
+    cross = fixtures.indep2()
+    cross.job_types[0].tasks += [TaskSpec("c", WorkInterval.of(1, 1)), TaskSpec("d", WorkInterval.of(1, 1))]
+    cross.job_types[0].edges = [DataEdge("b", "a"), DataEdge("d", "c")]
+    cross.deployment = Deployment(policy="strict_priority_local",
+                                  mapping={"a": "PE0", "d": "PE0", "c": "PE1", "b": "PE1"},
+                                  priorities={"a": 2, "d": 1, "c": 2, "b": 1})
+    return {"same_pe": chain, "across_pes": cross}
+
+
+@pytest.mark.parametrize("case", sorted(_strict_deadlocks()))
+@pytest.mark.parametrize("verb", [["check"], ["verify"], ["simulate", "--runs", "1", "--seed", "1"]])
+def test_strict_priority_deadlock_is_a_config_error(tmp_path, capsys, case, verb):
+    path = tmp_path / f"{case}.json"
+    path.write_text(config.dumps(_strict_deadlocks()[case]))
+    argv = verb[:1] + [str(path)] + verb[1:]
+    if verb[0] != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "PriorityDeadlock{" in capsys.readouterr().err
+
+
+def test_strict_priority_without_deadlock_passes_check(tmp_path):
+    from test_parity import priority_variants
+
+    path = tmp_path / "diamond-strict.json"
+    path.write_text(config.dumps(priority_variants()["diamond-strict_priority_local"]))
+    assert cli.main(["check", str(path)]) == 0
 
 
 def test_verify_writes_report(tmp_path, capsys):
@@ -186,6 +221,15 @@ def test_sweep_processors_axis_needs_global_policy(tmp_path, capsys):
     blockwise = str(pathlib.Path(CHAIN2).parent / "blockwise.json")
     assert cli.main(["sweep", blockwise, "--axis", "processors=1,2",
                      "--runs", "1", "--seed", "1", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])  # 2: the error crosses the process pool
+@pytest.mark.parametrize("axis", ["processors=abc", "frequency=abc", "frequency=1/0",
+                                  "period=abc", "period=1/0"])
+def test_sweep_malformed_axis_value_is_a_config_error(tmp_path, capsys, axis, workers):
+    assert cli.main(["sweep", CHAIN2, "--axis", axis, "--workers", workers,
+                     "--runs", "1", "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_duplicate_axis_rejected(tmp_path):

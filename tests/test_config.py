@@ -39,7 +39,8 @@ def test_minimal_config_parses():
     assert [j.name for j in m.job_types] == ["j"]
     job = m.job_types[0]
     assert {t.id for t in job.tasks} == {"a", "b"}
-    assert job.task_map()["b"].work.lo == job.task_map()["b"].work.hi
+    b = {t.id: t for t in job.tasks}["b"]
+    assert b.work.lo == b.work.hi
 
 
 def test_roundtrip_is_identity_on_models():

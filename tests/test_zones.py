@@ -193,3 +193,33 @@ def test_hull_is_union_against_integer_point_oracle():
         assert _hull_is_union(h, a, b, MERGE_LIMIT) == exact, f"case {case}"
         outcomes.add(exact)
     assert outcomes == {True, False}
+
+
+def test_upper_bounds_before_the_delay_change_nothing():
+    # The formal engine applies each location's invariants, all of them upper
+    # bounds on single clocks, only after the delay: (Z & I)^ & I == Z^ & I.
+    rng = SplitMix64(0xE1A5)
+    seen = set()
+    for case in range(300):
+        n = 1 + int(rng.next_u64() % 4)
+        z, _cons = random_weak_zone(rng, n)
+        if z is None:
+            continue
+        caps = [(c, enc(int(rng.next_u64() % 12))) for c in range(1, n + 1)
+                if rng.next_u64() % 3]
+
+        def after_delay(mat, before: bool):
+            mat = mat.copy()
+            if before and not all(constrain_one(mat, c, 0, e) for c, e in caps):
+                return None
+            elapse(mat)
+            if not all(constrain_one(mat, c, 0, e) for c, e in caps):
+                return None
+            return mat
+
+        twice, once = after_delay(z, True), after_delay(z, False)
+        assert (twice is None) == (once is None), f"case {case}: emptiness"
+        if once is not None:
+            assert (twice == once).all(), f"case {case}"
+        seen.add(once is None)
+    assert seen == {True, False}
