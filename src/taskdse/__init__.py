@@ -24,7 +24,7 @@ from .model import (
     comm_duration,
     expand_comm_tasks,
 )
-from .generators import Generator, arrival_window, sample_arrivals, check_variability
+from .generators import Generator, arrival_rule, sample_arrivals, check_variability
 from .simulator import simulate, run_campaign, CampaignResult, TimedTrace, Event
 from .reachability import (
     reach_bounds,

@@ -81,14 +81,14 @@ def _integer(v, path: str) -> int:
 def _ticks(v, path: str) -> int:
     try:
         return to_ticks(v)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError(path, str(e)) from None
 
 
 def _fraction(v, path: str) -> Fraction:
     try:
         return as_fraction(v)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError(path, str(e)) from None
 
 

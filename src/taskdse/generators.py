@@ -9,16 +9,20 @@ Five variants:
                   window of length `window`
   bibounded_var   additionally at least min_events arrivals per window
 
-The first three have uniform sampling semantics; the last two are pure
+`arrival_rule` states each variant as clock guards, deadlines and resets; the
+sampler, the zone engine and the explicit-arrival check all read it.  The
+first three have uniform sampling semantics; the last two are pure
 constraints (usable by the formal engine and as trace validators) and refuse
 to sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import TimeInterval, Violation
+from .model import Violation
 from .rng import SplitMix64
 
 PERIODIC = "periodic"
@@ -79,30 +83,65 @@ def generator_violations(g: Generator) -> list[Violation]:
             out.append(Violation("BadExplicitArrivals", sub, "not sorted and non-negative"))
         elif len(times) != g.count:
             out.append(Violation("BadExplicitArrivals", sub, f"{len(times)} times for count {g.count}"))
+        elif not out:  # arrival_rule needs valid fields
+            walk = enumerate(zip(times, _windows(g, times)), start=1)
+            k = next((k for k, (t, (lo, hi)) in walk if not lo <= t <= hi), None)
+            if k is not None:
+                out.append(Violation("BadExplicitArrivals", sub, f"arrival {k} breaks the {g.variant} rule"))
     return out
 
 
-def arrival_window(g: Generator, k: int, prev: int | None = None) -> TimeInterval:
-    """Inclusive window of the k-th arrival (1-based).
+GLOBAL = -1  # the global clock T; own clocks are slots 0 .. own_clocks(g) - 1
 
-    `prev` is the realized (k-1)-th arrival; only the drift-accumulating
-    variant needs it.  Variants 4-5 have no per-arrival window.
-    """
-    if k < 1:
-        raise ValueError("arrival index is 1-based")
-    if g.variant == PERIODIC:
-        t = (k - 1) * g.period
-        return TimeInterval(t, t)
-    if g.variant == JITTER:
+
+class Bound(NamedTuple):
+    clock: int  # GLOBAL or an own slot
+    ticks: int
+    strict: bool = False  # guards only: clock > ticks instead of >=
+
+
+class ArrivalRule(NamedTuple):
+    guard: Bound | None  # enabled once clock >= ticks; None: from the start
+    deadline: Bound | None  # must happen while clock <= ticks; None: never forced
+    reset: int | None  # own slot the arrival sets to 0
+
+
+def own_clocks(g: Generator) -> int:
+    """How many own clocks g needs; like T, they start at 0."""
+    return {UNCERTAIN: 1, BOUNDED_VAR: g.max_events, BIBOUNDED_VAR: g.max_events}.get(g.variant, 0)
+
+
+def arrival_rule(g: Generator, k: int) -> ArrivalRule:
+    """The rule of the k-th arrival (1-based) of a valid generator."""
+    if g.variant in (PERIODIC, JITTER):
         base = (k - 1) * g.period
-        return TimeInterval(base, base + g.jitter)
+        slack = g.jitter if g.variant == JITTER else 0
+        return ArrivalRule(Bound(GLOBAL, base), Bound(GLOBAL, base + slack), None)
     if g.variant == UNCERTAIN:
         if k == 1:
-            return TimeInterval(0, g.jitter)
-        if prev is None:
-            raise ValueError("uncertain windows need the previous arrival time")
-        return TimeInterval(prev + g.period, prev + g.period + g.jitter)
-    raise UnsupportedWindow(f"{g.variant} generators have no per-arrival window")
+            return ArrivalRule(None, Bound(0, g.jitter), 0)
+        return ArrivalRule(Bound(0, g.period), Bound(0, g.period + g.jitter), 0)
+    # sliding windows: arrival k resets slot (k-1) mod max, so slot s holds the
+    # time since the latest arrival numbered s+1 modulo max
+    slot = (k - 1) % g.max_events
+    guard = Bound(slot, g.window, strict=True) if k > g.max_events else None
+    if g.variant == BOUNDED_VAR:
+        return ArrivalRule(guard, None, slot)
+    on = GLOBAL if k <= g.min_events else (k - g.min_events - 1) % g.max_events
+    return ArrivalRule(guard, Bound(on, g.window), slot)
+
+
+def _windows(g: Generator, times: list[int]):
+    """Yield the tick window [lo, hi] of each of g's count arrivals in turn;
+    each reads the arrivals before it from `times`, which the sampler extends."""
+    last = [0] * (own_clocks(g) + 1)  # reset times; last[GLOBAL] stays 0
+    for k in range(1, g.count + 1):
+        guard, deadline, reset = arrival_rule(g, k)
+        # ticks are integers, so a strict guard c > v means c >= v + 1
+        yield (last[guard.clock] + guard.ticks + guard.strict if guard else 0,
+               last[deadline.clock] + deadline.ticks if deadline else math.inf)
+        if reset is not None:
+            last[reset] = times[k - 1]
 
 
 def sample_arrivals(g: Generator, rng: SplitMix64) -> list[int]:
@@ -114,12 +153,8 @@ def sample_arrivals(g: Generator, rng: SplitMix64) -> list[int]:
             f"{g.variant} generators are constraints, not distributions; give explicit arrivals"
         )
     times: list[int] = []
-    prev: int | None = None
-    for k in range(1, g.count + 1):
-        w = arrival_window(g, k, prev)
-        t = rng.uniform_ticks(w.lo, w.hi)
-        times.append(t)
-        prev = t
+    for lo, hi in _windows(g, times):
+        times.append(rng.uniform_ticks(lo, hi))
     return times
 
 
@@ -159,10 +194,6 @@ def check_variability(times: list[int], window: int, max_events: int, min_events
                 if count < min_events:
                     return False
     return True
-
-
-class UnsupportedWindow(ValueError):
-    pass
 
 
 class NoProbabilisticSemantics(ValueError):

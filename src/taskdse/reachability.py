@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .generators import BIBOUNDED_VAR, BOUNDED_VAR, JITTER, PERIODIC, UNCERTAIN
+from .generators import GLOBAL, arrival_rule, own_clocks
 from .model import COMMUNICATION, SystemModel, TimeInterval, expand_comm_tasks, task_duration
 from .schedulers import (
     DONE,
@@ -115,21 +115,18 @@ class Network:
             jt.name: TaskGraph(expand_comm_tasks(jt, self.dep, self.platform), self.dep)
             for jt in model.job_types
         }
-        self.K = [min(g.count, model.instance_bound) for g in model.generators]
+        # rules[gidx][a]: rule of arrival a + 1; instance_bound caps the count
+        self.rules = [[arrival_rule(g, k) for k in range(1, min(g.count, model.instance_bound) + 1)]
+                      for g in model.generators]
         self.inst_graph: list[TaskGraph] = []
         self.inst_of: dict[tuple[int, int], int] = {}
         for gidx, g in enumerate(model.generators):
-            for k in range(1, self.K[gidx] + 1):
+            for k in range(1, len(self.rules[gidx]) + 1):
                 self.inst_of[(gidx, k)] = len(self.inst_graph)
                 self.inst_graph.append(graphs[g.job_type])
         self._wins: dict = {}
 
-        gen_clocks = 0
-        for g in model.generators:
-            if g.variant == UNCERTAIN:
-                gen_clocks += 1
-            elif g.variant in (BOUNDED_VAR, BIBOUNDED_VAR):
-                gen_clocks += g.max_events
+        gen_clocks = sum(own_clocks(g) for g in model.generators)
         resources = len(self.platform.active_processors()) + len(self.platform.interconnects)
         concurrent = min(len(self.inst_graph), self.dep.queue_capacity)
         need = 2 + concurrent + resources + gen_clocks
@@ -162,12 +159,9 @@ class Network:
 # discrete-state helpers
 
 
-def _gen_purposes(net: Network, g, gidx: int):
-    if g.variant == UNCERTAIN:
-        return [("gen", gidx, 0)]
-    if g.variant in (BOUNDED_VAR, BIBOUNDED_VAR):
-        return [("gen", gidx, s) for s in range(g.max_events)]
-    return []
+def _clock(gidx: int, clock: int) -> tuple:
+    """Layout purpose of a generator rule's clock."""
+    return ("T",) if clock == GLOBAL else ("gen", gidx, clock)
 
 
 def _layout(net: Network, d: DState) -> tuple:
@@ -178,9 +172,9 @@ def _layout(net: Network, d: DState) -> tuple:
     for _rid, ref in d.sched.running:
         ps.append(("run", ref.instance, ref.task))
     for gidx, g in enumerate(net.model.generators):
-        if net.options.purge and d.arrivals[gidx] >= net.K[gidx]:
+        if net.options.purge and d.arrivals[gidx] >= len(net.rules[gidx]):
             continue
-        ps.extend(_gen_purposes(net, g, gidx))
+        ps.extend(("gen", gidx, s) for s in range(own_clocks(g)))
     ps.sort(key=lambda p: (_GROUP[p[0]],) + p[1:])
     if len(ps) > net.options.clock_budget:
         raise BudgetExceeded(f"{len(ps)} live clocks (budget {net.options.clock_budget})")
@@ -196,7 +190,7 @@ def _backlog(insts) -> int:
 
 
 def _terminal(net: Network, d: DState) -> bool:
-    if any(a < k for a, k in zip(d.arrivals, net.K)):
+    if any(a < len(rules) for a, rules in zip(d.arrivals, net.rules)):
         return False
     return all(isinstance(st, tuple) and all(s == DONE for s in st) for st in d.insts)
 
@@ -246,11 +240,9 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     inst = net.inst_of[(gidx, k)]
     insts = list(d.insts)
     resets = []
-    g = net.model.generators[gidx]
-    if g.variant == UNCERTAIN:
-        resets.append(("gen", gidx, 0))
-    elif g.variant in (BOUNDED_VAR, BIBOUNDED_VAR):
-        resets.append(("gen", gidx, (k - 1) % g.max_events))
+    reset = net.rules[gidx][k - 1].reset
+    if reset is not None:
+        resets.append(("gen", gidx, reset))
     if sum(d.arrivals) == 0:
         resets.append(("M",))
 
@@ -273,27 +265,10 @@ def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
         _lo, hi = net.window(ref, rid)
         if not constrain_one(mat, idx[("run", ref.instance, ref.task)], 0, enc(hi)):
             return False
-    t_idx = idx[("T",)]
-    for gidx, g in enumerate(net.model.generators):
-        k = d.arrivals[gidx] + 1
-        if k > net.K[gidx]:
-            continue
-        if g.variant == PERIODIC:
-            ok = constrain_one(mat, t_idx, 0, enc((k - 1) * g.period))
-        elif g.variant == JITTER:
-            ok = constrain_one(mat, t_idx, 0, enc((k - 1) * g.period + g.jitter))
-        elif g.variant == UNCERTAIN:
-            cap = g.jitter if k == 1 else g.period + g.jitter
-            ok = constrain_one(mat, idx[("gen", gidx, 0)], 0, enc(cap))
-        elif g.variant == BIBOUNDED_VAR:
-            if k <= g.min_events:
-                ok = constrain_one(mat, t_idx, 0, enc(g.window))
-            else:
-                slot = (k - g.min_events - 1) % g.max_events
-                ok = constrain_one(mat, idx[("gen", gidx, slot)], 0, enc(g.window))
-        else:  # max-rate only: nothing forces the next arrival
-            ok = True
-        if not ok:
+    for gidx, rules in enumerate(net.rules):
+        a = d.arrivals[gidx]
+        dl = rules[a].deadline if a < len(rules) else None
+        if dl is not None and not constrain_one(mat, idx[_clock(gidx, dl.clock)], 0, enc(dl.ticks)):
             return False
     return True
 
@@ -513,21 +488,14 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
             _push(net, store, frontier, d2, zg, idx, resets)
 
         # arrivals, generator order
-        for gidx, g in enumerate(net.model.generators):
-            k = d.arrivals[gidx] + 1
-            if k > net.K[gidx]:
+        for gidx, rules in enumerate(net.rules):
+            a = d.arrivals[gidx]
+            if a == len(rules):
                 continue
             zg = mat.copy()
-            if g.variant in (PERIODIC, JITTER):
-                ok = constrain_one(zg, 0, idx[("T",)], enc(-(k - 1) * g.period))
-            elif g.variant == UNCERTAIN:
-                ok = k == 1 or constrain_one(zg, 0, idx[("gen", gidx, 0)], enc(-g.period))
-            elif k > g.max_events:  # sliding-window variants
-                slot = (k - 1) % g.max_events
-                ok = constrain_one(zg, 0, idx[("gen", gidx, slot)], enc(-g.window, strict=True))
-            else:
-                ok = True
-            if not ok:
+            gd = rules[a].guard
+            if gd is not None and not constrain_one(
+                    zg, 0, idx[_clock(gidx, gd.clock)], enc(-gd.ticks, strict=gd.strict)):
                 continue
             if _backlog(d.insts) >= net.dep.queue_capacity:
                 acc.overflow = True

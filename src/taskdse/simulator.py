@@ -6,10 +6,10 @@ engine encodes it (same task graph, enabling rules and policy kernel, same
 tick arithmetic), so every simulated completion time falls inside the
 formally derived bounds.
 
-Event processing is strictly sequential and fully deterministic: heap order is
-(time, rank, tiebreak) with ends before arrivals before starts at equal time,
-and each processed event is followed by a dispatch cascade that fires every
-start the policy allows before the next event is popped.
+Event processing is strictly sequential and fully deterministic: the heap
+holds only ends and arrivals, ordered (time, rank, tiebreak) with ends first
+at equal time, and each processed event is followed by a dispatch cascade
+that fires every start the policy allows before the next event is popped.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import partial
 from .generators import sample_arrivals
 from .metrics import MetricSpec, Report, TIME_KINDS, default_metrics, extract, summarize
 from .model import SystemModel, expand_comm_tasks, task_duration
-from .rng import SplitMix64, stream_for
+from .rng import stream_for
 from .schedulers import (
     RUNNING,
     SchedulerState,
@@ -36,7 +36,7 @@ from .schedulers import (
 )
 from .timebase import SCALE, format_ticks_fixed
 
-RANK = {"end": 0, "arrival": 1, "overflow": 2, "freq_set": 3, "start": 4}
+END, ARRIVAL = 0, 1  # heap ranks: ends go first at equal time
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,10 @@ class TimedTrace:
         return "\n".join(self.lines()) + "\n"
 
 
-def simulate(model: SystemModel, seed, run_index: int = 0,
+def simulate(model: SystemModel, seed: int, run_index: int = 0,
              horizon: int | None = None, model_hash: str = "") -> TimedTrace:
-    """One run; `seed` is a campaign seed (int) or a ready-made stream."""
-    if isinstance(seed, SplitMix64):
-        rng, meta_seed = seed, None
-    else:
-        rng, meta_seed = stream_for(seed, run_index), seed
+    """Run `run_index` of the campaign seeded with `seed`."""
+    rng = stream_for(seed, run_index)
     dep = model.deployment
     platform = model.platform
     graphs = {jt.name: TaskGraph(expand_comm_tasks(jt, dep, platform), dep) for jt in model.job_types}
@@ -110,7 +107,7 @@ def simulate(model: SystemModel, seed, run_index: int = 0,
     heap: list = []
     for inst, (t, gidx, _k) in enumerate(raw):
         inst_graph.append(graphs[model.generators[gidx].job_type])
-        heapq.heappush(heap, (t, RANK["arrival"], (gidx, inst), None))
+        heapq.heappush(heap, (t, ARRIVAL, (gidx, inst), None))
 
     # per instance: None until admitted or when dropped, else task statuses
     insts: list[list[int] | None] = [None] * len(raw)
@@ -137,13 +134,13 @@ def simulate(model: SystemModel, seed, run_index: int = 0,
                 last_freq[d.resource] = d.frequency
                 events.append(Event(now, "freq_set", resource=d.resource, frequency=d.frequency))
             events.append(Event(now, "start", ref.instance, ref.job, ref.task, d.resource, d.frequency))
-            heapq.heappush(heap, (now + dur, RANK["end"], ref, d.resource))
+            heapq.heappush(heap, (now + dur, END, ref, d.resource))
 
     # heap entries: (time, rank, key, resource); the key, (generator,
     # instance) for an arrival and the TaskRef for an end, breaks ties
     while heap:
         now, rank, key, resource = heapq.heappop(heap)
-        if rank == RANK["arrival"]:
+        if rank == ARRIVAL:
             gidx, inst = key
             graph = inst_graph[inst]
             if backlog >= dep.queue_capacity:
@@ -175,7 +172,7 @@ def simulate(model: SystemModel, seed, run_index: int = 0,
     # per-resource nesting.
     end = max((e.time for e in events), default=0)
     return TimedTrace(events, horizon if horizon is not None else end, overflow_count,
-                      seed=meta_seed, run_index=run_index, model_hash=model_hash)
+                      seed=seed, run_index=run_index, model_hash=model_hash)
 
 
 @dataclass

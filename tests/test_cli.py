@@ -61,6 +61,22 @@ def test_missing_interconnect_is_a_config_error(tmp_path, capsys, verb):
     assert "MissingInterconnect{chain.a->b}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", [["check"], ["verify"], ["simulate", "--runs", "200", "--seed", "1"]])
+def test_explicit_arrivals_off_the_period_are_a_config_error(tmp_path, capsys, verb):
+    # chain2's period is 100; a second arrival at 1 would put sampled
+    # makespans (8.6-11.3) outside the formal bounds [104, 106]
+    data = json.loads(pathlib.Path(CHAIN2).read_text())
+    data["generators"][0].update(count=2, arrivals=["0", "1"])
+    data["analysis"]["instance_bound"] = 2
+    p = tmp_path / "early.json"
+    p.write_text(json.dumps(data))
+    argv = verb[:1] + [str(p)] + verb[1:]
+    if verb[0] != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "BadExplicitArrivals{chain}: arrival 2 breaks the periodic rule" in capsys.readouterr().err
+
+
 def _strict_deadlocks() -> dict:
     """strict_priority_local deployments where a processor waits forever."""
     chain = fixtures.chain2()  # b needs a, but PE0 holds a back for b
@@ -147,7 +163,10 @@ def test_simulate_writes_samples_and_report(tmp_path):
 def test_simulate_rejects_bad_horizon(tmp_path, capsys, horizon):
     assert cli.main(["simulate", CHAIN2, "--runs", "1", "--seed", "1",
                      "--horizon", horizon, "--out", str(tmp_path)]) == 2
-    assert "--horizon" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--horizon" in err
+    if horizon == "1/0":
+        assert "denominator is zero" in err
 
 
 def test_simulate_short_horizon_clips_utilization(tmp_path):
@@ -229,7 +248,10 @@ def test_sweep_processors_axis_needs_global_policy(tmp_path, capsys):
 def test_sweep_malformed_axis_value_is_a_config_error(tmp_path, capsys, axis, workers):
     assert cli.main(["sweep", CHAIN2, "--axis", axis, "--workers", workers,
                      "--runs", "1", "--seed", "1", "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if axis.endswith("1/0"):
+        assert "denominator is zero" in err
 
 
 def test_sweep_duplicate_axis_rejected(tmp_path):

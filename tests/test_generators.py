@@ -5,15 +5,17 @@ import bisect
 import pytest
 
 from taskdse.generators import (
+    GLOBAL,
+    ArrivalRule,
+    Bound,
     Generator,
     NoProbabilisticSemantics,
-    UnsupportedWindow,
-    arrival_window,
+    arrival_rule,
     check_variability,
     generator_violations,
+    own_clocks,
     sample_arrivals,
 )
-from taskdse.model import TimeInterval
 from taskdse.rng import SplitMix64, stream_for
 from taskdse.timebase import to_ticks
 
@@ -22,28 +24,38 @@ U = to_ticks  # time units -> ticks
 
 def test_periodic_window_is_grid_point():
     g = Generator("j", "periodic", period=U(5), count=3)
-    assert arrival_window(g, 3) == TimeInterval(U(10), U(10))
+    assert arrival_rule(g, 3) == ArrivalRule(Bound(GLOBAL, U(10)), Bound(GLOBAL, U(10)), None)
+    assert own_clocks(g) == 0
 
 
 def test_jitter_window_anchored_to_grid():
     g = Generator("j", "jitter", period=U(5), jitter=U(1), count=3)
-    assert arrival_window(g, 3) == TimeInterval(U(10), U(11))
-    assert arrival_window(g, 1) == TimeInterval(0, U(1))
+    assert arrival_rule(g, 3) == ArrivalRule(Bound(GLOBAL, U(10)), Bound(GLOBAL, U(11)), None)
+    assert arrival_rule(g, 1) == ArrivalRule(Bound(GLOBAL, 0), Bound(GLOBAL, U(1)), None)
 
 
 def test_uncertain_window_shifts_from_previous():
+    # the own clock restarts at every arrival, so the window follows the last
     g = Generator("j", "uncertain", period=U(5), jitter=U(1))
-    w = arrival_window(g, 4, prev=to_ticks("10.7"))
-    assert w == TimeInterval(to_ticks("15.7"), to_ticks("16.7"))
-    assert arrival_window(g, 1) == TimeInterval(0, U(1))
-    with pytest.raises(ValueError):
-        arrival_window(g, 2)  # needs prev
+    assert own_clocks(g) == 1
+    assert arrival_rule(g, 4) == ArrivalRule(Bound(0, U(5)), Bound(0, U(6)), 0)
+    assert arrival_rule(g, 1) == ArrivalRule(None, Bound(0, U(1)), 0)
 
 
 def test_window_variants_have_no_per_arrival_window():
+    # at most max arrivals per window: nothing forces an arrival, and arrival
+    # k waits strictly longer than the window after arrival k - max
     g = Generator("j", "bounded_var", window=U(6), max_events=2)
-    with pytest.raises(UnsupportedWindow):
-        arrival_window(g, 1)
+    assert own_clocks(g) == 2
+    assert [arrival_rule(g, k) for k in (1, 2, 3, 4)] == [
+        ArrivalRule(None, None, 0),
+        ArrivalRule(None, None, 1),
+        ArrivalRule(Bound(0, U(6), strict=True), None, 0),
+        ArrivalRule(Bound(1, U(6), strict=True), None, 1),
+    ]
+    g = Generator("j", "bibounded_var", window=U(6), min_events=1, max_events=2)
+    assert arrival_rule(g, 1).deadline == Bound(GLOBAL, U(6))
+    assert arrival_rule(g, 3).deadline == Bound(1, U(6))
 
 
 def test_periodic_samples_are_exact():
@@ -154,3 +166,25 @@ def test_generator_violations():
     assert generator_violations(Generator("j", "bibounded_var", window=U(5), max_events=2, min_events=3))
     bad = Generator("j", "periodic", period=U(5), count=2, arrivals=[U(5), 0])
     assert generator_violations(bad)
+
+
+EXPLICIT = [
+    (Generator("j", "bounded_var", window=U(6), max_events=2, count=3), [0, 5, 10], None),
+    (Generator("j", "bounded_var", window=U(6), max_events=2, count=3), [0, 5, 6], 3),
+    (Generator("j", "jitter", period=U(5), jitter=U(1), count=3), [0, 5, 11], None),
+    (Generator("j", "jitter", period=U(5), jitter=U(1), count=3), [0, 5, 12], 3),
+    (Generator("j", "bibounded_var", window=U(5), min_events=1, max_events=2, count=3),
+     [0, 1, 6], None),
+    (Generator("j", "bibounded_var", window=U(5), min_events=1, max_events=2, count=3),
+     [0, 1, 7], 3),
+]
+
+
+@pytest.mark.parametrize("g,times,broken", EXPLICIT)
+def test_explicit_arrivals_must_follow_the_variant_rule(g, times, broken):
+    g.arrivals = [U(t) for t in times]
+    got = [str(v) for v in generator_violations(g)]
+    if broken is None:
+        assert got == []
+    else:
+        assert got == [f"BadExplicitArrivals{{j}}: arrival {broken} breaks the {g.variant} rule"]

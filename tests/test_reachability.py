@@ -13,6 +13,8 @@ import math
 import pytest
 
 from taskdse import fixtures
+from taskdse.generators import Generator
+from taskdse.model import SystemModel
 from taskdse.reachability import (
     BudgetExceeded,
     Network,
@@ -20,6 +22,7 @@ from taskdse.reachability import (
     SearchCapExceeded,
     reach_bounds,
 )
+from taskdse.simulator import run_campaign
 from taskdse.timebase import to_ticks
 
 U = to_ticks
@@ -143,3 +146,71 @@ def test_instance_latency_matches_single_instance():
     r = reach_bounds(fixtures.chain2())
     assert set(r.instance_latency) == {0}
     assert r.instance_latency[0] == r.latency
+
+
+def chain2_stream(gen: Generator) -> SystemModel:
+    """chain2 fed three instances by `gen`, all three analysed."""
+    m = fixtures.chain2()
+    m.generators = [gen]
+    m.instance_bound = 3
+    return m
+
+
+VARIANT_BOUNDS = {
+    "periodic": (Generator("chain", "periodic", period=U(3), count=3),
+                 (U(12), U(18)), (U(4), U(12))),
+    "jitter": (Generator("chain", "jitter", period=U(3), jitter=U(2), count=3),
+               (U(12), U(18)), (U(4), U(14))),
+    "uncertain": (Generator("chain", "uncertain", period=U(3), jitter=U(2), count=3),
+                  (U(12), U(18)), (U(4), U(12))),
+    "bounded_var": (Generator("chain", "bounded_var", window=U(5), max_events=2, count=3,
+                              arrivals=[0, U(1), U(6)]),
+                    (U(12), math.inf), (U(4), U(13))),
+    "bibounded_var": (Generator("chain", "bibounded_var", window=U(5), min_events=1,
+                                max_events=2, count=3, arrivals=[0, U(1), U(6)]),
+                      (U(12), U(18)), (U(4), U(13))),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_BOUNDS))
+def test_every_generator_variant_bounds_chain2(variant):
+    """Hand-derived bounds of chain2 (a [1,2] -> b [3,4] on one processor).
+
+    Each instance needs [4, 6] of the one processor and FIFO serves the
+    instances in arrival order, so the last end is the latest over k of
+    (arrival k + work of instances k..3); the makespan counts from the first
+    arrival and an instance's latency from its own arrival.  The fastest
+    instance alone gives latency 4, and all three fast back to back give
+    makespan 12, in every variant.
+      periodic(3)       arrivals 0, 3, 6: the processor never idles, so the
+                        makespan is the work [12, 18]; instance 3 arrives at
+                        6 and ends by 18: latency 12.
+      jitter(3, 2)      a first arrival at 2 and a third at 6 give latency
+                        2 + 18 - 6 = 14; an arrival window starting 3 later
+                        than its predecessor's never adds idle time beyond
+                        the slow run: makespan 18 (5 + 12 and 8 + 6 are less).
+      uncertain(3, 2)   the third arrival comes at least 6 after the first:
+                        latency 18 - 6 = 12; makespan 18 as for jitter.
+      bounded_var(5, 2) at most two arrivals in any closed 5-window and none
+                        forced: the third may come arbitrarily late
+                        (makespan unbounded) or just over 5 after two
+                        simultaneous ones, so latency tends to 18 - 5 = 13.
+      bibounded_var(5, 1, 2)  as bounded_var, but the first arrival comes by
+                        5 and each next one within 5 of its predecessor, so
+                        the third comes by 10: makespan 18 (5 + 12 and
+                        10 + 6 are less), latency tends to 13.
+    The two window variants sample their explicit arrivals 0, 1, 6.
+    """
+    gen, makespan, latency = VARIANT_BOUNDS[variant]
+    m = chain2_stream(gen)
+    r = reach_bounds(m)
+    assert (r.makespan.lo, r.makespan.hi) == makespan
+    assert (r.latency.lo, r.latency.hi) == latency
+    assert r.terminal_reached and not r.overflow_reachable
+    c = run_campaign(m, 300, seed=5)
+    makespans = c.values("makespan")
+    assert len(makespans) == 300
+    for v in makespans:
+        assert r.makespan.lo <= v <= r.makespan.hi, f"makespan {v} outside"
+    for v in c.values("job_latency[chain]"):
+        assert r.latency.lo <= v <= r.latency.hi, f"latency {v} outside"

@@ -10,7 +10,7 @@ per-clock bounds.
 
 import numpy as np
 
-from taskdse.reachability import MERGE_LIMIT, _hull_is_union
+from taskdse.reachability import MERGE_LIMIT, _family_hull, _hull_is_union
 from taskdse.rng import SplitMix64
 from taskdse.zones import (
     INF_ENC,
@@ -22,6 +22,7 @@ from taskdse.zones import (
     enc_add,
     enc_neg,
     new_zero,
+    relayout,
     reset_zero,
     zone_includes,
 )
@@ -223,3 +224,106 @@ def test_upper_bounds_before_the_delay_change_nothing():
             assert (twice == once).all(), f"case {case}"
         seen.add(once is None)
     assert seen == {True, False}
+
+
+def test_relayout_is_a_projection_with_fresh_clocks_at_zero():
+    # new clock p copies old clock srcs[p]; src 0 creates a clock at 0
+    rng = SplitMix64(0x9E1A)
+    for case in range(150):
+        n = 1 + int(rng.next_u64() % 3)
+        a, cons = random_weak_zone(rng, n)
+        if a is None:
+            continue
+        m = 1 + int(rng.next_u64() % 4)
+        srcs = [0] + [int(rng.next_u64() % (n + 1)) for _ in range(m)]
+        pts = grid_points(n)
+        full = np.hstack([np.zeros((len(pts), 1), dtype=pts.dtype), pts])
+        image = {tuple(p) for p in full[satisfies(cons, pts)][:, srcs[1:]]}
+        new_pts = grid_points(m)
+        want = np.array([tuple(p) in image for p in new_pts])
+        got = satisfies(matrix_constraints(relayout(a, srcs)), new_pts)
+        assert (got == want).all(), f"case {case}: srcs {srcs}"
+
+
+def completion_family(rng: SplitMix64, m: int, n: int, scale: int = 1):
+    """Members r = 1..m of a box cut by x_r <= x_j for every family clock j.
+
+    The member where clock r is smallest is the zone in which task r ended
+    last.  Family clocks 1..m share one window, multiples of `scale`; clocks
+    m+1..n get their own upper bounds.  Returns (members, box constraints).
+    """
+    lo, hi = scale * int(rng.next_u64() % 5), scale * (5 + int(rng.next_u64() % 6))
+    cons = [(c, 0, enc(hi)) for c in range(1, m + 1)]
+    cons += [(0, c, enc(-lo)) for c in range(1, m + 1)]
+    cons += [(c, 0, enc(scale * int(rng.next_u64() % 11))) for c in range(m + 1, n + 1)]
+    box = unconstrained(n)
+    for i, j, e in cons:
+        assert constrain_one(box, i, j, e)
+    members = []
+    for r in range(1, m + 1):
+        z = box.copy()
+        for j in range(1, m + 1):
+            if j != r:
+                assert constrain_one(z, r, j, enc(0))
+        members.append(z)
+    return members, cons
+
+
+def union_mask(zones, pts: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(pts), dtype=bool)
+    for z in zones:
+        out |= satisfies(matrix_constraints(z), pts)
+    return out
+
+
+def test_family_hull_merges_built_completion_families():
+    rng = SplitMix64(0xFA41)
+    for case in range(60):
+        m = 2 + case % 3
+        n = m + int(rng.next_u64() % 2)  # maybe one unrelated clock
+        members, cons = completion_family(rng, m, n)
+        h, idxs = _family_hull(members)
+        assert idxs == list(range(m)), f"case {case}"
+        pts = grid_points(n)
+        union = union_mask(members, pts)
+        assert (satisfies(matrix_constraints(h), pts) == union).all(), f"case {case}"
+        assert (union == satisfies(cons, pts)).all(), f"case {case}: members miss the box"
+
+
+def test_family_hull_of_random_zones_adds_no_points():
+    # Zone sets are random zones, or part of a completion family with some
+    # members cut by one more bound between two family clocks.  Bounds are multiples of n + 1, as in
+    # the pairwise hull test above, so any point a hull adds over its
+    # members' union shows on the grid.
+    rng = SplitMix64(0xFA42)
+    outcomes = set()
+    for case in range(300):
+        n = 1 + int(rng.next_u64() % 3)
+        scale = n + 1
+        zones = []
+        if n == 1 or case % 2:
+            for _ in range(2 + int(rng.next_u64() % 3)):
+                z, _cons = random_weak_zone(rng, n, scale=scale)
+                if z is not None:
+                    zones.append(z)
+        else:
+            m = 2 + int(rng.next_u64() % (n - 1))
+            members, _cons = completion_family(rng, m, n, scale)
+            for z in members:
+                cut = rng.next_u64() % 4  # 0: leave the member out, 1: cut it
+                i, j = 1 + int(rng.next_u64() % m), 1 + int(rng.next_u64() % m)
+                if cut == 0 or (cut == 1 and i != j and not constrain_one(
+                        z, i, j, enc(scale * int(rng.next_u64() % 6)))):
+                    continue
+                zones.append(z)
+        if len(zones) < 2:
+            continue
+        got = _family_hull(zones)
+        outcomes.add(got is None)
+        if got is None:
+            continue
+        h, idxs = got
+        pts = grid_points(n, 10 * scale)
+        union = union_mask([zones[i] for i in idxs], pts)
+        assert (satisfies(matrix_constraints(h), pts) == union).all(), f"case {case}"
+    assert outcomes == {True, False}
