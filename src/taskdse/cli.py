@@ -127,6 +127,8 @@ def _cmd_verify(args) -> int:
         if args.k < 1:
             raise config.ConfigError("--k", "instance bound must be >= 1")
         model.instance_bound = args.k
+    if args.clock_budget < 1:
+        raise config.ConfigError("--clock-budget", "clock budget must be >= 1")
     res = reach_bounds(model, ReachOptions(clock_budget=args.clock_budget))
     report = {
         "engine": "zones",

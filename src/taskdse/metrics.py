@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import Platform, SystemModel
 from .timebase import SCALE
@@ -75,20 +75,47 @@ def busy_intervals(trace: TimedTrace) -> dict[str, list[tuple[int, int]]]:
     return out
 
 
-def _observed_busy(trace: TimedTrace) -> dict[str, list[tuple[int, int]]]:
-    """busy_intervals cut off at the trace's horizon."""
+class TraceFacts(NamedTuple):
+    """What the metric kinds read from one trace, gathered once.
+
+    `busy` holds each resource's busy intervals cut off at the horizon and
+    `busy_ticks` their total length; `start_freqs` lists the frequency of
+    each start per resource, in the order of its intervals.
+    """
+
+    arrivals: dict[int, tuple[str, int]]  # instance -> (job, arrival time)
+    last_ends: dict[int, int]  # instance -> time of its last end
+    busy: dict[str, list[tuple[int, int]]]
+    busy_ticks: dict[str, int]
+    start_freqs: dict[str, list]
+
+
+def trace_facts(trace: TimedTrace) -> TraceFacts:
+    """One pass over the events plus one busy_intervals call; traces keep the
+    result as `trace.facts`, so every metric of a run shares it."""
     h = trace.horizon
-    return {r: [(min(s, h), min(e, h)) for s, e in iv] for r, iv in busy_intervals(trace).items()}
+    busy = {r: [(min(s, h), min(e, h)) for s, e in iv] for r, iv in busy_intervals(trace).items()}
+    arrivals: dict[int, tuple[str, int]] = {}
+    last_ends: dict[int, int] = {}
+    start_freqs: dict[str, list] = {}
+    for e in trace.events:
+        kind = e.kind
+        if kind == "end":
+            last_ends[e.instance] = max(last_ends.get(e.instance, e.time), e.time)
+        elif kind == "start":
+            start_freqs.setdefault(e.resource, []).append(e.frequency)
+        elif kind == "arrival":
+            arrivals[e.instance] = (e.job, e.time)
+    busy_ticks = {r: sum(en - st for st, en in iv) for r, iv in busy.items()}
+    return TraceFacts(arrivals, last_ends, busy, busy_ticks, start_freqs)
 
 
 def utilization(trace: TimedTrace) -> dict[str, float]:
     """Busy fraction of the horizon per resource."""
+    busy = trace.facts.busy_ticks
     if trace.horizon <= 0:
-        return {r: 0.0 for r in busy_intervals(trace)}
-    return {
-        r: sum(e - s for s, e in iv) / trace.horizon
-        for r, iv in _observed_busy(trace).items()
-    }
+        return {r: 0.0 for r in busy}
+    return {r: b / trace.horizon for r, b in busy.items()}
 
 
 def energy(trace: TimedTrace, platform: Platform) -> float:
@@ -99,30 +126,25 @@ def energy(trace: TimedTrace, platform: Platform) -> float:
     static power for the whole horizon plus dynamic power while transferring.
     Work past the horizon is not counted.
     """
+    facts = trace.facts
     horizon = trace.horizon / SCALE
-    intervals = _observed_busy(trace)
-    busy: dict[str, float] = {}
+    busy = {res: b / SCALE for res, b in facts.busy_ticks.items()}
     total = 0.0
-    for res, iv in intervals.items():
-        busy[res] = sum(en - st for st, en in iv) / SCALE
 
     ic_ids = {ic.id for ic in platform.interconnects}
     # active work, priced per interval at the frequency it ran at
-    per_start: dict[str, list] = {}
-    for e in trace.events:
-        if e.kind == "start" and e.resource not in ic_ids:
-            per_start.setdefault(e.resource, []).append(e)
-    for res, iv in intervals.items():
+    for res, iv in facts.busy.items():
         if res in ic_ids:
             continue
-        proc = platform.processor(res)
-        starts = per_start.get(res, [])
-        for (st, en), ev in zip(iv, starts):
-            f = ev.frequency
-            if f not in proc.power:
-                raise MissingPowerEntry(f"{res} has no power entry for {f}")
-            stat, dyn = proc.power[f]
-            total += (stat + dyn) * (en - st) / SCALE
+        power = platform.processor(res).power
+        priced = None  # (frequency, watts) of the previous interval
+        for (st, en), f in zip(iv, facts.start_freqs[res]):
+            if priced is None or priced[0] is not f:
+                if f not in power:
+                    raise MissingPowerEntry(f"{res} has no power entry for {f}")
+                stat, dyn = power[f]
+                priced = (f, stat + dyn)
+            total += priced[1] * (en - st) / SCALE
 
     for proc in platform.processors:
         if not proc.initially_on:
@@ -136,18 +158,6 @@ def energy(trace: TimedTrace, platform: Platform) -> float:
     return total
 
 
-def _arrivals(trace: TimedTrace) -> dict[int, tuple[str, int]]:
-    return {e.instance: (e.job, e.time) for e in trace.events if e.kind == "arrival"}
-
-
-def _last_ends(trace: TimedTrace) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e in trace.events:
-        if e.kind == "end":
-            out[e.instance] = max(out.get(e.instance, e.time), e.time)
-    return out
-
-
 def extract(trace: TimedTrace, spec: MetricSpec, platform: Platform | None = None):
     """Samples for one metric from one trace, as (key, value) pairs.
 
@@ -155,7 +165,7 @@ def extract(trace: TimedTrace, spec: MetricSpec, platform: Platform | None = Non
     overflow_count is an integer.
     """
     if spec.kind == "job_latency":
-        arr, ends = _arrivals(trace), _last_ends(trace)
+        arr, ends = trace.facts.arrivals, trace.facts.last_ends
         out = []
         for inst in sorted(ends):
             job, t0 = arr[inst]
@@ -164,7 +174,7 @@ def extract(trace: TimedTrace, spec: MetricSpec, platform: Platform | None = Non
             out.append((str(inst), ends[inst] - t0))
         return out
     if spec.kind == "makespan":
-        arr, ends = _arrivals(trace), _last_ends(trace)
+        arr, ends = trace.facts.arrivals, trace.facts.last_ends
         if not ends:
             return []
         t0 = min(t for _, t in arr.values())

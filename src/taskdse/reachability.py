@@ -47,6 +47,7 @@ from .schedulers import (
     finish,
     frequency_for,
     next_dispatch,
+    processor_order,
     release,
     strict_view,
 )
@@ -125,9 +126,10 @@ class Network:
                 self.inst_of[(gidx, k)] = len(self.inst_graph)
                 self.inst_graph.append(graphs[g.job_type])
         self._wins: dict = {}
+        self.pes = processor_order(self.platform)
 
         gen_clocks = sum(own_clocks(g) for g in model.generators)
-        resources = len(self.platform.active_processors()) + len(self.platform.interconnects)
+        resources = len(self.pes) + len(self.platform.interconnects)
         concurrent = min(len(self.inst_graph), self.dep.queue_capacity)
         need = 2 + concurrent + resources + gen_clocks
         if need > self.options.clock_budget:
@@ -142,7 +144,7 @@ class Network:
             task = self.inst_graph[ref.instance].task(ref.task)
             f = None
             if task.kind != COMMUNICATION:
-                f = frequency_for(ref.task, resource, self.dep, self.platform)
+                f = frequency_for(ref.task, dict(self.pes)[resource], self.dep)
             d = task_duration(task, f)
             w = self._wins[key] = (d.lo, d.hi)
         return w
@@ -208,7 +210,7 @@ def _cascade(net: Network, insts: list, sched):
     resets = []
     view = partial(strict_view, insts, net.inst_graph)
     while True:
-        disp = next_dispatch(sched, net.dep, net.platform, view)
+        disp = next_dispatch(sched, net.dep, net.pes, view)
         if disp is None:
             return sched, resets
         ref = disp.ref

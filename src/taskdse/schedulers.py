@@ -26,7 +26,6 @@ queue key to FIFO and only the hold-back scan looks at the policy again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -112,7 +111,7 @@ def finish(graph: TaskGraph, st: list[int], ref: TaskRef) -> list[TaskRef] | Non
     """Mark `ref` DONE; None when that completes its instance, else the
     successors it enables, now QUEUED and in ready order."""
     st[graph.index[ref.task]] = DONE
-    if all(s == DONE for s in st):
+    if st.count(DONE) == len(st):
         return None
     newly = [
         TaskRef(ref.instance, ref.job, graph.tasks[k].id)
@@ -144,8 +143,7 @@ def strict_view(insts, graphs, pe_id: str) -> list[tuple[TaskRef, bool]]:
     return out
 
 
-@dataclass(frozen=True)
-class Dispatch:
+class Dispatch(NamedTuple):
     ref: TaskRef
     resource: str
     frequency: Fraction | None  # None on interconnects
@@ -158,12 +156,15 @@ class SchedulerState(NamedTuple):
 
 
 def _tuple_map_set(entries: tuple, key, value) -> tuple:
-    """`entries` with `key` bound to `value`, or unbound when `value` is empty."""
-    out = [e for e in entries if e[0] != key]
-    if value:
-        out.append((key, value))
-        out.sort(key=lambda e: e[0])
-    return tuple(out)
+    """`entries` (ascending keys) with `key` bound to `value`, or unbound
+    when `value` is empty."""
+    for i, (k, _v) in enumerate(entries):
+        if k >= key:
+            rest = entries[i + 1:] if k == key else entries[i:]
+            break
+    else:
+        i, rest = len(entries), ()
+    return entries[:i] + ((key, value),) + rest if value else entries[:i] + rest
 
 
 def _tuple_map_get(entries: tuple, key, default=()):
@@ -178,49 +179,58 @@ def enqueue(state: SchedulerState, ref: TaskRef, key: tuple | None) -> Scheduler
     if key is None:
         return state
     q = _tuple_map_get(state.queues, key)
-    return state._replace(queues=_tuple_map_set(state.queues, key, q + (ref,)))
+    return SchedulerState(_tuple_map_set(state.queues, key, q + (ref,)), state.running)
 
 
-def frequency_for(task_id: str, pe_id: str, dep: Deployment, platform: Platform) -> Fraction:
-    """A computation task's frequency on `pe_id`: its pinned one, else the lowest."""
+def processor_order(platform: Platform) -> tuple[tuple[str, Fraction], ...]:
+    """The powered-on processors as (id, lowest frequency), ascending id.
+
+    This is the order in which next_dispatch offers free processors work;
+    each engine builds it once per search or campaign.
+    """
+    return tuple(sorted((p.id, p.min_frequency()) for p in platform.active_processors()))
+
+
+def frequency_for(task_id: str, lowest: Fraction, dep: Deployment) -> Fraction:
+    """A computation task's frequency on a processor whose lowest is `lowest`:
+    its pinned one, else the lowest."""
     f = dep.task_frequency.get(task_id)
-    if f is not None:
-        return f
-    return platform.processor(pe_id).min_frequency()
+    return lowest if f is None else f
 
 
 def next_dispatch(
     state: SchedulerState,
     dep: Deployment,
-    platform: Platform,
+    pes: tuple[tuple[str, Fraction], ...],
     strict_view=None,
 ) -> Dispatch | None:
     """First dispatch the policy fires in `state`, or None if none does.
 
-    Engines call this repeatedly (applying each dispatch) until it returns
-    None; that exhausts every work-conserving start without letting time pass.
-    `strict_view(pe_id)` is required by strict_priority_local: it returns the
-    processor's incomplete mapped task instances as (ref, enabled) pairs.
-    Both engines pass the module's strict_view bound to their statuses.
+    `pes` is the platform's processor_order.  Engines call this repeatedly
+    (applying each dispatch) until it returns None; that exhausts every
+    work-conserving start without letting time pass.  `strict_view(pe_id)`
+    is required by strict_priority_local: it returns the processor's
+    incomplete mapped task instances as (ref, enabled) pairs.  Both engines
+    pass the module's strict_view bound to their statuses.
     """
-    busy = {rid for rid, _ in state.running}
-    pes = [p for p in platform.active_processors() if p.id not in busy]
-    pes.sort(key=lambda p: p.id)
-
-    for pe in pes:
-        if dep.policy == "strict_priority_local":
-            pending = strict_view(pe.id)
+    busy = dict(state.running)
+    strict = dep.policy == "strict_priority_local"
+    for pe, lowest in pes:
+        if pe in busy:
+            continue
+        if strict:
+            pending = strict_view(pe)
             if pending:
                 # priority is primary within an instance, instance index outer
                 best = min(pending, key=lambda p: (p[0].instance, -dep.priorities.get(p[0].task, 0), p[0]))
                 ref, enabled = best
                 if enabled:
-                    return Dispatch(ref, pe.id, frequency_for(ref.task, pe.id, dep, platform), None)
+                    return Dispatch(ref, pe, frequency_for(ref.task, lowest, dep), None)
                 # hold: this processor waits for its top task
             continue
         for key, q in state.queues:
-            if key[0] == SHARED or key == (LOCAL, pe.id):
-                return Dispatch(q[0], pe.id, frequency_for(q[0].task, pe.id, dep, platform), key)
+            if key[0] == SHARED or key == (LOCAL, pe):
+                return Dispatch(q[0], pe, frequency_for(q[0].task, lowest, dep), key)
 
     for key, q in state.queues:
         if key[0] == LINK and key[1] not in busy:
@@ -230,12 +240,12 @@ def next_dispatch(
 
 def apply_dispatch(state: SchedulerState, d: Dispatch) -> SchedulerState:
     """Pop the dispatched task off its queue and mark the resource busy."""
+    queues = state.queues
     if d.queue is not None:
-        q = _tuple_map_get(state.queues, d.queue)
-        state = state._replace(queues=_tuple_map_set(state.queues, d.queue, q[1:]))
-    return state._replace(running=_tuple_map_set(state.running, d.resource, d.ref))
+        q = _tuple_map_get(queues, d.queue)
+        queues = _tuple_map_set(queues, d.queue, q[1:])
+    return SchedulerState(queues, _tuple_map_set(state.running, d.resource, d.ref))
 
 
 def release(state: SchedulerState, resource: str) -> SchedulerState:
-    running = tuple(e for e in state.running if e[0] != resource)
-    return state._replace(running=running)
+    return SchedulerState(state.queues, _tuple_map_set(state.running, resource, None))

@@ -16,10 +16,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from typing import NamedTuple
 
 from .generators import sample_arrivals
-from .metrics import MetricSpec, Report, TIME_KINDS, default_metrics, extract, summarize
+from .metrics import (
+    MetricSpec,
+    Report,
+    TIME_KINDS,
+    TraceFacts,
+    default_metrics,
+    extract,
+    summarize,
+    trace_facts,
+)
 from .model import SystemModel, expand_comm_tasks, task_duration
 from .rng import stream_for
 from .schedulers import (
@@ -31,6 +41,7 @@ from .schedulers import (
     enqueue,
     finish,
     next_dispatch,
+    processor_order,
     release,
     strict_view,
 )
@@ -39,8 +50,7 @@ from .timebase import SCALE, format_ticks_fixed
 END, ARRIVAL = 0, 1  # heap ranks: ends go first at equal time
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: int
     kind: str
     instance: int = -1
@@ -73,6 +83,12 @@ class TimedTrace:
     run_index: int = 0
     model_hash: str = ""
 
+    @cached_property
+    def facts(self) -> TraceFacts:
+        """Arrivals, last ends, clipped busy intervals and start frequencies,
+        gathered on first use and shared by every metric."""
+        return trace_facts(self)
+
     def lines(self) -> list[str]:
         head = []
         if self.seed is not None:
@@ -87,13 +103,38 @@ class TimedTrace:
         return "\n".join(self.lines()) + "\n"
 
 
+class CampaignPlan:
+    """What every run of one model shares: a TaskGraph per job type, the
+    processor order, and duration windows filled in as (job, task, resource)
+    keys are first dispatched."""
+
+    def __init__(self, model: SystemModel):
+        dep, platform = model.deployment, model.platform
+        self.graphs = {jt.name: TaskGraph(expand_comm_tasks(jt, dep, platform), dep)
+                       for jt in model.job_types}
+        self.pes = processor_order(platform)
+        self.windows: dict[tuple[str, str, str], tuple[int, int]] = {}
+
+    def window(self, graph: TaskGraph, ref, resource: str, frequency) -> tuple[int, int]:
+        """Duration window of `ref` on `resource`, which runs it at `frequency`."""
+        key = (ref.job, ref.task, resource)
+        w = self.windows.get(key)
+        if w is None:
+            d = task_duration(graph.task(ref.task), frequency)
+            w = self.windows[key] = (d.lo, d.hi)
+        return w
+
+
 def simulate(model: SystemModel, seed: int, run_index: int = 0,
-             horizon: int | None = None, model_hash: str = "") -> TimedTrace:
-    """Run `run_index` of the campaign seeded with `seed`."""
+             horizon: int | None = None, model_hash: str = "",
+             plan: CampaignPlan | None = None) -> TimedTrace:
+    """Run `run_index` of the campaign seeded with `seed`; `plan` is the
+    model's CampaignPlan, built here when not given."""
     rng = stream_for(seed, run_index)
     dep = model.deployment
-    platform = model.platform
-    graphs = {jt.name: TaskGraph(expand_comm_tasks(jt, dep, platform), dep) for jt in model.job_types}
+    if plan is None:
+        plan = CampaignPlan(model)
+    graphs, pes = plan.graphs, plan.pes
 
     # arrivals are drawn up front, generator declaration order, then numbered
     # globally by (time, generator, index) so instance ids are canonical
@@ -121,20 +162,22 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     def cascade(now: int):
         nonlocal sched
         while True:
-            d = next_dispatch(sched, dep, platform, view)
+            d = next_dispatch(sched, dep, pes, view)
             if d is None:
                 return
-            ref = d.ref
+            ref, resource, freq, _queue = d
             graph = inst_graph[ref.instance]
             sched = apply_dispatch(sched, d)
             insts[ref.instance][graph.index[ref.task]] = RUNNING
-            window = task_duration(graph.task(ref.task), d.frequency)
-            dur = window.lo if window.lo == window.hi else rng.uniform_ticks(window.lo, window.hi)
-            if d.frequency is not None and last_freq.get(d.resource) != d.frequency:
-                last_freq[d.resource] = d.frequency
-                events.append(Event(now, "freq_set", resource=d.resource, frequency=d.frequency))
-            events.append(Event(now, "start", ref.instance, ref.job, ref.task, d.resource, d.frequency))
-            heapq.heappush(heap, (now + dur, END, ref, d.resource))
+            lo, hi = plan.window(graph, ref, resource, freq)
+            dur = lo if lo == hi else rng.uniform_ticks(lo, hi)
+            if freq is not None:
+                last = last_freq.get(resource)
+                if last is not freq and last != freq:  # `is` spares Fraction.__eq__
+                    last_freq[resource] = freq
+                    events.append(Event(now, "freq_set", resource=resource, frequency=freq))
+            events.append(Event(now, "start", ref.instance, ref.job, ref.task, resource, freq))
+            heapq.heappush(heap, (now + dur, END, ref, resource))
 
     # heap entries: (time, rank, key, resource); the key, (generator,
     # instance) for an arrival and the TaskRef for an end, breaks ties
@@ -210,8 +253,9 @@ def run_campaign(model: SystemModel, runs: int, seed: int,
     overflow_runs = 0
     overflow_total = 0
     traces: list[TimedTrace] | None = [] if keep_traces else None
+    plan = CampaignPlan(model)
     for i in range(runs):
-        t = simulate(model, seed, i, horizon, model_hash)
+        t = simulate(model, seed, i, horizon, model_hash, plan)
         horizons.append(t.horizon)
         overflow_total += t.overflow_count
         overflow_runs += 1 if t.overflow_count else 0

@@ -3,12 +3,15 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from taskdse import cli, config, fixtures
 from taskdse.model import DataEdge, Deployment, TaskSpec, WorkInterval
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CHAIN2 = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "chain2.json")
 BAND16 = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "band16.json")
 MAPPING = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "mapping_stream.json")
@@ -129,6 +132,21 @@ def test_verify_writes_report(tmp_path, capsys):
 def test_verify_clock_budget_exit_code(tmp_path, capsys):
     assert cli.main(["verify", BAND16, "--clock-budget", "3", "--out", str(tmp_path)]) == 3
     assert "clock budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_verify_clock_budget_below_one_is_a_config_error(tmp_path, capsys, budget):
+    assert cli.main(["verify", CHAIN2, "--clock-budget", budget, "--out", str(tmp_path)]) == 2
+    assert "clock budget must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    got = subprocess.run([sys.executable, "-m", "taskdse", "check", CHAIN2],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.startswith("ok ")
 
 
 def test_verify_k_truncates(tmp_path):

@@ -25,6 +25,7 @@ from taskdse.schedulers import (
     apply_dispatch,
     enqueue,
     next_dispatch,
+    processor_order,
     queue_key,
     ready_order,
     release,
@@ -58,16 +59,16 @@ def test_fifo_global_drains_in_arrival_order_to_lowest_pe():
     for r in (r1, r2, r3):
         st = _enqueue(st, r, dep)
 
-    d1 = next_dispatch(st, dep, plat)
+    d1 = next_dispatch(st, dep, processor_order(plat))
     assert d1 == Dispatch(r1, "PE0", Fraction(1), (SHARED, 0))
     st = apply_dispatch(st, d1)
-    d2 = next_dispatch(st, dep, plat)
+    d2 = next_dispatch(st, dep, processor_order(plat))
     assert d2 == Dispatch(r2, "PE1", Fraction(1), (SHARED, 0))
     st = apply_dispatch(st, d2)
-    assert next_dispatch(st, dep, plat) is None  # both PEs busy
+    assert next_dispatch(st, dep, processor_order(plat)) is None  # both PEs busy
 
     st = release(st, "PE0")
-    d3 = next_dispatch(st, dep, plat)
+    d3 = next_dispatch(st, dep, processor_order(plat))
     assert d3 == Dispatch(r3, "PE0", Fraction(1), (SHARED, 0))
 
 
@@ -78,10 +79,10 @@ def test_fifo_local_respects_mapping():
     ra, rb = TaskRef(0, "j", "a"), TaskRef(0, "j", "b")
     st = _enqueue(st, ra, dep)
     st = _enqueue(st, rb, dep)
-    d1 = next_dispatch(st, dep, plat)
+    d1 = next_dispatch(st, dep, processor_order(plat))
     assert d1.resource == "PE0" and d1.ref == rb  # PE0 considered first
     st = apply_dispatch(st, d1)
-    d2 = next_dispatch(st, dep, plat)
+    d2 = next_dispatch(st, dep, processor_order(plat))
     assert d2.resource == "PE1" and d2.ref == ra
 
 
@@ -91,7 +92,7 @@ def test_priority_global_serves_higher_level_first():
     st = SchedulerState()
     st = _enqueue(st, TaskRef(0, "j", "lo"), dep)
     st = _enqueue(st, TaskRef(0, "j", "hi"), dep)
-    d = next_dispatch(st, dep, plat)
+    d = next_dispatch(st, dep, processor_order(plat))
     assert d.ref.task == "hi"
 
 
@@ -103,7 +104,7 @@ def test_one_map_serves_three_levels_highest_first():
         st = _enqueue(st, TaskRef(0, "j", tid), dep)
     assert [key for key, _refs in st.queues] == [(SHARED, -9), (SHARED, -5), (SHARED, -1), (SHARED, 0)]
     served = []
-    while (d := next_dispatch(st, dep, plat)) is not None:
+    while (d := next_dispatch(st, dep, processor_order(plat))) is not None:
         served.append(d.ref.task)
         st = release(apply_dispatch(st, d), d.resource)
     assert served == ["hi", "mid", "lo", "mid2"]
@@ -136,11 +137,11 @@ def test_strict_priority_local_holds_back():
 
     # top not yet enabled: the PE must idle rather than run low
     pending = {"PE0": [(TaskRef(0, "j", "top"), False), (TaskRef(0, "j", "low"), True)]}
-    d = next_dispatch(st, dep, plat, strict_view=lambda pe: pending[pe])
+    d = next_dispatch(st, dep, processor_order(plat), strict_view=lambda pe: pending[pe])
     assert d is None
 
     pending = {"PE0": [(TaskRef(0, "j", "top"), True), (TaskRef(0, "j", "low"), True)]}
-    d = next_dispatch(st, dep, plat, strict_view=lambda pe: pending[pe])
+    d = next_dispatch(st, dep, processor_order(plat), strict_view=lambda pe: pending[pe])
     assert d.ref.task == "top"
 
 
@@ -149,7 +150,7 @@ def test_strict_priority_local_finishes_instance_before_next():
     dep = Deployment(policy="strict_priority_local", mapping={"t": "PE0"}, priorities={"t": 1})
     st = SchedulerState()
     pending = {"PE0": [(TaskRef(1, "j", "t"), True), (TaskRef(0, "j", "t"), True)]}
-    d = next_dispatch(st, dep, plat, strict_view=lambda pe: pending[pe])
+    d = next_dispatch(st, dep, processor_order(plat), strict_view=lambda pe: pending[pe])
     assert d.ref.instance == 0
 
 
@@ -160,10 +161,10 @@ def test_communication_tasks_queue_on_interconnect():
     comm = _task("a->b", kind=COMMUNICATION, ic="bus")
     st = enqueue(SchedulerState(), TaskRef(0, "j", "a->b"), queue_key(comm, dep))
 
-    d = next_dispatch(st, dep, plat)
+    d = next_dispatch(st, dep, processor_order(plat))
     assert d.resource == "bus" and d.frequency is None
     st = apply_dispatch(st, d)
-    assert next_dispatch(st, dep, plat) is None
+    assert next_dispatch(st, dep, processor_order(plat)) is None
     st = release(st, "bus")
     assert st == SchedulerState()
 
@@ -175,7 +176,7 @@ def test_off_processors_never_dispatch():
     plat = Platform(pes)
     dep = Deployment(policy="fifo_global")
     st = _enqueue(SchedulerState(), TaskRef(0, "j", "a"), dep)
-    d = next_dispatch(st, dep, plat)
+    d = next_dispatch(st, dep, processor_order(plat))
     assert d.resource == "PE1"
 
 

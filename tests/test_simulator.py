@@ -1,8 +1,12 @@
 """Event-driven simulation: golden traces, determinism, campaign folding."""
 
-from taskdse import config, fixtures
+from fractions import Fraction
+
+from taskdse import config, fixtures, metrics, simulator
+from taskdse.generators import Generator
+from taskdse.model import Deployment, JobType, Platform, Processor, SystemModel, TaskSpec, WorkInterval
 from taskdse.metrics import MetricSpec, busy_intervals
-from taskdse.simulator import run_campaign, simulate
+from taskdse.simulator import CampaignPlan, run_campaign, simulate
 from taskdse.timebase import SCALE, to_ticks
 
 CHAIN2_GOLDEN = (
@@ -123,3 +127,59 @@ def test_run_campaign_rejects_zero_runs():
 
     with pytest.raises(ValueError):
         run_campaign(fixtures.chain2(), 0, seed=1)
+
+
+def test_campaign_compiles_once_and_reads_each_trace_once(monkeypatch):
+    """Graphs are built once per campaign, each (job, task, resource) window
+    once, and every metric of a run shares one busy_intervals pass."""
+    calls = {"busy_intervals": 0, "expand_comm_tasks": 0, "task_duration": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(metrics, "busy_intervals")
+    counted(simulator, "expand_comm_tasks")
+    counted(simulator, "task_duration")
+    m = fixtures.mapping_stream(count=5)
+    c = run_campaign(m, 4, seed=3, keep_traces=True)
+
+    keys = {(e.job, e.task, e.resource) for t in c.traces for e in t.events if e.kind == "start"}
+    assert calls["busy_intervals"] == 4
+    assert calls["expand_comm_tasks"] == len(m.job_types)
+    assert 0 < calls["task_duration"] <= len(keys)
+
+
+def test_a_shared_plan_gives_the_same_trace():
+    m = fixtures.diamond()
+    plan = CampaignPlan(m)
+    for i in range(5):
+        assert simulate(m, 17, i, plan=plan).text() == simulate(m, 17, i).text()
+
+
+def test_each_processor_runs_a_task_at_its_own_frequency():
+    """Windows are kept per (job, task, resource): task a takes 4 units on
+    PE0 at frequency 1 and 2 units on PE1 at frequency 2 in the same run."""
+    f1, f2 = Fraction(1), Fraction(2)
+    pes = [Processor("PE0", [f1], {f1: (0.1, 0.9)}), Processor("PE1", [f2], {f2: (0.1, 0.9)})]
+    job = JobType("j", [TaskSpec("a", WorkInterval.of(4, 4)), TaskSpec("b", WorkInterval.of(1, 1))])
+    gen = Generator("j", "periodic", period=to_ticks(1), count=2)
+    m = SystemModel([job], Platform(pes), [gen], Deployment(policy="fifo_global"))
+    starts = {}
+    ran = {}
+    for e in simulate(m, 1, 0).events:
+        if e.kind == "start":
+            starts[(e.instance, e.task)] = e.time
+        elif e.kind == "end":
+            ran[(e.instance, e.task)] = (e.resource, e.time - starts[(e.instance, e.task)])
+    assert ran == {
+        (0, "a"): ("PE0", to_ticks(4)),
+        (0, "b"): ("PE1", to_ticks("0.5")),
+        (1, "a"): ("PE1", to_ticks(2)),
+        (1, "b"): ("PE1", to_ticks("0.5")),
+    }
