@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .generators import GLOBAL, arrival_rule, own_clocks
-from .model import COMMUNICATION, SystemModel, TimeInterval, expand_comm_tasks, task_duration
+from .model import SystemModel, TimeInterval
 from .schedulers import (
     DONE,
     RUNNING,
@@ -45,12 +45,11 @@ from .schedulers import (
     apply_dispatch,
     enqueue,
     finish,
-    frequency_for,
     next_dispatch,
-    processor_order,
     release,
     strict_view,
 )
+from .simulator import CompiledModel
 from .zones import (
     clock_window,
     constrain_one,
@@ -105,17 +104,14 @@ class DState:
 
 
 class Network:
-    """Precomputed static structure of one model's timed network."""
+    """The formal engine's view of one model: the shared CompiledModel plus
+    the arrival rules and instance numbering of the first K instances."""
 
     def __init__(self, model: SystemModel, options: ReachOptions | None = None):
         self.model = model
         self.options = options or ReachOptions()
-        self.dep = model.deployment
-        self.platform = model.platform
-        graphs = {
-            jt.name: TaskGraph(expand_comm_tasks(jt, self.dep, self.platform), self.dep)
-            for jt in model.job_types
-        }
+        self.compiled = CompiledModel(model)
+        graphs = self.compiled.graphs
         # rules[gidx][a]: rule of arrival a + 1; instance_bound caps the count
         self.rules = [[arrival_rule(g, k) for k in range(1, min(g.count, model.instance_bound) + 1)]
                       for g in model.generators]
@@ -125,29 +121,15 @@ class Network:
             for k in range(1, len(self.rules[gidx]) + 1):
                 self.inst_of[(gidx, k)] = len(self.inst_graph)
                 self.inst_graph.append(graphs[g.job_type])
-        self._wins: dict = {}
-        self.pes = processor_order(self.platform)
 
         gen_clocks = sum(own_clocks(g) for g in model.generators)
-        resources = len(self.pes) + len(self.platform.interconnects)
-        concurrent = min(len(self.inst_graph), self.dep.queue_capacity)
+        resources = len(self.compiled.pes) + len(model.platform.interconnects)
+        concurrent = min(len(self.inst_graph), model.deployment.queue_capacity)
         need = 2 + concurrent + resources + gen_clocks
         if need > self.options.clock_budget:
             raise BudgetExceeded(
                 f"model may need {need} clocks (budget {self.options.clock_budget})"
             )
-
-    def window(self, ref: TaskRef, resource: str) -> tuple[int, int]:
-        key = (ref.job, ref.task, resource)
-        w = self._wins.get(key)
-        if w is None:
-            task = self.inst_graph[ref.instance].task(ref.task)
-            f = None
-            if task.kind != COMMUNICATION:
-                f = frequency_for(ref.task, dict(self.pes)[resource], self.dep)
-            d = task_duration(task, f)
-            w = self._wins[key] = (d.lo, d.hi)
-        return w
 
     def initial(self) -> DState:
         return DState(
@@ -172,7 +154,7 @@ def _layout(net: Network, d: DState) -> tuple:
         if isinstance(st, tuple) and (not net.options.purge or any(s != DONE for s in st)):
             ps.append(("resp", i))
     for _rid, ref in d.sched.running:
-        ps.append(("run", ref.instance, ref.task))
+        ps.append(("run", ref.instance, ref.code))
     for gidx, g in enumerate(net.model.generators):
         if net.options.purge and d.arrivals[gidx] >= len(net.rules[gidx]):
             continue
@@ -210,16 +192,15 @@ def _cascade(net: Network, insts: list, sched):
     resets = []
     view = partial(strict_view, insts, net.inst_graph)
     while True:
-        disp = next_dispatch(sched, net.dep, net.pes, view)
+        disp = next_dispatch(sched, net.compiled, view)
         if disp is None:
             return sched, resets
         ref = disp.ref
-        graph = net.inst_graph[ref.instance]
         sched = apply_dispatch(sched, disp)
         st = list(insts[ref.instance])
-        st[graph.index[ref.task]] = RUNNING
+        st[ref.code - net.inst_graph[ref.instance].first] = RUNNING
         insts[ref.instance] = st
-        resets.append(("run", ref.instance, ref.task))
+        resets.append(("run", ref.instance, ref.code))
 
 
 def _after_end(net: Network, d: DState, resource: str, ref: TaskRef):
@@ -229,7 +210,7 @@ def _after_end(net: Network, d: DState, resource: str, ref: TaskRef):
     sched = release(d.sched, resource)
     newly = finish(graph, st, ref)
     for nref in newly or ():
-        sched = enqueue(sched, nref, graph.queue[graph.index[nref.task]])
+        sched = enqueue(sched, nref, net.compiled.queue[nref.code])
     sched, resets = _cascade(net, insts, sched)
     d2 = _freeze(d.arrivals, insts, sched)
     return d2, resets, (ref.instance if newly is None else None)
@@ -252,7 +233,7 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     insts[inst], sources = admit(graph, inst)
     sched = d.sched
     for ref in sources:
-        sched = enqueue(sched, ref, graph.queue[graph.index[ref.task]])
+        sched = enqueue(sched, ref, net.compiled.queue[ref.code])
     sched, more = _cascade(net, insts, sched)
     return _freeze(arrivals, insts, sched), resets + more
 
@@ -264,8 +245,8 @@ def _after_arrival(net: Network, d: DState, gidx: int):
 def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
     """Intersect with every location invariant; False when that empties it."""
     for rid, ref in d.sched.running:
-        _lo, hi = net.window(ref, rid)
-        if not constrain_one(mat, idx[("run", ref.instance, ref.task)], 0, enc(hi)):
+        _lo, hi = net.compiled.window(ref.code, rid)
+        if not constrain_one(mat, idx[("run", ref.instance, ref.code)], 0, enc(hi)):
             return False
     for gidx, rules in enumerate(net.rules):
         a = d.arrivals[gidx]
@@ -474,9 +455,9 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
 
         # task completions, canonical order
         for rid, ref in sorted(d.sched.running, key=lambda e: e[1]):
-            lo, _hi = net.window(ref, rid)
+            lo, _hi = net.compiled.window(ref.code, rid)
             zg = mat.copy()
-            if not constrain_one(zg, 0, idx[("run", ref.instance, ref.task)], enc(-lo)):
+            if not constrain_one(zg, 0, idx[("run", ref.instance, ref.code)], enc(-lo)):
                 continue
             d2, resets, completed = _after_end(net, d, rid, ref)
             if completed is not None:
@@ -499,7 +480,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
             if gd is not None and not constrain_one(
                     zg, 0, idx[_clock(gidx, gd.clock)], enc(-gd.ticks, strict=gd.strict)):
                 continue
-            if _backlog(d.insts) >= net.dep.queue_capacity:
+            if _backlog(d.insts) >= net.model.deployment.queue_capacity:
                 acc.overflow = True
                 continue  # absorbing: the run is flagged, not continued
             d2, resets = _after_arrival(net, d, gidx)

@@ -2,9 +2,11 @@
 
 The policy state is a frozen value (plain tuples), so the formal engine can
 hash it into discrete states and the simulator can mutate-by-replacement; both
-therefore run the exact same decision code.  Tie-breaks are total: tasks that
-become ready at the same instant enqueue in (instance index, job name, task id)
-order, and free processors are considered in ascending id order.
+therefore run the exact same decision code.  Tasks are addressed by integer
+codes that a compiled model assigns in (job name, task id) order.  Tie-breaks
+are total: tasks that become ready at the same instant enqueue in (instance
+index, task code) order, which is (instance index, job name, task id) order,
+and free processors are considered in ascending id order.
 
 The enabling rules live here too: both engines track each admitted instance
 as a list of PENDING/QUEUED/RUNNING/DONE task statuses over one TaskGraph, and
@@ -29,17 +31,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import COMMUNICATION, Deployment, JobType, Platform, TaskSpec
+from .model import COMMUNICATION, Deployment, JobType, TaskSpec
 
 PENDING, QUEUED, RUNNING, DONE = 0, 1, 2, 3
 
 
 class TaskRef(NamedTuple):
-    """One task instance: (instance index, job, task) is also the tie-break key."""
+    """One task instance: (instance index, task code) is also the tie-break key."""
 
     instance: int
-    job: str
-    task: str
+    code: int
 
 
 def ready_order(refs: list[TaskRef]) -> list[TaskRef]:
@@ -74,29 +75,25 @@ def queue_key(task: TaskSpec, dep: Deployment) -> tuple | None:
 class TaskGraph:
     """Static structure of one job type after expand_comm_tasks.
 
-    Tasks are addressed by their position in `tasks`; `preds`, `succs`,
-    `sources` and `on_pe` (computation tasks mapped to each processor, in
-    task order) hold positions too.  `queue[i]` is task i's queue key under
-    the deployment's policy.
+    `tasks` is sorted by id and task i has code `first + i`; `preds`,
+    `succs`, `sources` and `on_pe` (computation tasks mapped to each
+    processor) hold positions i, which also index an instance's statuses.
     """
 
-    def __init__(self, job: JobType, dep: Deployment):
+    def __init__(self, job: JobType, dep: Deployment, first: int):
         self.name = job.name
-        self.tasks = job.tasks
-        self.index = {t.id: i for i, t in enumerate(job.tasks)}
+        self.first = first
+        self.tasks = sorted(job.tasks, key=lambda t: t.id)
+        index = {t.id: i for i, t in enumerate(self.tasks)}
         preds, succs = job.preds(), job.succs()
-        self.preds = [[self.index[p] for p in preds[t.id]] for t in job.tasks]
-        self.succs = [[self.index[s] for s in succs[t.id]] for t in job.tasks]
+        self.preds = [[index[p] for p in preds[t.id]] for t in self.tasks]
+        self.succs = [[index[s] for s in succs[t.id]] for t in self.tasks]
         self.sources = [i for i, p in enumerate(self.preds) if not p]
         self.on_pe: dict[str, list[int]] = {}
-        for i, t in enumerate(job.tasks):
+        for i, t in enumerate(self.tasks):
             pe = dep.mapping.get(t.id)
             if t.kind != COMMUNICATION and pe is not None:
                 self.on_pe.setdefault(pe, []).append(i)
-        self.queue = [queue_key(t, dep) for t in job.tasks]
-
-    def task(self, task_id: str) -> TaskSpec:
-        return self.tasks[self.index[task_id]]
 
 
 def admit(graph: TaskGraph, instance: int) -> tuple[list[int], list[TaskRef]]:
@@ -104,23 +101,21 @@ def admit(graph: TaskGraph, instance: int) -> tuple[list[int], list[TaskRef]]:
     st = [PENDING] * len(graph.tasks)
     for i in graph.sources:
         st[i] = QUEUED
-    return st, ready_order([TaskRef(instance, graph.name, graph.tasks[i].id) for i in graph.sources])
+    return st, ready_order([TaskRef(instance, graph.first + i) for i in graph.sources])
 
 
 def finish(graph: TaskGraph, st: list[int], ref: TaskRef) -> list[TaskRef] | None:
     """Mark `ref` DONE; None when that completes its instance, else the
     successors it enables, now QUEUED and in ready order."""
-    st[graph.index[ref.task]] = DONE
+    i = ref.code - graph.first
+    st[i] = DONE
     if st.count(DONE) == len(st):
         return None
-    newly = [
-        TaskRef(ref.instance, ref.job, graph.tasks[k].id)
-        for k in graph.succs[graph.index[ref.task]]
-        if st[k] == PENDING and all(st[p] == DONE for p in graph.preds[k])
-    ]
-    for nref in newly:
-        st[graph.index[nref.task]] = QUEUED
-    return ready_order(newly)
+    newly = [k for k in graph.succs[i]
+             if st[k] == PENDING and all(st[p] == DONE for p in graph.preds[k])]
+    for k in newly:
+        st[k] = QUEUED
+    return ready_order([TaskRef(ref.instance, graph.first + k) for k in newly])
 
 
 def strict_view(insts, graphs, pe_id: str) -> list[tuple[TaskRef, bool]]:
@@ -139,7 +134,7 @@ def strict_view(insts, graphs, pe_id: str) -> list[tuple[TaskRef, bool]]:
             if st[k] in (RUNNING, DONE):
                 continue
             enabled = all(st[p] == DONE for p in graph.preds[k])
-            out.append((TaskRef(i, graph.name, graph.tasks[k].id), enabled))
+            out.append((TaskRef(i, graph.first + k), enabled))
     return out
 
 
@@ -182,31 +177,11 @@ def enqueue(state: SchedulerState, ref: TaskRef, key: tuple | None) -> Scheduler
     return SchedulerState(_tuple_map_set(state.queues, key, q + (ref,)), state.running)
 
 
-def processor_order(platform: Platform) -> tuple[tuple[str, Fraction], ...]:
-    """The powered-on processors as (id, lowest frequency), ascending id.
-
-    This is the order in which next_dispatch offers free processors work;
-    each engine builds it once per search or campaign.
-    """
-    return tuple(sorted((p.id, p.min_frequency()) for p in platform.active_processors()))
-
-
-def frequency_for(task_id: str, lowest: Fraction, dep: Deployment) -> Fraction:
-    """A computation task's frequency on a processor whose lowest is `lowest`:
-    its pinned one, else the lowest."""
-    f = dep.task_frequency.get(task_id)
-    return lowest if f is None else f
-
-
-def next_dispatch(
-    state: SchedulerState,
-    dep: Deployment,
-    pes: tuple[tuple[str, Fraction], ...],
-    strict_view=None,
-) -> Dispatch | None:
+def next_dispatch(state: SchedulerState, compiled, strict_view=None) -> Dispatch | None:
     """First dispatch the policy fires in `state`, or None if none does.
 
-    `pes` is the platform's processor_order.  Engines call this repeatedly
+    `compiled` is the model's simulator.CompiledModel: its processor order,
+    per-code priorities and frequency rule.  Engines call this repeatedly
     (applying each dispatch) until it returns None; that exhausts every
     work-conserving start without letting time pass.  `strict_view(pe_id)`
     is required by strict_priority_local: it returns the processor's
@@ -214,23 +189,23 @@ def next_dispatch(
     pass the module's strict_view bound to their statuses.
     """
     busy = dict(state.running)
-    strict = dep.policy == "strict_priority_local"
-    for pe, lowest in pes:
+    strict = compiled.strict
+    for pe, lowest in compiled.pes:
         if pe in busy:
             continue
         if strict:
             pending = strict_view(pe)
             if pending:
                 # priority is primary within an instance, instance index outer
-                best = min(pending, key=lambda p: (p[0].instance, -dep.priorities.get(p[0].task, 0), p[0]))
-                ref, enabled = best
+                prio = compiled.priority
+                ref, enabled = min(pending, key=lambda p: (p[0].instance, -prio[p[0].code], p[0]))
                 if enabled:
-                    return Dispatch(ref, pe, frequency_for(ref.task, lowest, dep), None)
+                    return Dispatch(ref, pe, compiled.frequency(ref.code, lowest), None)
                 # hold: this processor waits for its top task
             continue
         for key, q in state.queues:
             if key[0] == SHARED or key == (LOCAL, pe):
-                return Dispatch(q[0], pe, frequency_for(q[0].task, lowest, dep), key)
+                return Dispatch(q[0], pe, compiled.frequency(q[0].code, lowest), key)
 
     for key, q in state.queues:
         if key[0] == LINK and key[1] not in busy:

@@ -30,7 +30,7 @@ from .metrics import (
     summarize,
     trace_facts,
 )
-from .model import SystemModel, expand_comm_tasks, task_duration
+from .model import COMMUNICATION, SystemModel, expand_comm_tasks, task_duration
 from .rng import stream_for
 from .schedulers import (
     RUNNING,
@@ -41,7 +41,7 @@ from .schedulers import (
     enqueue,
     finish,
     next_dispatch,
-    processor_order,
+    queue_key,
     release,
     strict_view,
 )
@@ -103,38 +103,59 @@ class TimedTrace:
         return "\n".join(self.lines()) + "\n"
 
 
-class CampaignPlan:
-    """What every run of one model shares: a TaskGraph per job type, the
-    processor order, and duration windows filled in as (job, task, resource)
-    keys are first dispatched."""
+class CompiledModel:
+    """One model compiled for both engines, built once per campaign or search.
+
+    It holds a TaskGraph per job type and the powered-on processors as (id,
+    lowest frequency) in dispatch order.  Tasks get model-wide integer codes
+    in (job name, task id) order; `names`, `tasks`, `queue`, `priority` and
+    `pinned` (frequency, or None) are indexed by code.  Duration windows are
+    filled in per (code, resource) the first time that key is dispatched.
+    """
 
     def __init__(self, model: SystemModel):
         dep, platform = model.deployment, model.platform
-        self.graphs = {jt.name: TaskGraph(expand_comm_tasks(jt, dep, platform), dep)
-                       for jt in model.job_types}
-        self.pes = processor_order(platform)
-        self.windows: dict[tuple[str, str, str], tuple[int, int]] = {}
+        self.graphs: dict[str, TaskGraph] = {}
+        self.tasks = []
+        for jt in sorted(model.job_types, key=lambda jt: jt.name):
+            graph = TaskGraph(expand_comm_tasks(jt, dep, platform), dep, len(self.tasks))
+            self.graphs[jt.name] = graph
+            self.tasks += graph.tasks
+        self.names = [(g.name, t.id) for g in self.graphs.values() for t in g.tasks]
+        self.queue = [queue_key(t, dep) for t in self.tasks]
+        self.priority = [dep.priorities.get(t.id, 0) for t in self.tasks]
+        self.pinned = [dep.task_frequency.get(t.id) for t in self.tasks]
+        self.strict = dep.policy == "strict_priority_local"
+        self.pes = tuple(sorted((p.id, p.min_frequency()) for p in platform.active_processors()))
+        self.windows: dict[tuple[int, str], tuple[int, int]] = {}
 
-    def window(self, graph: TaskGraph, ref, resource: str, frequency) -> tuple[int, int]:
-        """Duration window of `ref` on `resource`, which runs it at `frequency`."""
-        key = (ref.job, ref.task, resource)
+    def frequency(self, code: int, lowest):
+        """A computation task's frequency on a processor whose lowest is
+        `lowest`: its pinned one, else the lowest."""
+        f = self.pinned[code]
+        return lowest if f is None else f
+
+    def window(self, code: int, resource: str) -> tuple[int, int]:
+        """Duration window of task `code` on `resource`."""
+        key = (code, resource)
         w = self.windows.get(key)
         if w is None:
-            d = task_duration(graph.task(ref.task), frequency)
+            task = self.tasks[code]
+            f = None if task.kind == COMMUNICATION else self.frequency(code, dict(self.pes)[resource])
+            d = task_duration(task, f)
             w = self.windows[key] = (d.lo, d.hi)
         return w
 
 
 def simulate(model: SystemModel, seed: int, run_index: int = 0,
              horizon: int | None = None, model_hash: str = "",
-             plan: CampaignPlan | None = None) -> TimedTrace:
-    """Run `run_index` of the campaign seeded with `seed`; `plan` is the
-    model's CampaignPlan, built here when not given."""
+             compiled: CompiledModel | None = None) -> TimedTrace:
+    """Run `run_index` of the campaign seeded with `seed`; `compiled` is the
+    model's CompiledModel, built here when not given."""
     rng = stream_for(seed, run_index)
     dep = model.deployment
-    if plan is None:
-        plan = CampaignPlan(model)
-    graphs, pes = plan.graphs, plan.pes
+    cm = CompiledModel(model) if compiled is None else compiled
+    graphs, names, queue = cm.graphs, cm.names, cm.queue
 
     # arrivals are drawn up front, generator declaration order, then numbered
     # globally by (time, generator, index) so instance ids are canonical
@@ -162,21 +183,20 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     def cascade(now: int):
         nonlocal sched
         while True:
-            d = next_dispatch(sched, dep, pes, view)
+            d = next_dispatch(sched, cm, view)
             if d is None:
                 return
             ref, resource, freq, _queue = d
-            graph = inst_graph[ref.instance]
             sched = apply_dispatch(sched, d)
-            insts[ref.instance][graph.index[ref.task]] = RUNNING
-            lo, hi = plan.window(graph, ref, resource, freq)
+            insts[ref.instance][ref.code - inst_graph[ref.instance].first] = RUNNING
+            lo, hi = cm.window(ref.code, resource)
             dur = lo if lo == hi else rng.uniform_ticks(lo, hi)
             if freq is not None:
                 last = last_freq.get(resource)
                 if last is not freq and last != freq:  # `is` spares Fraction.__eq__
                     last_freq[resource] = freq
                     events.append(Event(now, "freq_set", resource=resource, frequency=freq))
-            events.append(Event(now, "start", ref.instance, ref.job, ref.task, resource, freq))
+            events.append(Event(now, "start", ref.instance, *names[ref.code], resource, freq))
             heapq.heappush(heap, (now + dur, END, ref, resource))
 
     # heap entries: (time, rank, key, resource); the key, (generator,
@@ -194,18 +214,18 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             events.append(Event(now, "arrival", inst, graph.name, generator=gidx))
             insts[inst], sources = admit(graph, inst)
             for ref in sources:
-                sched = enqueue(sched, ref, graph.queue[graph.index[ref.task]])
+                sched = enqueue(sched, ref, queue[ref.code])
             cascade(now)
         else:  # end
             ref = key
             sched = release(sched, resource)
             graph = inst_graph[ref.instance]
-            events.append(Event(now, "end", ref.instance, ref.job, ref.task, resource))
+            events.append(Event(now, "end", ref.instance, *names[ref.code], resource))
             newly = finish(graph, insts[ref.instance], ref)
             if newly is None:
                 backlog -= 1
             for nref in newly or ():
-                sched = enqueue(sched, nref, graph.queue[graph.index[nref.task]])
+                sched = enqueue(sched, nref, queue[nref.code])
             cascade(now)
 
     # events stay in processing order: non-decreasing time, ends handled
@@ -253,9 +273,9 @@ def run_campaign(model: SystemModel, runs: int, seed: int,
     overflow_runs = 0
     overflow_total = 0
     traces: list[TimedTrace] | None = [] if keep_traces else None
-    plan = CampaignPlan(model)
+    compiled = CompiledModel(model)
     for i in range(runs):
-        t = simulate(model, seed, i, horizon, model_hash, plan)
+        t = simulate(model, seed, i, horizon, model_hash, compiled)
         horizons.append(t.horizon)
         overflow_total += t.overflow_count
         overflow_runs += 1 if t.overflow_count else 0

@@ -27,7 +27,7 @@ from taskdse.model import (
 )
 from taskdse.reachability import reach_bounds
 from taskdse.rng import SplitMix64
-from taskdse.simulator import CampaignPlan, simulate
+from taskdse.simulator import CompiledModel, simulate
 from taskdse.timebase import to_ticks
 
 SEED = 20240611
@@ -87,10 +87,10 @@ def test_random_model_samples_lie_inside_the_formal_bounds():
     checked = 0
     for n, m in enumerate(accepted_models()):
         r = reach_bounds(m)
-        plan = CampaignPlan(m)
+        compiled = CompiledModel(m)
         runs = 0
         for i in range(4 * RUNS):
-            t = simulate(m, SEED + n, i, plan=plan)
+            t = simulate(m, SEED + n, i, compiled=compiled)
             if t.overflow_count:
                 continue  # the bounds cover runs without overflow only
             for spec, bound in ((MetricSpec("makespan"), r.makespan),

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from taskdse import fixtures
+from taskdse import fixtures, simulator
 from taskdse.generators import Generator
 from taskdse.model import SystemModel
 from taskdse.reachability import (
@@ -214,3 +214,26 @@ def test_every_generator_variant_bounds_chain2(variant):
         assert r.makespan.lo <= v <= r.makespan.hi, f"makespan {v} outside"
     for v in c.values("job_latency[chain]"):
         assert r.latency.lo <= v <= r.latency.hi, f"latency {v} outside"
+
+
+def test_a_search_compiles_its_model_once(monkeypatch):
+    """reach_bounds builds the simulator's CompiledModel once: one graph per
+    job type, and each (task, resource) window at most once."""
+    calls = {"expand_comm_tasks": 0, "task_duration": 0}
+
+    def counted(name):
+        original = getattr(simulator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, name, wrapper)
+
+    counted("expand_comm_tasks")
+    counted("task_duration")
+    m = fixtures.mapping_stream()
+    reach_bounds(m)
+    assert calls["expand_comm_tasks"] == len(m.job_types)
+    tasks = sum(len(jt.tasks) for jt in m.job_types)  # fifo_local: one PE each
+    assert 0 < calls["task_duration"] <= tasks

@@ -11,6 +11,7 @@ from taskdse.model import (
     JobType,
     Platform,
     Processor,
+    SystemModel,
     TaskSpec,
     WorkInterval,
 )
@@ -20,16 +21,15 @@ from taskdse.schedulers import (
     SHARED,
     Dispatch,
     SchedulerState,
-    TaskGraph,
     TaskRef,
     apply_dispatch,
     enqueue,
     next_dispatch,
-    processor_order,
     queue_key,
     ready_order,
     release,
 )
+from taskdse.simulator import CompiledModel
 
 
 def _platform(n=2, ics=()):
@@ -42,70 +42,86 @@ def _task(tid, kind="computation", ic=None):
     return TaskSpec(tid, WorkInterval.of(1, 1), kind=kind, interconnect=ic)
 
 
-def _enqueue(st, ref, dep):
-    return enqueue(st, ref, queue_key(_task(ref.task), dep))
+def _compile(plat, dep, jobs):
+    """Compile `jobs` (job name -> task ids or TaskSpecs) under `dep`;
+    returns the model and ref(instance, job, task), the TaskRef of a task."""
+    job_types = [JobType(name, [t if isinstance(t, TaskSpec) else _task(t) for t in tasks])
+                 for name, tasks in jobs.items()]
+    cm = CompiledModel(SystemModel(job_types, plat, [], dep))
+    codes = {names: code for code, names in enumerate(cm.names)}
+    return cm, lambda instance, job, task: TaskRef(instance, codes[(job, task)])
+
+
+def _enqueue(st, ref, cm):
+    return enqueue(st, ref, cm.queue[ref.code])
 
 
 def test_ready_order_is_instance_then_job_then_task():
-    refs = [TaskRef(1, "a", "x"), TaskRef(0, "b", "y"), TaskRef(0, "a", "z")]
-    assert ready_order(refs) == [TaskRef(0, "a", "z"), TaskRef(0, "b", "y"), TaskRef(1, "a", "x")]
+    cm, ref = _compile(_platform(1), Deployment(), {"b": ["y"], "a": ["z", "x"]})
+    assert cm.names == [("a", "x"), ("a", "z"), ("b", "y")]
+    refs = [ref(1, "a", "x"), ref(0, "b", "y"), ref(0, "a", "z")]
+    assert ready_order(refs) == [ref(0, "a", "z"), ref(0, "b", "y"), ref(1, "a", "x")]
 
 
 def test_fifo_global_drains_in_arrival_order_to_lowest_pe():
     plat = _platform(2)
     dep = Deployment(policy="fifo_global")
+    cm, ref = _compile(plat, dep, {"j": ["a", "b", "c"]})
     st = SchedulerState()
-    r1, r2, r3 = TaskRef(0, "j", "a"), TaskRef(0, "j", "b"), TaskRef(0, "j", "c")
+    r1, r2, r3 = ref(0, "j", "a"), ref(0, "j", "b"), ref(0, "j", "c")
     for r in (r1, r2, r3):
-        st = _enqueue(st, r, dep)
+        st = _enqueue(st, r, cm)
 
-    d1 = next_dispatch(st, dep, processor_order(plat))
+    d1 = next_dispatch(st, cm)
     assert d1 == Dispatch(r1, "PE0", Fraction(1), (SHARED, 0))
     st = apply_dispatch(st, d1)
-    d2 = next_dispatch(st, dep, processor_order(plat))
+    d2 = next_dispatch(st, cm)
     assert d2 == Dispatch(r2, "PE1", Fraction(1), (SHARED, 0))
     st = apply_dispatch(st, d2)
-    assert next_dispatch(st, dep, processor_order(plat)) is None  # both PEs busy
+    assert next_dispatch(st, cm) is None  # both PEs busy
 
     st = release(st, "PE0")
-    d3 = next_dispatch(st, dep, processor_order(plat))
+    d3 = next_dispatch(st, cm)
     assert d3 == Dispatch(r3, "PE0", Fraction(1), (SHARED, 0))
 
 
 def test_fifo_local_respects_mapping():
     plat = _platform(2)
     dep = Deployment(policy="fifo_local", mapping={"a": "PE1", "b": "PE0"})
+    cm, ref = _compile(plat, dep, {"j": ["a", "b"]})
     st = SchedulerState()
-    ra, rb = TaskRef(0, "j", "a"), TaskRef(0, "j", "b")
-    st = _enqueue(st, ra, dep)
-    st = _enqueue(st, rb, dep)
-    d1 = next_dispatch(st, dep, processor_order(plat))
+    ra, rb = ref(0, "j", "a"), ref(0, "j", "b")
+    st = _enqueue(st, ra, cm)
+    st = _enqueue(st, rb, cm)
+    d1 = next_dispatch(st, cm)
     assert d1.resource == "PE0" and d1.ref == rb  # PE0 considered first
     st = apply_dispatch(st, d1)
-    d2 = next_dispatch(st, dep, processor_order(plat))
+    d2 = next_dispatch(st, cm)
     assert d2.resource == "PE1" and d2.ref == ra
 
 
 def test_priority_global_serves_higher_level_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"hi": 2, "lo": 1})
+    cm, ref = _compile(plat, dep, {"j": ["lo", "hi"]})
     st = SchedulerState()
-    st = _enqueue(st, TaskRef(0, "j", "lo"), dep)
-    st = _enqueue(st, TaskRef(0, "j", "hi"), dep)
-    d = next_dispatch(st, dep, processor_order(plat))
-    assert d.ref.task == "hi"
+    st = _enqueue(st, ref(0, "j", "lo"), cm)
+    st = _enqueue(st, ref(0, "j", "hi"), cm)
+    d = next_dispatch(st, cm)
+    assert d.ref == ref(0, "j", "hi")
 
 
 def test_one_map_serves_three_levels_highest_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"lo": 1, "mid": 5, "hi": 9})
+    cm, ref = _compile(plat, dep, {"j": ["mid", "lo", "hi", "mid2"]})
     st = SchedulerState()
     for tid in ("mid", "lo", "hi", "mid2"):  # mid2 has no level: 0, below lo
-        st = _enqueue(st, TaskRef(0, "j", tid), dep)
+        st = _enqueue(st, ref(0, "j", tid), cm)
     assert [key for key, _refs in st.queues] == [(SHARED, -9), (SHARED, -5), (SHARED, -1), (SHARED, 0)]
     served = []
-    while (d := next_dispatch(st, dep, processor_order(plat))) is not None:
-        served.append(d.ref.task)
+    while (d := next_dispatch(st, cm)) is not None:
+        served.append(cm.names[d.ref.code][1])
         st = release(apply_dispatch(st, d), d.resource)
     assert served == ["hi", "mid", "lo", "mid2"]
     assert st == SchedulerState()  # drained queues leave no entry behind
@@ -123,34 +139,35 @@ def test_queue_key_resolves_each_policy():
         assert queue_key(comm, Deployment(policy, mapping, priorities)) == (LINK, "bus")
 
 
-def test_unknown_policy_fails_when_the_task_graph_is_built():
-    job = JobType("j", [_task("a")])
+def test_unknown_policy_fails_when_the_model_is_compiled():
     with pytest.raises(ValueError, match="unknown policy"):
-        TaskGraph(job, Deployment(policy="round_robin"))
+        _compile(_platform(1), Deployment(policy="round_robin"), {"j": ["a"]})
 
 
 def test_strict_priority_local_holds_back():
     plat = _platform(1)
     dep = Deployment(policy="strict_priority_local", mapping={"top": "PE0", "low": "PE0"},
                      priorities={"top": 2, "low": 1})
+    cm, ref = _compile(plat, dep, {"j": ["top", "low"]})
     st = SchedulerState()
 
     # top not yet enabled: the PE must idle rather than run low
-    pending = {"PE0": [(TaskRef(0, "j", "top"), False), (TaskRef(0, "j", "low"), True)]}
-    d = next_dispatch(st, dep, processor_order(plat), strict_view=lambda pe: pending[pe])
+    pending = {"PE0": [(ref(0, "j", "top"), False), (ref(0, "j", "low"), True)]}
+    d = next_dispatch(st, cm, strict_view=lambda pe: pending[pe])
     assert d is None
 
-    pending = {"PE0": [(TaskRef(0, "j", "top"), True), (TaskRef(0, "j", "low"), True)]}
-    d = next_dispatch(st, dep, processor_order(plat), strict_view=lambda pe: pending[pe])
-    assert d.ref.task == "top"
+    pending = {"PE0": [(ref(0, "j", "top"), True), (ref(0, "j", "low"), True)]}
+    d = next_dispatch(st, cm, strict_view=lambda pe: pending[pe])
+    assert d.ref == ref(0, "j", "top")
 
 
 def test_strict_priority_local_finishes_instance_before_next():
     plat = _platform(1)
     dep = Deployment(policy="strict_priority_local", mapping={"t": "PE0"}, priorities={"t": 1})
+    cm, ref = _compile(plat, dep, {"j": ["t"]})
     st = SchedulerState()
-    pending = {"PE0": [(TaskRef(1, "j", "t"), True), (TaskRef(0, "j", "t"), True)]}
-    d = next_dispatch(st, dep, processor_order(plat), strict_view=lambda pe: pending[pe])
+    pending = {"PE0": [(ref(1, "j", "t"), True), (ref(0, "j", "t"), True)]}
+    d = next_dispatch(st, cm, strict_view=lambda pe: pending[pe])
     assert d.ref.instance == 0
 
 
@@ -159,12 +176,13 @@ def test_communication_tasks_queue_on_interconnect():
     plat = _platform(1, ics=[ic])
     dep = Deployment(policy="fifo_global")
     comm = _task("a->b", kind=COMMUNICATION, ic="bus")
-    st = enqueue(SchedulerState(), TaskRef(0, "j", "a->b"), queue_key(comm, dep))
+    cm, ref = _compile(plat, dep, {"j": [comm]})
+    st = enqueue(SchedulerState(), ref(0, "j", "a->b"), queue_key(comm, dep))
 
-    d = next_dispatch(st, dep, processor_order(plat))
+    d = next_dispatch(st, cm)
     assert d.resource == "bus" and d.frequency is None
     st = apply_dispatch(st, d)
-    assert next_dispatch(st, dep, processor_order(plat)) is None
+    assert next_dispatch(st, cm) is None
     st = release(st, "bus")
     assert st == SchedulerState()
 
@@ -175,13 +193,15 @@ def test_off_processors_never_dispatch():
            Processor("PE1", [f], {f: (0.1, 0.9)})]
     plat = Platform(pes)
     dep = Deployment(policy="fifo_global")
-    st = _enqueue(SchedulerState(), TaskRef(0, "j", "a"), dep)
-    d = next_dispatch(st, dep, processor_order(plat))
+    cm, ref = _compile(plat, dep, {"j": ["a"]})
+    st = _enqueue(SchedulerState(), ref(0, "j", "a"), cm)
+    d = next_dispatch(st, cm)
     assert d.resource == "PE1"
 
 
 def test_scheduler_state_is_hashable_value():
     dep = Deployment(policy="fifo_global")
-    a = _enqueue(SchedulerState(), TaskRef(0, "j", "a"), dep)
-    b = _enqueue(SchedulerState(), TaskRef(0, "j", "a"), dep)
+    cm, ref = _compile(_platform(1), dep, {"j": ["a"]})
+    a = _enqueue(SchedulerState(), ref(0, "j", "a"), cm)
+    b = _enqueue(SchedulerState(), ref(0, "j", "a"), cm)
     assert a == b and hash(a) == hash(b)

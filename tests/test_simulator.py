@@ -6,7 +6,7 @@ from taskdse import config, fixtures, metrics, simulator
 from taskdse.generators import Generator
 from taskdse.model import Deployment, JobType, Platform, Processor, SystemModel, TaskSpec, WorkInterval
 from taskdse.metrics import MetricSpec, busy_intervals
-from taskdse.simulator import CampaignPlan, run_campaign, simulate
+from taskdse.simulator import CompiledModel, run_campaign, simulate
 from taskdse.timebase import SCALE, to_ticks
 
 CHAIN2_GOLDEN = (
@@ -155,11 +155,11 @@ def test_campaign_compiles_once_and_reads_each_trace_once(monkeypatch):
     assert 0 < calls["task_duration"] <= len(keys)
 
 
-def test_a_shared_plan_gives_the_same_trace():
+def test_a_shared_compiled_model_gives_the_same_trace():
     m = fixtures.diamond()
-    plan = CampaignPlan(m)
+    compiled = CompiledModel(m)
     for i in range(5):
-        assert simulate(m, 17, i, plan=plan).text() == simulate(m, 17, i).text()
+        assert simulate(m, 17, i, compiled=compiled).text() == simulate(m, 17, i).text()
 
 
 def test_each_processor_runs_a_task_at_its_own_frequency():
