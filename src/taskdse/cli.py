@@ -9,7 +9,6 @@ Exit codes: 0 ok, 1 internal error, 2 configuration or semantic error,
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import io
 import json

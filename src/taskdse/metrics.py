@@ -19,8 +19,6 @@ from .timebase import SCALE
 if TYPE_CHECKING:  # traces are consumed structurally; no runtime import cycle
     from .simulator import TimedTrace
 
-KINDS = ("job_latency", "makespan", "utilization", "energy", "overflow_count", "event_pair")
-
 # metrics whose raw samples are tick counts and whose summaries are in units
 TIME_KINDS = ("job_latency", "makespan", "event_pair")
 

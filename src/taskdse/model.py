@@ -290,6 +290,9 @@ def validate_model(m: SystemModel) -> list[Violation]:
             out.append(Violation("UnknownProcessor", pid, f"mapping of {task_id}"))
         elif pid not in on_ids:
             out.append(Violation("MappedToOffProcessor", pid, f"mapping of {task_id}"))
+    for task_id in dep.priorities:
+        if task_id not in all_tasks:
+            out.append(Violation("UnknownTaskRef", task_id, "priorities"))
 
     if dep.policy in LOCAL_POLICIES:
         for task_id, (jname, t) in all_tasks.items():

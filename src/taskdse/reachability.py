@@ -38,7 +38,6 @@ from .model import SystemModel, TimeInterval
 from .schedulers import (
     DONE,
     RUNNING,
-    SchedulerState,
     TaskGraph,
     TaskRef,
     admit,
@@ -65,7 +64,9 @@ from .zones import (
 
 MERGE_LIMIT = 4096  # skip hull checks beyond this many differing entries
 
-_GROUP = {"T": 0, "M": 1, "resp": 2, "run": 3, "gen": 4}
+# clock tags are (group, ...) tuples; the groups number the canonical layout
+# order, so a sorted list of tags is the layout
+T, M, RESP, RUN, GEN = range(5)
 
 
 class BudgetExceeded(RuntimeError):
@@ -123,20 +124,12 @@ class Network:
                 self.inst_graph.append(graphs[g.job_type])
 
         gen_clocks = sum(own_clocks(g) for g in model.generators)
-        resources = len(self.compiled.pes) + len(model.platform.interconnects)
         concurrent = min(len(self.inst_graph), model.deployment.queue_capacity)
-        need = 2 + concurrent + resources + gen_clocks
+        need = 2 + concurrent + len(self.compiled.resources) + gen_clocks
         if need > self.options.clock_budget:
             raise BudgetExceeded(
                 f"model may need {need} clocks (budget {self.options.clock_budget})"
             )
-
-    def initial(self) -> DState:
-        return DState(
-            arrivals=(0,) * len(self.model.generators),
-            insts=(None,) * len(self.inst_graph),
-            sched=SchedulerState(),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +138,22 @@ class Network:
 
 def _clock(gidx: int, clock: int) -> tuple:
     """Layout purpose of a generator rule's clock."""
-    return ("T",) if clock == GLOBAL else ("gen", gidx, clock)
+    return (T,) if clock == GLOBAL else (GEN, gidx, clock)
 
 
 def _layout(net: Network, d: DState) -> tuple:
-    ps = [("T",), ("M",)]
+    ps = [(T,), (M,)]
     for i, st in enumerate(d.insts):
         if isinstance(st, tuple) and (not net.options.purge or any(s != DONE for s in st)):
-            ps.append(("resp", i))
-    for _rid, ref in d.sched.running:
-        ps.append(("run", ref.instance, ref.code))
+            ps.append((RESP, i))
+    for ref in d.sched.running:
+        if ref is not None:
+            ps.append((RUN, ref.instance, ref.code))
     for gidx, g in enumerate(net.model.generators):
         if net.options.purge and d.arrivals[gidx] >= len(net.rules[gidx]):
             continue
-        ps.extend(("gen", gidx, s) for s in range(own_clocks(g)))
-    ps.sort(key=lambda p: (_GROUP[p[0]],) + p[1:])
+        ps.extend((GEN, gidx, s) for s in range(own_clocks(g)))
+    ps.sort()
     if len(ps) > net.options.clock_budget:
         raise BudgetExceeded(f"{len(ps)} live clocks (budget {net.options.clock_budget})")
     return tuple(ps)
@@ -200,10 +194,10 @@ def _cascade(net: Network, insts: list, sched):
         st = list(insts[ref.instance])
         st[ref.code - net.inst_graph[ref.instance].first] = RUNNING
         insts[ref.instance] = st
-        resets.append(("run", ref.instance, ref.code))
+        resets.append((RUN, ref.instance, ref.code))
 
 
-def _after_end(net: Network, d: DState, resource: str, ref: TaskRef):
+def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
     graph = net.inst_graph[ref.instance]
     insts = list(d.insts)
     st = insts[ref.instance] = list(insts[ref.instance])
@@ -225,9 +219,9 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     resets = []
     reset = net.rules[gidx][k - 1].reset
     if reset is not None:
-        resets.append(("gen", gidx, reset))
+        resets.append((GEN, gidx, reset))
     if sum(d.arrivals) == 0:
-        resets.append(("M",))
+        resets.append((M,))
 
     graph = net.inst_graph[inst]
     insts[inst], sources = admit(graph, inst)
@@ -244,9 +238,11 @@ def _after_arrival(net: Network, d: DState, gidx: int):
 
 def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
     """Intersect with every location invariant; False when that empties it."""
-    for rid, ref in d.sched.running:
-        _lo, hi = net.compiled.window(ref.code, rid)
-        if not constrain_one(mat, idx[("run", ref.instance, ref.code)], 0, enc(hi)):
+    for r, ref in enumerate(d.sched.running):
+        if ref is None:
+            continue
+        _lo, hi = net.compiled.window(ref.code, r)
+        if not constrain_one(mat, idx[(RUN, ref.instance, ref.code)], 0, enc(hi)):
             return False
     for gidx, rules in enumerate(net.rules):
         a = d.arrivals[gidx]
@@ -431,7 +427,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
     store = _Store(opts.merge)
     acc = _Acc()
 
-    d0 = net.initial()
+    d0 = DState((0,) * len(model.generators), (None,) * len(net.inst_graph), net.compiled.idle)
     lay0 = _layout(net, d0)
     z0 = new_zero(len(lay0) + 1)
     elapse(z0)
@@ -454,17 +450,17 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
         idx = _index(lay)
 
         # task completions, canonical order
-        for rid, ref in sorted(d.sched.running, key=lambda e: e[1]):
-            lo, _hi = net.compiled.window(ref.code, rid)
+        for ref, r in sorted((ref, r) for r, ref in enumerate(d.sched.running) if ref is not None):
+            lo, _hi = net.compiled.window(ref.code, r)
             zg = mat.copy()
-            if not constrain_one(zg, 0, idx[("run", ref.instance, ref.code)], enc(-lo)):
+            if not constrain_one(zg, 0, idx[(RUN, ref.instance, ref.code)], enc(-lo)):
                 continue
-            d2, resets, completed = _after_end(net, d, rid, ref)
+            d2, resets, completed = _after_end(net, d, r, ref)
             if completed is not None:
-                rlo, rhi = clock_window(zg, idx[("resp", completed)])
+                rlo, rhi = clock_window(zg, idx[(RESP, completed)])
                 acc.record_latency(completed, rlo, rhi)
             if _terminal(net, d2):
-                mlo, mhi = clock_window(zg, idx[("M",)])
+                mlo, mhi = clock_window(zg, idx[(M,)])
                 acc.record_makespan(mlo, mhi)
                 acc.terminal = True
                 continue

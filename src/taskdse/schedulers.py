@@ -22,8 +22,10 @@ Policies for computation tasks:
 
 Communication tasks always queue FIFO on their annotated interconnect,
 whatever the policy.  `queue_key` resolves the policy once per task into the
-key of the one queue it waits in, so the state holds a single sorted map from
-queue key to FIFO and only the hold-back scan looks at the policy again.
+key of the one queue it waits in.  A compiled model numbers those keys and
+the resources as integer slots, so the state is one FIFO per queue slot and
+one running task (or None) per resource slot, and only the hold-back scan
+looks at the policy again.
 """
 
 from __future__ import annotations
@@ -77,10 +79,11 @@ class TaskGraph:
 
     `tasks` is sorted by id and task i has code `first + i`; `preds`,
     `succs`, `sources` and `on_pe` (computation tasks mapped to each
-    processor) hold positions i, which also index an instance's statuses.
+    processor, keyed by its slot in `slots`) hold positions i, which also
+    index an instance's statuses.
     """
 
-    def __init__(self, job: JobType, dep: Deployment, first: int):
+    def __init__(self, job: JobType, dep: Deployment, first: int, slots: dict[str, int]):
         self.name = job.name
         self.first = first
         self.tasks = sorted(job.tasks, key=lambda t: t.id)
@@ -89,11 +92,11 @@ class TaskGraph:
         self.preds = [[index[p] for p in preds[t.id]] for t in self.tasks]
         self.succs = [[index[s] for s in succs[t.id]] for t in self.tasks]
         self.sources = [i for i, p in enumerate(self.preds) if not p]
-        self.on_pe: dict[str, list[int]] = {}
+        self.on_pe: dict[int, list[int]] = {}
         for i, t in enumerate(self.tasks):
-            pe = dep.mapping.get(t.id)
-            if t.kind != COMMUNICATION and pe is not None:
-                self.on_pe.setdefault(pe, []).append(i)
+            r = slots.get(dep.mapping.get(t.id))
+            if t.kind != COMMUNICATION and r is not None:
+                self.on_pe.setdefault(r, []).append(i)
 
 
 def admit(graph: TaskGraph, instance: int) -> tuple[list[int], list[TaskRef]]:
@@ -118,8 +121,9 @@ def finish(graph: TaskGraph, st: list[int], ref: TaskRef) -> list[TaskRef] | Non
     return ready_order([TaskRef(ref.instance, graph.first + k) for k in newly])
 
 
-def strict_view(insts, graphs, pe_id: str) -> list[tuple[TaskRef, bool]]:
-    """Incomplete task instances mapped to `pe_id` as (ref, enabled) pairs.
+def strict_view(insts, graphs, r: int) -> list[tuple[TaskRef, bool]]:
+    """Incomplete task instances mapped to processor slot `r` as (ref,
+    enabled) pairs.
 
     `insts[i]` is instance i's status list (anything else when it is not
     admitted) and `graphs[i]` its TaskGraph; strict_priority_local picks
@@ -130,7 +134,7 @@ def strict_view(insts, graphs, pe_id: str) -> list[tuple[TaskRef, bool]]:
         if not isinstance(st, (tuple, list)):
             continue
         graph = graphs[i]
-        for k in graph.on_pe.get(pe_id, ()):
+        for k in graph.on_pe.get(r, ()):
             if st[k] in (RUNNING, DONE):
                 continue
             enabled = all(st[p] == DONE for p in graph.preds[k])
@@ -140,87 +144,75 @@ def strict_view(insts, graphs, pe_id: str) -> list[tuple[TaskRef, bool]]:
 
 class Dispatch(NamedTuple):
     ref: TaskRef
-    resource: str
+    resource: int  # resource slot
     frequency: Fraction | None  # None on interconnects
-    queue: tuple | None  # the queue key it pops; None under the hold-back scan
+    queue: int | None  # the queue slot it pops; None under the hold-back scan
 
 
 class SchedulerState(NamedTuple):
-    queues: tuple[tuple[tuple, tuple[TaskRef, ...]], ...] = ()  # key -> refs, non-empty, asc key
-    running: tuple[tuple[str, TaskRef], ...] = ()  # resource -> task, asc id
+    queues: tuple[tuple[TaskRef, ...], ...]  # one FIFO per queue slot
+    running: tuple[TaskRef | None, ...]  # one task or None per resource slot
 
 
-def _tuple_map_set(entries: tuple, key, value) -> tuple:
-    """`entries` (ascending keys) with `key` bound to `value`, or unbound
-    when `value` is empty."""
-    for i, (k, _v) in enumerate(entries):
-        if k >= key:
-            rest = entries[i + 1:] if k == key else entries[i:]
-            break
-    else:
-        i, rest = len(entries), ()
-    return entries[:i] + ((key, value),) + rest if value else entries[:i] + rest
+def _put(entries: tuple, i: int, value) -> tuple:
+    return entries[:i] + (value,) + entries[i + 1:]
 
 
-def _tuple_map_get(entries: tuple, key, default=()):
-    for k, v in entries:
-        if k == key:
-            return v
-    return default
-
-
-def enqueue(state: SchedulerState, ref: TaskRef, key: tuple | None) -> SchedulerState:
-    """Append one enabled task instance to queue `key` (None: no queue)."""
-    if key is None:
+def enqueue(state: SchedulerState, ref: TaskRef, slot: int | None) -> SchedulerState:
+    """Append one enabled task instance to queue `slot` (None: no queue)."""
+    if slot is None:
         return state
-    q = _tuple_map_get(state.queues, key)
-    return SchedulerState(_tuple_map_set(state.queues, key, q + (ref,)), state.running)
+    queues = state.queues
+    return SchedulerState(_put(queues, slot, queues[slot] + (ref,)), state.running)
 
 
 def next_dispatch(state: SchedulerState, compiled, strict_view=None) -> Dispatch | None:
     """First dispatch the policy fires in `state`, or None if none does.
 
-    `compiled` is the model's simulator.CompiledModel: its processor order,
+    `compiled` is the model's simulator.CompiledModel: its processor slots
+    with their lowest frequencies and served queue slots, its link queues,
     per-code priorities and frequency rule.  Engines call this repeatedly
     (applying each dispatch) until it returns None; that exhausts every
-    work-conserving start without letting time pass.  `strict_view(pe_id)`
-    is required by strict_priority_local: it returns the processor's
+    work-conserving start without letting time pass.  `strict_view(r)` is
+    required by strict_priority_local: it returns processor slot r's
     incomplete mapped task instances as (ref, enabled) pairs.  Both engines
     pass the module's strict_view bound to their statuses.
     """
-    busy = dict(state.running)
+    queues, running = state
     strict = compiled.strict
-    for pe, lowest in compiled.pes:
-        if pe in busy:
+    for r, lowest in enumerate(compiled.lowest):
+        if running[r] is not None:
             continue
         if strict:
-            pending = strict_view(pe)
+            pending = strict_view(r)
             if pending:
                 # priority is primary within an instance, instance index outer
                 prio = compiled.priority
                 ref, enabled = min(pending, key=lambda p: (p[0].instance, -prio[p[0].code], p[0]))
                 if enabled:
-                    return Dispatch(ref, pe, compiled.frequency(ref.code, lowest), None)
+                    return Dispatch(ref, r, compiled.frequency(ref.code, lowest), None)
                 # hold: this processor waits for its top task
             continue
-        for key, q in state.queues:
-            if key[0] == SHARED or key == (LOCAL, pe):
-                return Dispatch(q[0], pe, compiled.frequency(q[0].code, lowest), key)
+        for s in compiled.serves[r]:
+            q = queues[s]
+            if q:
+                return Dispatch(q[0], r, compiled.frequency(q[0].code, lowest), s)
 
-    for key, q in state.queues:
-        if key[0] == LINK and key[1] not in busy:
-            return Dispatch(q[0], key[1], None, key)
+    for s, r in compiled.links:
+        q = queues[s]
+        if q and running[r] is None:
+            return Dispatch(q[0], r, None, s)
     return None
 
 
 def apply_dispatch(state: SchedulerState, d: Dispatch) -> SchedulerState:
     """Pop the dispatched task off its queue and mark the resource busy."""
-    queues = state.queues
-    if d.queue is not None:
-        q = _tuple_map_get(queues, d.queue)
-        queues = _tuple_map_set(queues, d.queue, q[1:])
-    return SchedulerState(queues, _tuple_map_set(state.running, d.resource, d.ref))
+    queues, running = state
+    s = d.queue
+    if s is not None:
+        queues = _put(queues, s, queues[s][1:])
+    return SchedulerState(queues, _put(running, d.resource, d.ref))
 
 
-def release(state: SchedulerState, resource: str) -> SchedulerState:
-    return SchedulerState(state.queues, _tuple_map_set(state.running, resource, None))
+def release(state: SchedulerState, resource: int) -> SchedulerState:
+    return SchedulerState(state.queues, _put(state.running, resource, None))

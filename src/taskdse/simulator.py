@@ -33,7 +33,10 @@ from .metrics import (
 from .model import COMMUNICATION, SystemModel, expand_comm_tasks, task_duration
 from .rng import stream_for
 from .schedulers import (
+    LINK,
+    LOCAL,
     RUNNING,
+    SHARED,
     SchedulerState,
     TaskGraph,
     admit,
@@ -106,28 +109,41 @@ class TimedTrace:
 class CompiledModel:
     """One model compiled for both engines, built once per campaign or search.
 
-    It holds a TaskGraph per job type and the powered-on processors as (id,
-    lowest frequency) in dispatch order.  Tasks get model-wide integer codes
-    in (job name, task id) order; `names`, `tasks`, `queue`, `priority` and
-    `pinned` (frequency, or None) are indexed by code.  Duration windows are
-    filled in per (code, resource) the first time that key is dispatched.
+    Resource slots are the powered-on processors by id (`lowest`: their
+    lowest frequencies), then the interconnects by id; `resources` names
+    them for output only.  Task codes run in (job name, task id) order and
+    index `names`, `tasks`, `queue` (queue slot or None), `priority` and
+    `pinned` (frequency or None).  Queue slots number the distinct queue keys
+    in service order; `serves[r]` lists those processor slot r serves, and
+    `links` pairs each link queue with its interconnect's slot.  `idle` is
+    the empty scheduler state.  Duration windows are filled in per (code,
+    resource slot) on first dispatch.
     """
 
     def __init__(self, model: SystemModel):
         dep, platform = model.deployment, model.platform
+        pes = sorted(platform.active_processors(), key=lambda p: p.id)
+        self.resources = [p.id for p in pes] + sorted(ic.id for ic in platform.interconnects)
+        self.lowest = [p.min_frequency() for p in pes]
+        slots = {name: r for r, name in enumerate(self.resources)}
         self.graphs: dict[str, TaskGraph] = {}
         self.tasks = []
         for jt in sorted(model.job_types, key=lambda jt: jt.name):
-            graph = TaskGraph(expand_comm_tasks(jt, dep, platform), dep, len(self.tasks))
+            graph = TaskGraph(expand_comm_tasks(jt, dep, platform), dep, len(self.tasks), slots)
             self.graphs[jt.name] = graph
             self.tasks += graph.tasks
         self.names = [(g.name, t.id) for g in self.graphs.values() for t in g.tasks]
-        self.queue = [queue_key(t, dep) for t in self.tasks]
+        keys = [queue_key(t, dep) for t in self.tasks]
+        order = sorted({k for k in keys if k is not None})
+        self.queue = [None if k is None else order.index(k) for k in keys]
+        self.serves = [tuple(s for s, k in enumerate(order) if k[0] == SHARED or k == (LOCAL, p.id))
+                       for p in pes]
+        self.links = tuple((s, slots[k[1]]) for s, k in enumerate(order) if k[0] == LINK)
+        self.idle = SchedulerState(((),) * len(order), (None,) * len(self.resources))
         self.priority = [dep.priorities.get(t.id, 0) for t in self.tasks]
         self.pinned = [dep.task_frequency.get(t.id) for t in self.tasks]
         self.strict = dep.policy == "strict_priority_local"
-        self.pes = tuple(sorted((p.id, p.min_frequency()) for p in platform.active_processors()))
-        self.windows: dict[tuple[int, str], tuple[int, int]] = {}
+        self.windows: dict[tuple[int, int], tuple[int, int]] = {}
 
     def frequency(self, code: int, lowest):
         """A computation task's frequency on a processor whose lowest is
@@ -135,13 +151,13 @@ class CompiledModel:
         f = self.pinned[code]
         return lowest if f is None else f
 
-    def window(self, code: int, resource: str) -> tuple[int, int]:
-        """Duration window of task `code` on `resource`."""
-        key = (code, resource)
+    def window(self, code: int, r: int) -> tuple[int, int]:
+        """Duration window of task `code` on resource slot `r`."""
+        key = (code, r)
         w = self.windows.get(key)
         if w is None:
             task = self.tasks[code]
-            f = None if task.kind == COMMUNICATION else self.frequency(code, dict(self.pes)[resource])
+            f = None if task.kind == COMMUNICATION else self.frequency(code, self.lowest[r])
             d = task_duration(task, f)
             w = self.windows[key] = (d.lo, d.hi)
         return w
@@ -155,7 +171,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     rng = stream_for(seed, run_index)
     dep = model.deployment
     cm = CompiledModel(model) if compiled is None else compiled
-    graphs, names, queue = cm.graphs, cm.names, cm.queue
+    graphs, names, queue, resources = cm.graphs, cm.names, cm.queue, cm.resources
 
     # arrivals are drawn up front, generator declaration order, then numbered
     # globally by (time, generator, index) so instance ids are canonical
@@ -173,8 +189,8 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
 
     # per instance: None until admitted or when dropped, else task statuses
     insts: list[list[int] | None] = [None] * len(raw)
-    sched = SchedulerState()
-    last_freq: dict[str, object] = {}
+    sched = cm.idle
+    last_freq: list = [None] * len(cm.lowest)  # per processor slot
     events: list[Event] = []
     view = partial(strict_view, insts, inst_graph)
     backlog = 0
@@ -186,20 +202,20 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             d = next_dispatch(sched, cm, view)
             if d is None:
                 return
-            ref, resource, freq, _queue = d
+            ref, r, freq, _queue = d
             sched = apply_dispatch(sched, d)
             insts[ref.instance][ref.code - inst_graph[ref.instance].first] = RUNNING
-            lo, hi = cm.window(ref.code, resource)
+            lo, hi = cm.window(ref.code, r)
             dur = lo if lo == hi else rng.uniform_ticks(lo, hi)
             if freq is not None:
-                last = last_freq.get(resource)
+                last = last_freq[r]
                 if last is not freq and last != freq:  # `is` spares Fraction.__eq__
-                    last_freq[resource] = freq
-                    events.append(Event(now, "freq_set", resource=resource, frequency=freq))
-            events.append(Event(now, "start", ref.instance, *names[ref.code], resource, freq))
-            heapq.heappush(heap, (now + dur, END, ref, resource))
+                    last_freq[r] = freq
+                    events.append(Event(now, "freq_set", resource=resources[r], frequency=freq))
+            events.append(Event(now, "start", ref.instance, *names[ref.code], resources[r], freq))
+            heapq.heappush(heap, (now + dur, END, ref, r))
 
-    # heap entries: (time, rank, key, resource); the key, (generator,
+    # heap entries: (time, rank, key, resource slot); the key, (generator,
     # instance) for an arrival and the TaskRef for an end, breaks ties
     while heap:
         now, rank, key, resource = heapq.heappop(heap)
@@ -220,7 +236,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             ref = key
             sched = release(sched, resource)
             graph = inst_graph[ref.instance]
-            events.append(Event(now, "end", ref.instance, *names[ref.code], resource))
+            events.append(Event(now, "end", ref.instance, *names[ref.code], resources[resource]))
             newly = finish(graph, insts[ref.instance], ref)
             if newly is None:
                 backlog -= 1

@@ -74,13 +74,6 @@ def elapse(mat: np.ndarray) -> None:
     mat[1:, 0] = INF_ENC
 
 
-def reset_zero(mat: np.ndarray, c: int) -> None:
-    """Set clock c to 0 (canonical in, canonical out)."""
-    mat[c, :] = mat[0, :]
-    mat[:, c] = mat[:, 0]
-    mat[c, c] = LE_ZERO
-
-
 def relayout(mat: np.ndarray, srcs: list[int]) -> np.ndarray:
     """Project/permute/extend a canonical zone onto a new clock layout.
 

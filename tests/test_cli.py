@@ -115,6 +115,21 @@ def test_strict_priority_without_deadlock_passes_check(tmp_path):
     assert cli.main(["check", str(path)]) == 0
 
 
+@pytest.mark.parametrize("verb", [["check"], ["verify"], ["simulate", "--runs", "1", "--seed", "1"]])
+def test_unknown_task_in_priorities_is_a_config_error(tmp_path, capsys, configs_dir, verb):
+    # a typo for m2 would silently leave m2 at level 0 under fifo_priority_global
+    data = json.loads((configs_dir / "diamond.json").read_text())
+    data["deployment"].update(policy="fifo_priority_global",
+                              priorities={"s": 4, "m1": 3, "mm2": 2, "j": 1})
+    p = tmp_path / "typo.json"
+    p.write_text(json.dumps(data))
+    argv = verb[:1] + [str(p)] + verb[1:]
+    if verb[0] != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "UnknownTaskRef{mm2}: priorities" in capsys.readouterr().err
+
+
 def test_verify_writes_report(tmp_path, capsys):
     out = tmp_path / "v"
     assert cli.main(["verify", CHAIN2, "--out", str(out)]) == 0

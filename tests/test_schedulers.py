@@ -20,7 +20,6 @@ from taskdse.schedulers import (
     LOCAL,
     SHARED,
     Dispatch,
-    SchedulerState,
     TaskRef,
     apply_dispatch,
     enqueue,
@@ -44,7 +43,8 @@ def _task(tid, kind="computation", ic=None):
 
 def _compile(plat, dep, jobs):
     """Compile `jobs` (job name -> task ids or TaskSpecs) under `dep`;
-    returns the model and ref(instance, job, task), the TaskRef of a task."""
+    returns the compiled model and ref(instance, job, task), the TaskRef of
+    a task."""
     job_types = [JobType(name, [t if isinstance(t, TaskSpec) else _task(t) for t in tasks])
                  for name, tasks in jobs.items()]
     cm = CompiledModel(SystemModel(job_types, plat, [], dep))
@@ -67,44 +67,47 @@ def test_fifo_global_drains_in_arrival_order_to_lowest_pe():
     plat = _platform(2)
     dep = Deployment(policy="fifo_global")
     cm, ref = _compile(plat, dep, {"j": ["a", "b", "c"]})
-    st = SchedulerState()
+    assert cm.resources == ["PE0", "PE1"]
+    assert cm.queue == [0, 0, 0]  # the one shared queue
+    st = cm.idle
     r1, r2, r3 = ref(0, "j", "a"), ref(0, "j", "b"), ref(0, "j", "c")
     for r in (r1, r2, r3):
         st = _enqueue(st, r, cm)
 
     d1 = next_dispatch(st, cm)
-    assert d1 == Dispatch(r1, "PE0", Fraction(1), (SHARED, 0))
+    assert d1 == Dispatch(r1, 0, Fraction(1), 0)  # PE0
     st = apply_dispatch(st, d1)
     d2 = next_dispatch(st, cm)
-    assert d2 == Dispatch(r2, "PE1", Fraction(1), (SHARED, 0))
+    assert d2 == Dispatch(r2, 1, Fraction(1), 0)  # PE1
     st = apply_dispatch(st, d2)
     assert next_dispatch(st, cm) is None  # both PEs busy
 
-    st = release(st, "PE0")
+    st = release(st, 0)
     d3 = next_dispatch(st, cm)
-    assert d3 == Dispatch(r3, "PE0", Fraction(1), (SHARED, 0))
+    assert d3 == Dispatch(r3, 0, Fraction(1), 0)
 
 
 def test_fifo_local_respects_mapping():
     plat = _platform(2)
     dep = Deployment(policy="fifo_local", mapping={"a": "PE1", "b": "PE0"})
     cm, ref = _compile(plat, dep, {"j": ["a", "b"]})
-    st = SchedulerState()
+    assert cm.queue == [1, 0] and cm.serves == [(0,), (1,)]  # each PE its own slot
+    st = cm.idle
     ra, rb = ref(0, "j", "a"), ref(0, "j", "b")
     st = _enqueue(st, ra, cm)
     st = _enqueue(st, rb, cm)
     d1 = next_dispatch(st, cm)
-    assert d1.resource == "PE0" and d1.ref == rb  # PE0 considered first
+    assert cm.resources[d1.resource] == "PE0" and d1.ref == rb  # PE0 considered first
     st = apply_dispatch(st, d1)
     d2 = next_dispatch(st, cm)
-    assert d2.resource == "PE1" and d2.ref == ra
+    assert cm.resources[d2.resource] == "PE1" and d2.ref == ra
 
 
 def test_priority_global_serves_higher_level_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"hi": 2, "lo": 1})
     cm, ref = _compile(plat, dep, {"j": ["lo", "hi"]})
-    st = SchedulerState()
+    st = cm.idle
     st = _enqueue(st, ref(0, "j", "lo"), cm)
     st = _enqueue(st, ref(0, "j", "hi"), cm)
     d = next_dispatch(st, cm)
@@ -115,16 +118,20 @@ def test_one_map_serves_three_levels_highest_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"lo": 1, "mid": 5, "hi": 9})
     cm, ref = _compile(plat, dep, {"j": ["mid", "lo", "hi", "mid2"]})
-    st = SchedulerState()
+    st = cm.idle
     for tid in ("mid", "lo", "hi", "mid2"):  # mid2 has no level: 0, below lo
         st = _enqueue(st, ref(0, "j", tid), cm)
-    assert [key for key, _refs in st.queues] == [(SHARED, -9), (SHARED, -5), (SHARED, -1), (SHARED, 0)]
+    # one slot per level, numbered from the highest level down: service order
+    assert [cm.queue[ref(0, "j", tid).code] for tid in ("hi", "mid", "lo", "mid2")] == [0, 1, 2, 3]
+    assert cm.serves == [(0, 1, 2, 3)]
+    assert st.queues == ((ref(0, "j", "hi"),), (ref(0, "j", "mid"),),
+                         (ref(0, "j", "lo"),), (ref(0, "j", "mid2"),))
     served = []
     while (d := next_dispatch(st, cm)) is not None:
         served.append(cm.names[d.ref.code][1])
         st = release(apply_dispatch(st, d), d.resource)
     assert served == ["hi", "mid", "lo", "mid2"]
-    assert st == SchedulerState()  # drained queues leave no entry behind
+    assert st == cm.idle  # drained queues leave the idle state
 
 
 def test_queue_key_resolves_each_policy():
@@ -149,25 +156,26 @@ def test_strict_priority_local_holds_back():
     dep = Deployment(policy="strict_priority_local", mapping={"top": "PE0", "low": "PE0"},
                      priorities={"top": 2, "low": 1})
     cm, ref = _compile(plat, dep, {"j": ["top", "low"]})
-    st = SchedulerState()
+    assert cm.queue == [None, None] and cm.idle.queues == ()
+    st = cm.idle
 
     # top not yet enabled: the PE must idle rather than run low
-    pending = {"PE0": [(ref(0, "j", "top"), False), (ref(0, "j", "low"), True)]}
-    d = next_dispatch(st, cm, strict_view=lambda pe: pending[pe])
+    pending = {0: [(ref(0, "j", "top"), False), (ref(0, "j", "low"), True)]}
+    d = next_dispatch(st, cm, strict_view=lambda r: pending[r])
     assert d is None
 
-    pending = {"PE0": [(ref(0, "j", "top"), True), (ref(0, "j", "low"), True)]}
-    d = next_dispatch(st, cm, strict_view=lambda pe: pending[pe])
-    assert d.ref == ref(0, "j", "top")
+    pending = {0: [(ref(0, "j", "top"), True), (ref(0, "j", "low"), True)]}
+    d = next_dispatch(st, cm, strict_view=lambda r: pending[r])
+    assert d == Dispatch(ref(0, "j", "top"), 0, Fraction(1), None)
 
 
 def test_strict_priority_local_finishes_instance_before_next():
     plat = _platform(1)
     dep = Deployment(policy="strict_priority_local", mapping={"t": "PE0"}, priorities={"t": 1})
     cm, ref = _compile(plat, dep, {"j": ["t"]})
-    st = SchedulerState()
-    pending = {"PE0": [(ref(1, "j", "t"), True), (ref(0, "j", "t"), True)]}
-    d = next_dispatch(st, cm, strict_view=lambda pe: pending[pe])
+    st = cm.idle
+    pending = {0: [(ref(1, "j", "t"), True), (ref(0, "j", "t"), True)]}
+    d = next_dispatch(st, cm, strict_view=lambda r: pending[r])
     assert d.ref.instance == 0
 
 
@@ -177,14 +185,31 @@ def test_communication_tasks_queue_on_interconnect():
     dep = Deployment(policy="fifo_global")
     comm = _task("a->b", kind=COMMUNICATION, ic="bus")
     cm, ref = _compile(plat, dep, {"j": [comm]})
-    st = enqueue(SchedulerState(), ref(0, "j", "a->b"), queue_key(comm, dep))
+    assert cm.resources == ["PE0", "bus"] and cm.links == ((0, 1),)
+    st = _enqueue(cm.idle, ref(0, "j", "a->b"), cm)
 
     d = next_dispatch(st, cm)
-    assert d.resource == "bus" and d.frequency is None
+    assert d == Dispatch(ref(0, "j", "a->b"), 1, None, 0)
+    assert cm.resources[d.resource] == "bus"
     st = apply_dispatch(st, d)
     assert next_dispatch(st, cm) is None
-    st = release(st, "bus")
-    assert st == SchedulerState()
+    st = release(st, d.resource)
+    assert st == cm.idle
+
+
+def test_slots_number_processors_then_interconnects_by_id():
+    f = Fraction(1)
+    pes = [Processor(pid, [f], {f: (0.1, 0.9)}, initially_on=pid != "PE1")
+           for pid in ("PE2", "PE0", "PE1")]
+    ics = [Interconnect("busB", rate=f), Interconnect("busA", rate=Fraction(2))]
+    dep = Deployment(policy="fifo_local", mapping={"a": "PE2", "b": "PE0"})
+    jobs = {"j": ["a", "b", _task("x", COMMUNICATION, "busB"), _task("y", COMMUNICATION, "busA")]}
+    cm, ref = _compile(Platform(pes, interconnects=ics), dep, jobs)
+    assert cm.resources == ["PE0", "PE2", "busA", "busB"] and cm.lowest == [f, f]
+    # queue slots in service order: PE0's and PE2's queues, then busA's and busB's
+    assert [cm.queue[ref(0, "j", t).code] for t in ("b", "a", "y", "x")] == [0, 1, 2, 3]
+    assert cm.serves == [(0,), (1,)] and cm.links == ((2, 2), (3, 3))
+    assert cm.idle == (((),) * 4, (None,) * 4)
 
 
 def test_off_processors_never_dispatch():
@@ -194,14 +219,15 @@ def test_off_processors_never_dispatch():
     plat = Platform(pes)
     dep = Deployment(policy="fifo_global")
     cm, ref = _compile(plat, dep, {"j": ["a"]})
-    st = _enqueue(SchedulerState(), ref(0, "j", "a"), cm)
+    assert cm.resources == ["PE1"]
+    st = _enqueue(cm.idle, ref(0, "j", "a"), cm)
     d = next_dispatch(st, cm)
-    assert d.resource == "PE1"
+    assert cm.resources[d.resource] == "PE1"
 
 
 def test_scheduler_state_is_hashable_value():
     dep = Deployment(policy="fifo_global")
     cm, ref = _compile(_platform(1), dep, {"j": ["a"]})
-    a = _enqueue(SchedulerState(), ref(0, "j", "a"), cm)
-    b = _enqueue(SchedulerState(), ref(0, "j", "a"), cm)
+    a = _enqueue(cm.idle, ref(0, "j", "a"), cm)
+    b = _enqueue(cm.idle, ref(0, "j", "a"), cm)
     assert a == b and hash(a) == hash(b)

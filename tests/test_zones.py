@@ -23,7 +23,6 @@ from taskdse.zones import (
     enc_neg,
     new_zero,
     relayout,
-    reset_zero,
     zone_includes,
 )
 
@@ -88,9 +87,9 @@ def test_reset_pins_one_clock():
     d = new_zero(3)
     elapse(d)
     assert constrain_one(d, 1, 0, enc(4))
-    reset_zero(d, 2)
-    assert clock_window(d, 2) == (0, 0)
-    assert clock_window(d, 1) == (0, 4)
+    r = relayout(d, [0, 1, 0])  # clock 2 reads source 0: reset to zero
+    assert clock_window(r, 2) == (0, 0)
+    assert clock_window(r, 1) == (0, 4)
 
 
 # --- randomized oracle ------------------------------------------------------
@@ -160,10 +159,10 @@ def test_randomized_against_integer_point_oracle():
             for c in range(1, n + 1):
                 col = pts[in_a, c - 1]
                 assert clock_window(a, c) == (int(col.min()), int(col.max())), f"case {case}: clock {c}"
-            # resetting clock c keeps the other coordinates and pins c to 0
+            # resetting clock c (reading it from source 0, as the engine
+            # does) keeps the other coordinates and pins c to 0
             c = 1 + case % n
-            r = a.copy()
-            reset_zero(r, c)
+            r = relayout(a, [0 if k == c else k for k in range(n + 1)])
             others = [k for k in range(n) if k != c - 1]
             kept = {tuple(p) for p in pts[in_a][:, others]}
             want = (pts[:, c - 1] == 0) & np.array([tuple(p) in kept for p in pts[:, others]])
