@@ -8,14 +8,21 @@ that enabled it.  Arrivals and completions only move forward, so the discrete
 space is acyclic and the search terminates without any widening; every
 reported bound is therefore both sound and attained by some run.
 
-Two ingredients keep the zone count tractable:
+Three ingredients keep the zone count tractable:
 
   * inclusion pruning: a zone covered by a stored zone is dropped;
   * exact union merging: when the entrywise hull of two zones provably equals
     their set union, the pair is replaced by the hull.  Interleavings of
     independent task completions generate exponentially many orderings whose
     union is one convex set, and this collapses them to a single zone while
-    keeping all bounds exact.
+    keeping all bounds exact;
+  * processor-symmetry reduction: under the per-processor policies, identical
+    processors whose pinned tasks are interchangeable form classes, and each
+    successor is stored as one representative of its orbit under
+    permutations of a class (scalarset reduction, sound with an approximate
+    canonical form: Hendriks et al., "Adding Symmetry Reduction to Uppaal",
+    FORMATS 2003).  Every such permutation fixes the global, makespan,
+    response and generator clocks, so every bound stays exact.
 
 Clock layout per configuration, in canonical order: the global clock, the
 makespan anchor (reset at the first arrival), one response clock per admitted
@@ -30,14 +37,16 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .generators import GLOBAL, arrival_rule, own_clocks
-from .model import SystemModel, TimeInterval
+from .model import COMMUNICATION, SystemModel, TimeInterval
 from .schedulers import (
     DONE,
     RUNNING,
+    SchedulerState,
     TaskGraph,
     TaskRef,
     admit,
@@ -83,6 +92,7 @@ class ReachOptions:
     state_cap: int = 2_000_000
     merge: bool = True  # exact union merging (off: plain inclusion antichain)
     purge: bool = True  # project away dead clocks (off: keep dimensions)
+    symmetry: bool = True  # canonicalise under processor classes (off: full search)
 
 
 @dataclass
@@ -95,6 +105,7 @@ class ReachResult:
     states: int  # configurations expanded
     zones: int  # zones stored at the end
     merges: int
+    classes: tuple[int, ...] = ()  # sizes of the processor classes reduced by
 
 
 @dataclass(frozen=True)
@@ -104,9 +115,68 @@ class DState:
     sched: object  # SchedulerState
 
 
+class Member(NamedTuple):
+    """One processor of a class: its slot, its local queue slot (None under
+    the hold-back scan), its pinned task codes in code order and, per
+    instance, those codes' positions in the instance's statuses."""
+
+    slot: int
+    queue: int | None
+    codes: tuple[int, ...]
+    pos: tuple[tuple[int, ...], ...]
+
+
+def _processor_classes(compiled: CompiledModel, policy: str) -> list[list[tuple[int, tuple]]]:
+    """Classes of interchangeable processors, each a list of (processor slot,
+    pinned task codes in code order), classes of two or more only.
+
+    Only the per-processor policies qualify: each processor then has its own
+    queue or hold-back scan.  Two processors are interchangeable when they
+    have the same lowest frequency and, position by position, their pinned
+    tasks have the same job type, window, priority and pinned frequency and
+    the same neighbours, where a neighbour is either a task of the same
+    processor (compared by position) or a task that no class moves (compared
+    by code).  A task next to a transfer never qualifies, because link
+    queues are shared and ordered by code.
+    """
+    if policy not in ("fifo_local", "strict_priority_local"):
+        return []
+    cands = {}  # slot -> (codes, signature, codes of outside neighbours)
+    for r, lowest in enumerate(compiled.lowest):
+        pinned = [(g, i) for g in compiled.graphs.values() for i in g.on_pe.get(r, ())]
+        codes = tuple(g.first + i for g, i in pinned)
+        own = {c: k for k, c in enumerate(codes)}
+        sig, outside = [lowest], set()
+        for g, i in pinned:
+            c = g.first + i
+            ends = []
+            for ns in (g.preds[i], g.succs[i]):
+                ns = [g.first + n for n in ns]
+                outside.update(n for n in ns if n not in own)
+                ends.append(tuple(sorted((0, own[n]) if n in own else (1, n) for n in ns)))
+            sig.append((g.name, compiled.window(c, r), compiled.priority[c], compiled.pinned[c],
+                        tuple(ends)))
+        if codes and all(compiled.tasks[n].kind != COMMUNICATION for n in outside):
+            cands[r] = (codes, tuple(sig), outside)
+    # a member next to a task that another member moves could only move with
+    # it, so it is dropped and the rest regrouped until no such member is left
+    while True:
+        groups: dict[tuple, list[int]] = {}
+        for r, (_codes, sig, _outside) in cands.items():
+            groups.setdefault(sig, []).append(r)
+        classes = [rs for rs in groups.values() if len(rs) > 1]
+        moved = {c for rs in classes for r in rs for c in cands[r][0]}
+        bad = [r for rs in classes for r in rs if cands[r][2] & moved]
+        if not bad:
+            return [[(r, cands[r][0]) for r in rs] for rs in classes]
+        for r in bad:
+            del cands[r]
+
+
 class Network:
     """The formal engine's view of one model: the shared CompiledModel plus
-    the arrival rules and instance numbering of the first K instances."""
+    the arrival rules and instance numbering of the first K instances, and
+    the processor classes the search is reduced by (`orbits`)."""
 
     def __init__(self, model: SystemModel, options: ReachOptions | None = None):
         self.model = model
@@ -130,6 +200,15 @@ class Network:
             raise BudgetExceeded(
                 f"model may need {need} clocks (budget {self.options.clock_budget})"
             )
+
+        self.orbits: list[tuple[Member, ...]] = []
+        if self.options.symmetry:
+            for cls in _processor_classes(self.compiled, model.deployment.policy):
+                self.orbits.append(tuple(
+                    Member(r, self.compiled.queue[codes[0]], codes,
+                           tuple(tuple(c - g.first for c in codes if g.first <= c < g.first + len(g.tasks))
+                                 for g in self.inst_graph))
+                    for r, codes in cls))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +329,64 @@ def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
         if dl is not None and not constrain_one(mat, idx[_clock(gidx, dl.clock)], 0, enc(dl.ticks)):
             return False
     return True
+
+
+def _canonical(net: Network, d: DState, idx: dict, mat):
+    """Representative of (d, mat) under permutations of each processor class.
+
+    Each class's members are sorted by their statuses across all instances,
+    then by their running clock's bounds against the clocks no permutation
+    moves (T, M, RESP, GEN).  The sort moves each member's statuses, running
+    task and local queue onto its new position, renaming task codes position
+    by position, and the zone follows through one relayout of the renamed
+    run clocks.  Members with equal keys keep their order, so the form is
+    approximate: symmetric states may still be stored apart, never merged
+    wrongly.
+    """
+    running = d.sched.running
+    fixed = None
+    moves, code_map = [], {}
+    for cls in net.orbits:
+        keys = []
+        for m in cls:
+            status = tuple(st[p] for st, ps in zip(d.insts, m.pos) if st is not None for p in ps)
+            ref = running[m.slot]
+            if ref is None:
+                keys.append((status,))
+                continue
+            if fixed is None:
+                fixed = [0] + [i for p, i in idx.items() if p[0] != RUN]
+            c = idx[(RUN, ref.instance, ref.code)]
+            keys.append((status, mat[c, fixed].tolist(), mat[fixed, c].tolist()))
+        order = sorted(range(len(cls)), key=keys.__getitem__)
+        for dst, src in enumerate(order):
+            if dst != src:
+                moves.append((cls[src], cls[dst]))
+                code_map.update(zip(cls[src].codes, cls[dst].codes))
+    if not moves:
+        return d, mat
+
+    def rename(ref):
+        return None if ref is None else TaskRef(ref.instance, code_map.get(ref.code, ref.code))
+
+    insts = list(d.insts)
+    for i, st in enumerate(d.insts):
+        if st is not None:
+            new = list(st)
+            for src, dst in moves:
+                for p, q in zip(src.pos[i], dst.pos[i]):
+                    new[q] = st[p]
+            insts[i] = tuple(new)
+    queues, run2 = list(d.sched.queues), list(running)
+    for src, dst in moves:
+        run2[dst.slot] = rename(running[src.slot])
+        if dst.queue is not None:
+            queues[dst.queue] = tuple(map(rename, d.sched.queues[src.queue]))
+    src_of = {(p if p[0] != RUN else (RUN, p[1], code_map.get(p[2], p[2]))): i
+              for p, i in idx.items()}
+    lay = sorted(src_of)
+    d2 = DState(d.arrivals, tuple(insts), SchedulerState(tuple(queues), tuple(run2)))
+    return d2, relayout(mat, [0] + [src_of[p] for p in lay])
 
 
 def _shift(mat, old_idx: dict, new_lay: tuple, resets) -> np.ndarray:
@@ -497,6 +634,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
         states=explored,
         zones=store.total(),
         merges=store.merges,
+        classes=tuple(len(cls) for cls in net.orbits),
     )
 
 
@@ -506,8 +644,11 @@ def _push(net, store, frontier, d2, zg, old_idx, resets):
     # invariants are single-clock upper bounds, so checking them before the
     # delay as well would give the same zone: (Z & I)^ & I == Z^ & I
     elapse(z2)
-    if not _invariants(net, d2, _index(lay2), z2):
+    idx2 = _index(lay2)
+    if not _invariants(net, d2, idx2, z2):
         return
+    if net.orbits:
+        d2, z2 = _canonical(net, d2, idx2, z2)
     b2 = store.insert(d2, z2)
     if b2 is not None:
         frontier.append((d2, b2))

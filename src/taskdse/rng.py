@@ -41,8 +41,11 @@ class SplitMix64:
             raise ValueError("empty tick window")
         if hi == lo:
             return lo
-        span = hi - lo + 1
-        v = lo + int(self.uniform() * span)
+        # next_u64, mix64 and uniform inlined: one call per sampled duration
+        z = self._state = (self._state + GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        v = lo + int(((z ^ (z >> 31)) >> 11) * (2.0**-53) * (hi - lo + 1))
         return hi if v > hi else v
 
 

@@ -10,6 +10,10 @@ buses declared out of id order with different rates, every edge routed over
 a random bus with its data in a random local or offchip memory.  The formal
 engine analyses every arrival (instance_bound = count), so the bounds cover
 each sampled instance.  Draws that `validate_model` rejects are skipped.
+`random_symmetric_model` draws a third family with processor symmetry: 2-4
+identical processors each run a copy of one random chain or fork (windows
+drawn per position) between a source and a sink on PE0, under fifo_local or
+under strict_priority_local with equal priorities per position.
 """
 
 from fractions import Fraction
@@ -35,13 +39,15 @@ from taskdse.model import (
     WorkInterval,
     validate_model,
 )
-from taskdse.reachability import reach_bounds
+from taskdse.reachability import Network, ReachOptions, reach_bounds
 from taskdse.rng import SplitMix64
 from taskdse.simulator import CompiledModel, simulate
 from taskdse.timebase import to_ticks
 
 SEED = 20240611
 BUS_SEED = 7
+SYMMETRIC_SEED = 11
+SYMMETRIC_MODELS = 40
 MODELS = 150
 RUNS = 50
 POLICIES = ("fifo_global", "fifo_priority_global", "fifo_local", "strict_priority_local")
@@ -105,6 +111,46 @@ def random_bus_model(rng: SplitMix64) -> SystemModel:
                           edge_interconnect=routes, data_placement=places)
 
 
+def random_symmetric_model(rng: SplitMix64) -> SystemModel:
+    """src on PE0 feeds a copy of one chain or fork on each of PE1..PEn, whose
+    ends feed snk on PE0; copy i's task at position k is b{i}_{k}."""
+    copies, count = _pick(rng, 2, 4), _pick(rng, 1, 2)
+    # at most 12 task instances on the copies keeps the unreduced search small
+    n_tasks = _pick(rng, 1, min(3, 12 // (copies * count)))
+    fork = n_tasks > 1 and bool(_pick(rng, 0, 1))
+    windows = []
+    for _k in range(n_tasks):
+        lo = _pick(rng, 0, 3)
+        windows.append(WorkInterval.of(lo, lo + _pick(rng, 0, 3)))
+    # position k's predecessor: the previous position in a chain, the first in a fork
+    pred = [None] + [0 if fork else k - 1 for k in range(1, n_tasks)]
+    ends = [k for k in range(n_tasks) if k not in pred]
+    tasks = [TaskSpec("src", WorkInterval.of(0, _pick(rng, 0, 2))),
+             TaskSpec("snk", WorkInterval.of(0, _pick(rng, 0, 2)))]
+    edges, mapping = [], {"src": "PE0", "snk": "PE0"}
+    # levels are distinct per processor and fall along every edge, so the
+    # hold-back scan cannot deadlock
+    priorities = {"src": 2, "snk": 1}
+    levels = [n_tasks - k for k in range(n_tasks)]
+    for i in range(1, copies + 1):
+        for k, w in enumerate(windows):
+            tid = f"b{i}_{k}"
+            tasks.append(TaskSpec(tid, w))
+            mapping[tid] = f"PE{i}"
+            priorities[tid] = levels[k]
+            edges.append(DataEdge("src" if pred[k] is None else f"b{i}_{pred[k]}", tid))
+        edges += [DataEdge(f"b{i}_{k}", "snk") for k in ends]
+    policy = ("fifo_local", "strict_priority_local")[_pick(rng, 0, 1)]
+    dep = Deployment(policy=policy, mapping=mapping, priorities=priorities,
+                     queue_capacity=_pick(rng, 1, 3))
+    period = _pick(rng, 1, 8)
+    gen = Generator("job", ("periodic", "jitter")[_pick(rng, 0, 1)],
+                    period=to_ticks(period), jitter=to_ticks(_pick(rng, 0, min(3, period - 1))),
+                    count=count)
+    return SystemModel([JobType("job", tasks, edges)], Platform(_processors(copies + 1)), [gen],
+                       dep, instance_bound=count)
+
+
 FAMILIES = {"one_bus": (SEED, random_model), "two_buses": (BUS_SEED, random_bus_model)}
 
 
@@ -137,24 +183,49 @@ def test_random_models_round_trip_through_the_config_format(family):
         assert config.model_hash(config.parse(config.serialize(m))) == config.model_hash(m)
 
 
+def samples_inside(m: SystemModel, r, seed: int, n: int) -> int:
+    """Simulate up to RUNS runs without overflow and assert each sampled
+    makespan and latency lies inside the bounds of `r`; returns the count."""
+    compiled = CompiledModel(m)
+    runs = 0
+    for i in range(4 * RUNS):
+        t = simulate(m, seed + n, i, compiled=compiled)
+        if t.overflow_count:
+            continue  # the bounds cover runs without overflow only
+        for spec, bound in ((MetricSpec("makespan"), r.makespan),
+                            (MetricSpec("job_latency"), r.latency)):
+            for key, v in extract(t, spec):
+                assert bound.lo <= v <= bound.hi, (n, i, spec.kind, key, v, bound)
+        runs += 1
+        if runs == RUNS:
+            break
+    return runs
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_random_model_samples_lie_inside_the_formal_bounds(family):
     seed = FAMILIES[family][0]
-    checked = 0
-    for n, m in enumerate(accepted_models(family)):
-        r = reach_bounds(m)
-        compiled = CompiledModel(m)
-        runs = 0
-        for i in range(4 * RUNS):
-            t = simulate(m, seed + n, i, compiled=compiled)
-            if t.overflow_count:
-                continue  # the bounds cover runs without overflow only
-            for spec, bound in ((MetricSpec("makespan"), r.makespan),
-                                (MetricSpec("job_latency"), r.latency)):
-                for key, v in extract(t, spec):
-                    assert bound.lo <= v <= bound.hi, (n, i, spec.kind, key, v, bound)
-            runs += 1
-            if runs == RUNS:
-                break
-        checked += runs
+    checked = sum(samples_inside(m, reach_bounds(m), seed, n)
+                  for n, m in enumerate(accepted_models(family)))
     assert checked >= 40 * RUNS
+
+
+def test_symmetry_reduction_keeps_random_symmetric_models_exact():
+    """Reduced and full searches give the same bounds on the symmetric
+    family, the reduced one expands no more configurations, and sampled runs
+    lie inside the bounds."""
+    rng = SplitMix64(SYMMETRIC_SEED)
+    models = [m for m in (random_symmetric_model(rng) for _ in range(SYMMETRIC_MODELS))
+              if not validate_model(m)]
+    assert len(models) >= 30
+    assert {m.deployment.policy for m in models} == {"fifo_local", "strict_priority_local"}
+    reduced = [m for m in models if Network(m).orbits]
+    assert len(reduced) >= 0.8 * len(models)
+    checked = 0
+    for n, m in enumerate(models):
+        on, off = reach_bounds(m), reach_bounds(m, ReachOptions(symmetry=False))
+        assert (on.makespan, on.latency, on.instance_latency, on.overflow_reachable) == \
+            (off.makespan, off.latency, off.instance_latency, off.overflow_reachable), n
+        assert on.states <= off.states, n
+        checked += samples_inside(m, on, SYMMETRIC_SEED, n)
+    assert checked >= 20 * RUNS

@@ -9,12 +9,24 @@ Expected windows are independent hand derivations:
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from taskdse import fixtures, simulator
 from taskdse.generators import Generator
-from taskdse.model import SystemModel
+from taskdse.model import (
+    DataEdge,
+    Deployment,
+    Interconnect,
+    JobType,
+    Platform,
+    Processor,
+    SystemModel,
+    TaskSpec,
+    WorkInterval,
+    validate_model,
+)
 from taskdse.reachability import (
     BudgetExceeded,
     Network,
@@ -22,6 +34,7 @@ from taskdse.reachability import (
     SearchCapExceeded,
     reach_bounds,
 )
+from test_parity import priority_variants, two_jobs
 from taskdse.simulator import run_campaign
 from taskdse.timebase import to_ticks
 
@@ -85,6 +98,8 @@ BAND_ORACLE = {
     2: (656, 944),
     4: (328, 472),
     8: (164, 236),
+    12: (164, 236),
+    16: (82, 118),
 }
 
 
@@ -108,6 +123,126 @@ def test_purge_off_gives_identical_bounds():
     a = reach_bounds(m, ReachOptions(purge=True))
     b = reach_bounds(m, ReachOptions(purge=False))
     assert (a.makespan, a.latency) == (b.makespan, b.latency)
+
+
+def symmetry_cases() -> dict:
+    """Every fixture whose unreduced search takes seconds at most, the
+    priority variants and two_jobs under both per-processor policies."""
+    out = {"chain2": fixtures.chain2(), "indep2": fixtures.indep2(),
+           "diamond": fixtures.diamond(), "stream_chain": fixtures.stream_chain()}
+    out.update({f"band16({p})": fixtures.band16(p) for p in (1, 2, 4, 8, 12)})
+    out.update(priority_variants())
+    out.update({f"two_jobs-{p}": two_jobs(p) for p in ("fifo_local", "strict_priority_local")})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(symmetry_cases()))
+def test_symmetry_off_gives_identical_bounds(name):
+    m = symmetry_cases()[name]
+    a = reach_bounds(m, ReachOptions(clock_budget=40))
+    b = reach_bounds(m, ReachOptions(clock_budget=40, symmetry=False))
+    assert (a.makespan, a.latency, a.instance_latency) == (b.makespan, b.latency, b.instance_latency)
+    assert (a.overflow_reachable, a.terminal_reached) == (b.overflow_reachable, b.terminal_reached)
+    assert a.states <= b.states and b.classes == ()
+
+
+def test_symmetry_off_keeps_the_full_band16_search():
+    """band16(4) reduces by its class PE1-PE3; switched off, the search is
+    the full one, with the counters it had before the reduction existed."""
+    on = reach_bounds(fixtures.band16(4))
+    off = reach_bounds(fixtures.band16(4), ReachOptions(symmetry=False))
+    assert (off.states, off.merges) == (115, 51)
+    assert (on.states, on.merges, on.classes) == (56, 20, (3,))
+    assert (on.makespan, on.latency, on.instance_latency) == \
+        (off.makespan, off.latency, off.instance_latency)
+
+
+def test_processor_classes_of_the_fixtures():
+    """band16(12): PE1-PE3 hold two blocks each, PE4-PE11 one; PE0 also
+    holds the framing tasks.  mapping_stream and blockwise(4) pin the same
+    work to every processor."""
+    sizes = lambda m: [len(cls) for cls in Network(m).orbits]
+    assert sizes(fixtures.band16(12)) == [3, 8]
+    assert sizes(fixtures.band16(16)) == [15]
+    assert sizes(fixtures.mapping_stream()) == [4]
+    assert sizes(fixtures.blockwise(4)) == [4]
+    assert sizes(fixtures.mapping_stream(policy="fifo_global")) == []
+    assert sizes(fixtures.band16(4)) == [3]
+    assert Network(fixtures.band16(4), ReachOptions(symmetry=False)).orbits == []
+
+
+def two_copies() -> SystemModel:
+    """src on PE0 feeds a1 -> b1 on PE1 and a2 -> b2 on PE2, whose ends
+    feed snk on PE0: PE1 and PE2 are interchangeable."""
+    f1 = Fraction(1)
+    pes = [Processor(f"PE{i}", [f1], {f1: (0.1, 0.9)}) for i in range(3)]
+    tasks = [TaskSpec("src", WorkInterval.of(0, 1)), TaskSpec("snk", WorkInterval.of(0, 1))]
+    edges = []
+    mapping = {"src": "PE0", "snk": "PE0"}
+    for i in (1, 2):
+        tasks += [TaskSpec(f"a{i}", WorkInterval.of(2, 3)), TaskSpec(f"b{i}", WorkInterval.of(1, 2))]
+        edges += [DataEdge("src", f"a{i}"), DataEdge(f"a{i}", f"b{i}"), DataEdge(f"b{i}", "snk")]
+        mapping.update({f"a{i}": f"PE{i}", f"b{i}": f"PE{i}"})
+    gen = Generator("job", "periodic", period=U(4), count=2)
+    return SystemModel([JobType("job", tasks, edges)],
+                       Platform(pes, interconnects=[Interconnect("bus", Fraction(8))]), [gen],
+                       Deployment(policy="fifo_local", mapping=mapping), instance_bound=2)
+
+
+def _frequency(m):
+    f2 = Fraction(2)
+    m.platform.processors[2] = Processor("PE2", [f2], {f2: (0.2, 2.0)})
+
+
+def _window(m):
+    m.job_types[0].tasks[-1] = TaskSpec("b2", WorkInterval.of(1, 3))
+
+
+def _pin(m):
+    m.deployment.task_frequency = {"b2": Fraction(1)}
+
+
+def _bus(m):
+    m.job_types[0].edges[0] = DataEdge("src", "a1", 64)
+    m.deployment.edge_interconnect = {("src", "a1"): "bus"}
+
+
+def _join(m):
+    m.job_types[0].edges.append(DataEdge("a1", "b2"))
+
+
+def _global(m):
+    m.deployment.policy = "fifo_global"
+
+
+@pytest.mark.parametrize("breaks", [_frequency, _window, _pin, _bus, _join, _global])
+def test_one_broken_symmetry_gives_no_class(breaks):
+    assert [len(cls) for cls in Network(two_copies()).orbits] == [2]
+    m = two_copies()
+    breaks(m)
+    assert not validate_model(m)
+    assert Network(m).orbits == []
+    a, b = reach_bounds(m), reach_bounds(m, ReachOptions(symmetry=False))
+    assert (a.makespan, a.latency, a.instance_latency) == (b.makespan, b.latency, b.instance_latency)
+    assert (a.states, a.zones, a.merges) == (b.states, b.zones, b.merges)
+
+
+def test_members_next_to_moved_tasks_are_not_moved():
+    """a1 and a2 (PE1, PE2) both feed x (PE3) and y (PE4).  Each pair alone
+    looks interchangeable, but a swap of PE1 and PE2 would also have to fix
+    x and y, which the other pair moves, so neither pair is a class."""
+    m = two_copies()
+    job = m.job_types[0]
+    f1 = Fraction(1)
+    m.platform.processors += [Processor(f"PE{i}", [f1], {f1: (0.1, 0.9)}) for i in (3, 4)]
+    job.tasks = [t for t in job.tasks if t.id[0] != "b"]
+    job.tasks += [TaskSpec("x", WorkInterval.of(1, 2)), TaskSpec("y", WorkInterval.of(1, 2))]
+    job.edges = [e for e in job.edges if "b" not in e.src + e.dst]
+    job.edges += [DataEdge(a, z) for a in ("a1", "a2") for z in ("x", "y")]
+    job.edges += [DataEdge(z, "snk") for z in ("x", "y")]
+    m.deployment.mapping = {"src": "PE0", "snk": "PE0", "a1": "PE1", "a2": "PE2", "x": "PE3", "y": "PE4"}
+    assert not validate_model(m)
+    assert Network(m).orbits == []
 
 
 def test_clock_budget_enforced_before_search():

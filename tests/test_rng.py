@@ -65,3 +65,15 @@ def test_derive_seed_distinct_and_stable():
     assert len(seeds) == 100
     assert derive_seed(1234, 7) == derive_seed(1234, 7)
     assert derive_seed(1234, 7) != derive_seed(1235, 7)
+
+
+def test_uniform_ticks_matches_the_reference_composition():
+    """uniform_ticks inlines the splitmix64 step; 120k draws over several
+    windows equal lo + int(uniform() * span) drawn from a twin stream."""
+    windows = [(0, 1), (3, 6), (0, 999), (150, 2100), (82000, 118000), (5, 2**40)]
+    fast, ref = SplitMix64(31337), SplitMix64(31337)
+    for n in range(120_000):
+        lo, hi = windows[n % len(windows)]
+        expect = lo + int(ref.uniform() * (hi - lo + 1))
+        assert fast.uniform_ticks(lo, hi) == min(expect, hi), (n, lo, hi)
+    assert fast.next_u64() == ref.next_u64()
