@@ -21,8 +21,12 @@ Three ingredients keep the zone count tractable:
     successor is stored as one representative of its orbit under
     permutations of a class (scalarset reduction, sound with an approximate
     canonical form: Hendriks et al., "Adding Symmetry Reduction to Uppaal",
-    FORMATS 2003).  Every such permutation fixes the global, makespan,
-    response and generator clocks, so every bound stays exact.
+    FORMATS 2003).  A completion is skipped as a mirror image when swapping
+    its member with an already expanded member of the class maps the state
+    onto itself, since the swap then maps one successor onto the other (Ip &
+    Dill, "Better Verification Through Symmetry", FMSD 1996).  Every such
+    permutation fixes the global, makespan, response and generator clocks,
+    so every bound stays exact.
 
 Clock layout per configuration, in canonical order: the global clock, the
 makespan anchor (reset at the first arrival), one response clock per admitted
@@ -106,6 +110,7 @@ class ReachResult:
     zones: int  # zones stored at the end
     merges: int
     classes: tuple[int, ...] = ()  # sizes of the processor classes reduced by
+    mirrored: int = 0  # completions skipped as mirror images of expanded ones
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,8 @@ def _processor_classes(compiled: CompiledModel, policy: str) -> list[list[tuple[
 class Network:
     """The formal engine's view of one model: the shared CompiledModel plus
     the arrival rules and instance numbering of the first K instances, and
-    the processor classes the search is reduced by (`orbits`)."""
+    the processor classes the search is reduced by (`orbits`, and
+    `member_of`: processor slot -> (class index, member))."""
 
     def __init__(self, model: SystemModel, options: ReachOptions | None = None):
         self.model = model
@@ -209,6 +215,7 @@ class Network:
                            tuple(tuple(c - g.first for c in codes if g.first <= c < g.first + len(g.tasks))
                                  for g in self.inst_graph))
                     for r, codes in cls))
+        self.member_of = {m.slot: (k, m) for k, cls in enumerate(self.orbits) for m in cls}
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +338,63 @@ def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
     return True
 
 
+class _Renaming:
+    """A permutation of class members: each (src, dst) move puts src's
+    statuses, running task and local queue onto dst, renaming task codes
+    position by position, and the zone follows through one relayout of the
+    renamed run clocks."""
+
+    def __init__(self, moves):
+        self.moves = moves
+        self.code_map = {}
+        for src, dst in moves:
+            self.code_map.update(zip(src.codes, dst.codes))
+
+    def ref(self, ref):
+        return None if ref is None else TaskRef(ref.instance, self.code_map.get(ref.code, ref.code))
+
+    def insts(self, insts) -> tuple:
+        out = list(insts)
+        for i, st in enumerate(insts):
+            if st is not None:
+                new = list(st)
+                for src, dst in self.moves:
+                    for p, q in zip(src.pos[i], dst.pos[i]):
+                        new[q] = st[p]
+                out[i] = tuple(new)
+        return tuple(out)
+
+    def running(self, running) -> tuple:
+        out = list(running)
+        for src, dst in self.moves:
+            out[dst.slot] = self.ref(running[src.slot])
+        return tuple(out)
+
+    def queues(self, queues) -> tuple:
+        out = list(queues)
+        for src, dst in self.moves:
+            if dst.queue is not None:
+                out[dst.queue] = tuple(map(self.ref, queues[src.queue]))
+        return tuple(out)
+
+    def zone(self, idx: dict, mat):
+        src_of = {(p if p[0] != RUN else (RUN, p[1], self.code_map.get(p[2], p[2]))): i
+                  for p, i in idx.items()}
+        return relayout(mat, [0] + [src_of[p] for p in sorted(src_of)])
+
+
 def _canonical(net: Network, d: DState, idx: dict, mat):
     """Representative of (d, mat) under permutations of each processor class.
 
     Each class's members are sorted by their statuses across all instances,
     then by their running clock's bounds against the clocks no permutation
-    moves (T, M, RESP, GEN).  The sort moves each member's statuses, running
-    task and local queue onto its new position, renaming task codes position
-    by position, and the zone follows through one relayout of the renamed
-    run clocks.  Members with equal keys keep their order, so the form is
-    approximate: symmetric states may still be stored apart, never merged
-    wrongly.
+    moves (T, M, RESP, GEN), and the sort is applied as one `_Renaming`.
+    Members with equal keys keep their order, so the form is approximate:
+    symmetric states may still be stored apart, never merged wrongly.
     """
     running = d.sched.running
     fixed = None
-    moves, code_map = [], {}
+    moves = []
     for cls in net.orbits:
         keys = []
         for m in cls:
@@ -359,34 +408,28 @@ def _canonical(net: Network, d: DState, idx: dict, mat):
             c = idx[(RUN, ref.instance, ref.code)]
             keys.append((status, mat[c, fixed].tolist(), mat[fixed, c].tolist()))
         order = sorted(range(len(cls)), key=keys.__getitem__)
-        for dst, src in enumerate(order):
-            if dst != src:
-                moves.append((cls[src], cls[dst]))
-                code_map.update(zip(cls[src].codes, cls[dst].codes))
+        moves += [(cls[src], cls[dst]) for dst, src in enumerate(order) if dst != src]
     if not moves:
         return d, mat
+    perm = _Renaming(moves)
+    sched = SchedulerState(perm.queues(d.sched.queues), perm.running(running))
+    return DState(d.arrivals, perm.insts(d.insts), sched), perm.zone(idx, mat)
 
-    def rename(ref):
-        return None if ref is None else TaskRef(ref.instance, code_map.get(ref.code, ref.code))
 
-    insts = list(d.insts)
-    for i, st in enumerate(d.insts):
-        if st is not None:
-            new = list(st)
-            for src, dst in moves:
-                for p, q in zip(src.pos[i], dst.pos[i]):
-                    new[q] = st[p]
-            insts[i] = tuple(new)
-    queues, run2 = list(d.sched.queues), list(running)
-    for src, dst in moves:
-        run2[dst.slot] = rename(running[src.slot])
-        if dst.queue is not None:
-            queues[dst.queue] = tuple(map(rename, d.sched.queues[src.queue]))
-    src_of = {(p if p[0] != RUN else (RUN, p[1], code_map.get(p[2], p[2]))): i
-              for p, i in idx.items()}
-    lay = sorted(src_of)
-    d2 = DState(d.arrivals, tuple(insts), SchedulerState(tuple(queues), tuple(run2)))
-    return d2, relayout(mat, [0] + [src_of[p] for p in lay])
+def _mirrors(d: DState, idx: dict, mat, o: Member, r: Member) -> bool:
+    """True when swapping members o and r of one class, r running a task,
+    maps (d, mat) onto itself: statuses, running tasks, local queues and
+    zone, in that order.  The zone is first tested on the entries between
+    the two run clocks and clock 0, which the swap exchanges and which
+    differ in nearly every zone the swap does not fix, before the relayout."""
+    swap = _Renaming(((o, r), (r, o)))
+    running = d.sched.running
+    if (swap.insts(d.insts) != d.insts or swap.running(running) != running
+            or swap.queues(d.sched.queues) != d.sched.queues):
+        return False
+    a, b = (idx[(RUN, ref.instance, ref.code)] for ref in (running[o.slot], running[r.slot]))
+    return bool(mat[a, b] == mat[b, a] and mat[a, 0] == mat[b, 0] and mat[0, a] == mat[0, b]
+                and np.array_equal(swap.zone(idx, mat), mat))
 
 
 def _shift(mat, old_idx: dict, new_lay: tuple, resets) -> np.ndarray:
@@ -573,7 +616,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
     frontier: deque = deque()
     b0 = store.insert(d0, z0)
     frontier.append((d0, b0))
-    explored = 0
+    explored = mirrored = 0
 
     while frontier:
         d, b = frontier.popleft()
@@ -586,8 +629,17 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
         lay = _layout(net, d)
         idx = _index(lay)
 
-        # task completions, canonical order
+        # task completions, canonical order, skipping mirror images of
+        # completions already expanded in this state
+        expanded: dict[int, list[Member]] = {}
         for ref, r in sorted((ref, r) for r, ref in enumerate(d.sched.running) if ref is not None):
+            if r in net.member_of:
+                k, m = net.member_of[r]
+                seen = expanded.setdefault(k, [])
+                if any(_mirrors(d, idx, mat, o, m) for o in seen):
+                    mirrored += 1
+                    continue
+                seen.append(m)
             lo, _hi = net.compiled.window(ref.code, r)
             zg = mat.copy()
             if not constrain_one(zg, 0, idx[(RUN, ref.instance, ref.code)], enc(-lo)):
@@ -635,6 +687,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
         zones=store.total(),
         merges=store.merges,
         classes=tuple(len(cls) for cls in net.orbits),
+        mirrored=mirrored,
     )
 
 

@@ -82,7 +82,9 @@ def relayout(mat: np.ndarray, srcs: list[int]) -> np.ndarray:
     the reset-on-creation semantics the engines rely on.
     """
     idx = np.asarray(srcs, dtype=np.intp)
-    return mat[np.ix_(idx, idx)].copy()
+    # two takes build the same fresh array as mat[np.ix_(idx, idx)].copy()
+    # in a fraction of its time on the small matrices the engine uses
+    return mat.take(idx, axis=0).take(idx, axis=1)
 
 
 def zone_includes(a: np.ndarray, b: np.ndarray) -> bool:

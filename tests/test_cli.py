@@ -144,6 +144,16 @@ def test_verify_writes_report(tmp_path, capsys):
     assert "makespan" in text and "[4, 6]" in text
 
 
+def test_verify_prints_classes_and_mirrored_completions(tmp_path, capsys):
+    """band16.json (4 processors) reduces by PE1-PE3 and skips 6 mirrored
+    completions; chain2 has no class.  Neither count goes into report.json."""
+    assert cli.main(["verify", BAND16, "--out", str(tmp_path / "b")]) == 0
+    assert "symmetry: processor classes 3; mirrored completions skipped 6\n" in capsys.readouterr().out
+    assert "mirrored" not in (tmp_path / "b" / "report.json").read_text()
+    assert cli.main(["verify", CHAIN2, "--out", str(tmp_path / "c")]) == 0
+    assert "symmetry: none\n" in capsys.readouterr().out
+
+
 def test_verify_clock_budget_exit_code(tmp_path, capsys):
     assert cli.main(["verify", BAND16, "--clock-budget", "3", "--out", str(tmp_path)]) == 3
     assert "clock budget" in capsys.readouterr().err

@@ -14,13 +14,17 @@ each sampled instance.  Draws that `validate_model` rejects are skipped.
 identical processors each run a copy of one random chain or fork (windows
 drawn per position) between a source and a sink on PE0, under fifo_local or
 under strict_priority_local with equal priorities per position.
+Over all three families, no verb exits with an internal error (property a),
+and merging and purging change no bound (property c).
 """
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
-from taskdse import config
+from taskdse import cli, config
 from taskdse.generators import Generator
 from taskdse.metrics import MetricSpec, extract
 from taskdse.model import (
@@ -50,6 +54,7 @@ SYMMETRIC_SEED = 11
 SYMMETRIC_MODELS = 40
 MODELS = 150
 RUNS = 50
+SWEEP_EVERY = 4  # property (a) sweeps every fourth model to stay within seconds
 POLICIES = ("fifo_global", "fifo_priority_global", "fifo_local", "strict_priority_local")
 VARIANTS = ("periodic", "jitter", "uncertain")
 
@@ -161,6 +166,16 @@ def accepted_models(family: str) -> list[SystemModel]:
     return [m for m in models if not validate_model(m)]
 
 
+def symmetric_models() -> list[SystemModel]:
+    rng = SplitMix64(SYMMETRIC_SEED)
+    models = [random_symmetric_model(rng) for _ in range(SYMMETRIC_MODELS)]
+    return [m for m in models if not validate_model(m)]
+
+
+def every_family() -> list[SystemModel]:
+    return accepted_models("one_bus") + accepted_models("two_buses") + symmetric_models()
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_enough_random_models_are_accepted(family):
     models = accepted_models(family)
@@ -214,9 +229,7 @@ def test_symmetry_reduction_keeps_random_symmetric_models_exact():
     """Reduced and full searches give the same bounds on the symmetric
     family, the reduced one expands no more configurations, and sampled runs
     lie inside the bounds."""
-    rng = SplitMix64(SYMMETRIC_SEED)
-    models = [m for m in (random_symmetric_model(rng) for _ in range(SYMMETRIC_MODELS))
-              if not validate_model(m)]
+    models = symmetric_models()
     assert len(models) >= 30
     assert {m.deployment.policy for m in models} == {"fifo_local", "strict_priority_local"}
     reduced = [m for m in models if Network(m).orbits]
@@ -229,3 +242,44 @@ def test_symmetry_reduction_keeps_random_symmetric_models_exact():
         assert on.states <= off.states, n
         checked += samples_inside(m, on, SYMMETRIC_SEED, n)
     assert checked >= 20 * RUNS
+
+
+def test_no_verb_exits_with_an_internal_error(tmp_path):
+    """Property (a): every accepted model runs through check, verify and
+    simulate, and every fourth one through a sweep over policy and period,
+    without exit code 1.  A sweep may exit 2 where a policy makes the model
+    invalid; strict_priority_local comes last, so the other points run."""
+    sweep = ["--axis", "policy=" + ",".join(POLICIES), "--axis", "period=4,8",
+             "--runs", "1", "--seed", "1"]
+    models = every_family()
+    codes = {}
+    for n, m in enumerate(models):
+        path = tmp_path / f"m{n}.json"
+        path.write_text(config.dumps(m))
+        verbs = [["check", str(path)],
+                 ["verify", str(path), "--out", str(tmp_path / "v")],
+                 ["simulate", str(path), "--runs", "2", "--seed", "1", "--out", str(tmp_path / "s")]]
+        if n % SWEEP_EVERY == 0:
+            verbs.append(["sweep", str(path), *sweep, "--out", str(tmp_path / "w")])
+        for argv in verbs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code != cli.EXIT_INTERNAL, (n, argv[0], err.getvalue())
+            codes[argv[0], code] = codes.get((argv[0], code), 0) + 1
+    for verb in ("check", "verify", "simulate"):
+        assert codes[verb, 0] == len(models), verb
+    assert codes["sweep", 0] >= len(models) // (2 * SWEEP_EVERY)
+
+
+def test_merge_and_purge_change_no_bound():
+    """Property (c): exact union merging and dead-clock purging are pure
+    optimisations; switching either off gives the same bounds."""
+    def bounds(r):
+        return (r.makespan, r.latency, r.instance_latency, r.overflow_reachable,
+                r.terminal_reached)
+
+    for n, m in enumerate(every_family()):
+        want = bounds(reach_bounds(m))
+        assert bounds(reach_bounds(m, ReachOptions(merge=False))) == want, (n, "merge")
+        assert bounds(reach_bounds(m, ReachOptions(purge=False))) == want, (n, "purge")

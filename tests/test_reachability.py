@@ -8,12 +8,13 @@ Expected windows are independent hand derivations:
   band16     P blocks of [82,118] over ceil(16/P) sequential rounds
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from taskdse import fixtures, simulator
+from taskdse import fixtures, reachability, simulator
 from taskdse.generators import Generator
 from taskdse.model import (
     DataEdge,
@@ -28,12 +29,16 @@ from taskdse.model import (
     validate_model,
 )
 from taskdse.reachability import (
+    RUN,
     BudgetExceeded,
+    DState,
     Network,
     ReachOptions,
     SearchCapExceeded,
     reach_bounds,
 )
+from taskdse.schedulers import SchedulerState
+from taskdse.zones import clock_window
 from test_parity import priority_variants, two_jobs
 from taskdse.simulator import run_campaign
 from taskdse.timebase import to_ticks
@@ -243,6 +248,142 @@ def test_members_next_to_moved_tasks_are_not_moved():
     m.deployment.mapping = {"src": "PE0", "snk": "PE0", "a1": "PE1", "a2": "PE2", "x": "PE3", "y": "PE4"}
     assert not validate_model(m)
     assert Network(m).orbits == []
+
+
+class _Compared(Exception):
+    pass
+
+
+def first_compared_state(m, monkeypatch) -> tuple:
+    """(configuration, clock index, zone) of the first state in which the
+    search compares two members of a class for a mirrored completion."""
+    seen = []
+
+    def stop(d, idx, mat, o, r):
+        seen.append((d, idx, mat))
+        raise _Compared
+
+    with monkeypatch.context() as mp:
+        mp.setattr(reachability, "_mirrors", stop)
+        with pytest.raises(_Compared):
+            reach_bounds(m, ReachOptions(clock_budget=40))
+    return seen[0]
+
+
+def run_clock(idx, d: DState, member):
+    ref = d.sched.running[member.slot]
+    return idx[(RUN, ref.instance, ref.code)]
+
+
+def test_blocks_started_by_split_mirror_each_other(monkeypatch):
+    """When split ends on band16(12), every processor starts its first block
+    at the same instant and PE1-PE3 queue their second one, so swapping any
+    two members of a class maps the state onto itself."""
+    m = fixtures.band16(12)
+    d, idx, mat = first_compared_state(m, monkeypatch)
+    net = Network(m)
+    assert all(ref is not None for ref in d.sched.running)
+    assert len({clock_window(mat, run_clock(idx, d, mem)) for cls in net.orbits for mem in cls}) == 1
+    for cls in net.orbits:
+        for o in cls:
+            for r in cls:
+                assert reachability._mirrors(d, idx, mat, o, r)
+
+
+def test_equal_statuses_with_unequal_run_clocks_do_not_mirror(monkeypatch):
+    """Two members whose statuses match but whose running blocks started at
+    different times are no mirror images of each other."""
+    calls = []
+    check = reachability._mirrors
+
+    def recorded(d, idx, mat, o, r):
+        got = check(d, idx, mat, o, r)
+        calls.append((d, idx, mat, o, r, got))
+        return got
+
+    monkeypatch.setattr(reachability, "_mirrors", recorded)
+    reach_bounds(fixtures.band16(12))
+    unequal = [got for d, idx, mat, o, r, got in calls
+               if reachability._Renaming(((o, r), (r, o))).insts(d.insts) == d.insts
+               and clock_window(mat, run_clock(idx, d, o)) != clock_window(mat, run_clock(idx, d, r))]
+    assert unequal and not any(unequal)
+    assert any(got for *_args, got in calls)
+
+
+def test_local_queues_in_another_order_do_not_mirror(monkeypatch):
+    """After the arrival on blockwise(4), each processor runs its first read
+    and queues its other three; reversing one queue keeps every status,
+    running task and clock but breaks the mirror."""
+    m = fixtures.blockwise(4)
+    d, idx, mat = first_compared_state(m, monkeypatch)
+    (cls,) = Network(m).orbits
+    o, r = cls[0], cls[1]
+    assert reachability._mirrors(d, idx, mat, o, r)
+    queues = list(d.sched.queues)
+    assert len(queues[o.queue]) == 3
+    queues[o.queue] = queues[o.queue][::-1]
+    d2 = DState(d.arrivals, d.insts, SchedulerState(tuple(queues), d.sched.running))
+    assert not reachability._mirrors(d2, idx, mat, o, r)
+
+
+def test_mirrored_completions_are_counted():
+    """band16(12) expands 179 of its 457 completions and skips 278 mirror
+    images; with symmetry off nothing is skipped."""
+    assert reach_bounds(fixtures.band16(12)).mirrored == 278
+    assert reach_bounds(fixtures.band16(12), ReachOptions(symmetry=False)).mirrored == 0
+
+
+def test_band16_12_expands_at_most_200_completions(monkeypatch):
+    """Mirror images never reach `_after_end`: 179 completions do, of the
+    457 the search builds without the skip."""
+    calls = 0
+    after_end = reachability._after_end
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return after_end(*args)
+
+    monkeypatch.setattr(reachability, "_after_end", counted)
+    reach_bounds(fixtures.band16(12))
+    assert calls <= 200
+
+
+def two_classes() -> SystemModel:
+    """src on PE0 feeds x1..x4 on PE1..PE4, which feed snk on PE0.  x1, x2
+    take [2, 3] and x3, x4 take [1, 5], so PE1, PE2 and PE3, PE4 form two
+    classes whose tasks all start together and look alike in every status,
+    queue and clock.  Only their windows tell the classes apart, so a swap
+    across the classes would pass the mirror check."""
+    f1 = Fraction(1)
+    pes = [Processor(f"PE{i}", [f1], {f1: (0.1, 0.9)}) for i in range(5)]
+    tasks = [TaskSpec("src", WorkInterval.of(0, 1)), TaskSpec("snk", WorkInterval.of(0, 1))]
+    tasks += [TaskSpec(f"x{i}", WorkInterval.of(2, 3) if i < 3 else WorkInterval.of(1, 5))
+              for i in range(1, 5)]
+    edges = [DataEdge(a, b) for i in range(1, 5) for a, b in (("src", f"x{i}"), (f"x{i}", "snk"))]
+    mapping = {"src": "PE0", "snk": "PE0", **{f"x{i}": f"PE{i}" for i in range(1, 5)}}
+    gen = Generator("job", "periodic", period=U(10), count=1)
+    return SystemModel([JobType("job", tasks, edges)], Platform(pes), [gen],
+                       Deployment(policy="fifo_local", mapping=mapping))
+
+
+def mirror_cases() -> dict:
+    return {**symmetry_cases(), "band16(16)": fixtures.band16(16),
+            "blockwise(4)": fixtures.blockwise(4), "mapping_stream": fixtures.mapping_stream(),
+            "two_classes": two_classes()}
+
+
+@pytest.mark.parametrize("name", sorted(mirror_cases()))
+def test_skipping_mirrors_changes_no_result(name, monkeypatch):
+    """With the mirror check switched off, every result and counter is the
+    same; only `mirrored` reads 0."""
+    m = mirror_cases()[name]
+    assert not validate_model(m)
+    on = reach_bounds(m, ReachOptions(clock_budget=40))
+    monkeypatch.setattr(reachability, "_mirrors", lambda *args: False)
+    off = reach_bounds(m, ReachOptions(clock_budget=40))
+    assert off.mirrored == 0
+    assert dataclasses.replace(on, mirrored=0) == off
 
 
 def test_clock_budget_enforced_before_search():
