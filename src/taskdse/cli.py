@@ -240,7 +240,12 @@ def _parse_axes(specs: list[str]) -> list[tuple[str, list[str]]]:
         if name in seen:
             raise AxisError(f"axis {name!r} given twice")
         seen.add(name)
-        axes.append((name, vals.split(",")))
+        values = vals.split(",")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise AxisError(f"axis {name!r} repeats {', '.join(repeated)}; "
+                            "two points would write one directory")
+        axes.append((name, values))
     return axes
 
 

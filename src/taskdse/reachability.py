@@ -95,7 +95,6 @@ class ReachOptions:
     clock_budget: int = 25
     state_cap: int = 2_000_000
     merge: bool = True  # exact union merging (off: plain inclusion antichain)
-    purge: bool = True  # project away dead clocks (off: keep dimensions)
     symmetry: bool = True  # canonicalise under processor classes (off: full search)
 
 
@@ -179,10 +178,10 @@ def _processor_classes(compiled: CompiledModel, policy: str) -> list[list[tuple[
 
 
 class Network:
-    """The formal engine's view of one model: the shared CompiledModel plus
-    the arrival rules and instance numbering of the first K instances, and
-    the processor classes the search is reduced by (`orbits`, and
-    `member_of`: processor slot -> (class index, member))."""
+    """The formal engine's view of one model: the shared CompiledModel, the
+    arrival rules and instance numbering of the first K instances, `clocks`
+    (the most any layout holds, checked against the budget here) and the
+    processor classes (`orbits`; `member_of`: slot -> (class index, member))."""
 
     def __init__(self, model: SystemModel, options: ReachOptions | None = None):
         self.model = model
@@ -201,10 +200,10 @@ class Network:
 
         gen_clocks = sum(own_clocks(g) for g in model.generators)
         concurrent = min(len(self.inst_graph), model.deployment.queue_capacity)
-        need = 2 + concurrent + len(self.compiled.resources) + gen_clocks
-        if need > self.options.clock_budget:
+        self.clocks = 2 + concurrent + len(self.compiled.resources) + gen_clocks
+        if self.clocks > self.options.clock_budget:
             raise BudgetExceeded(
-                f"model may need {need} clocks (budget {self.options.clock_budget})"
+                f"model may need {self.clocks} clocks (budget {self.options.clock_budget})"
             )
 
         self.orbits: list[tuple[Member, ...]] = []
@@ -230,18 +229,15 @@ def _clock(gidx: int, clock: int) -> tuple:
 def _layout(net: Network, d: DState) -> tuple:
     ps = [(T,), (M,)]
     for i, st in enumerate(d.insts):
-        if isinstance(st, tuple) and (not net.options.purge or any(s != DONE for s in st)):
+        if isinstance(st, tuple) and any(s != DONE for s in st):
             ps.append((RESP, i))
     for ref in d.sched.running:
         if ref is not None:
             ps.append((RUN, ref.instance, ref.code))
     for gidx, g in enumerate(net.model.generators):
-        if net.options.purge and d.arrivals[gidx] >= len(net.rules[gidx]):
-            continue
-        ps.extend((GEN, gidx, s) for s in range(own_clocks(g)))
+        if d.arrivals[gidx] < len(net.rules[gidx]):
+            ps.extend((GEN, gidx, s) for s in range(own_clocks(g)))
     ps.sort()
-    if len(ps) > net.options.clock_budget:
-        raise BudgetExceeded(f"{len(ps)} live clocks (budget {net.options.clock_budget})")
     return tuple(ps)
 
 
@@ -250,7 +246,7 @@ def _index(lay: tuple) -> dict:
 
 
 def _backlog(insts) -> int:
-    return sum(1 for st in insts if isinstance(st, (tuple, list)) and any(s != DONE for s in st))
+    return sum(1 for st in insts if isinstance(st, tuple) and any(s != DONE for s in st))
 
 
 def _terminal(net: Network, d: DState) -> bool:
@@ -519,76 +515,53 @@ class _Store:
         return self.zones.get(d, {}).get(b)
 
     def insert(self, d: DState, mat: np.ndarray) -> bytes | None:
-        """Store a zone; returns its key when it must be (re)explored."""
+        """Store a zone; returns its key when it must be (re)explored.  The
+        store is an antichain: no zone both covers mat and is covered by it."""
         zs = self.zones.setdefault(d, {})
         b = mat.tobytes()
-        if b in zs:
+        if b in zs or any(zone_includes(om, mat) for om in zs.values()):
             return None
-        for ob in list(zs):
-            om = zs[ob]
-            if zone_includes(om, mat):
-                return None
-            if zone_includes(mat, om):
+        while True:
+            for ob in [ob for ob, om in zs.items() if zone_includes(mat, om)]:
                 del zs[ob]
-        if self.merge:
-            grown = True
-            while grown:
-                grown = False
-                for ob in list(zs):
-                    om = zs[ob]
-                    h = np.maximum(mat, om)
-                    if _hull_is_union(h, mat, om, MERGE_LIMIT):
-                        del zs[ob]
-                        mat = h
-                        self.merges += 1
-                        for ob2 in list(zs):
-                            if zone_includes(mat, zs[ob2]):
-                                del zs[ob2]
-                        grown = True
-                        break
-                if grown or not zs:
-                    continue
-                keys = list(zs)
-                got = _family_hull([zs[k] for k in keys] + [mat])
-                if got is None or len(keys) not in got[1]:
-                    continue  # incoming zone must join, or there is no new key
-                h, members = got
-                self.merges += len(members) - 1
-                for i in members:
-                    if i < len(keys):
-                        del zs[keys[i]]
-                mat = h
-                for ob2 in list(zs):
-                    if zone_includes(mat, zs[ob2]):
-                        del zs[ob2]
-                grown = True
-            b = mat.tobytes()
+            h = self._merge_one(zs, mat) if self.merge else None
+            if h is None:
+                break
+            mat = h
+        b = mat.tobytes()
         zs[b] = mat
         return b
+
+    def _merge_one(self, zs: dict, mat: np.ndarray):
+        """Hull of mat and one stored zone, else of a completion family with
+        mat, after taking the merged zones out of zs; None if none merges."""
+        for ob, om in zs.items():
+            h = np.maximum(mat, om)
+            if _hull_is_union(h, mat, om, MERGE_LIMIT):
+                del zs[ob]
+                self.merges += 1
+                return h
+        keys = list(zs)
+        got = _family_hull([zs[k] for k in keys] + [mat]) if keys else None
+        if got is None or len(keys) not in got[1]:
+            return None  # incoming zone must join, or there is no new key
+        h, members = got
+        self.merges += len(members) - 1
+        for i in members:
+            if i < len(keys):
+                del zs[keys[i]]
+        return h
 
     def total(self) -> int:
         return sum(len(zs) for zs in self.zones.values())
 
 
-class _Acc:
-    def __init__(self):
-        self.makespan = None
-        self.per_inst: dict[int, tuple] = {}
-        self.overflow = False
-        self.terminal = False
-
-    @staticmethod
-    def _widen(cur, lo, hi):
-        hi = math.inf if hi is None else hi
-        if cur is None:
-            return (lo, hi)
-        return (min(cur[0], lo), max(cur[1], hi))
-
-    def record_makespan(self, lo, hi):
-        self.makespan = self._widen(self.makespan, lo, hi)
-
-    def record_latency(self, inst, lo, hi):
-        self.per_inst[inst] = self._widen(self.per_inst.get(inst), lo, hi)
+def _widen(cur: TimeInterval | None, lo: int, hi: int | None) -> TimeInterval:
+    """Smallest interval holding cur and [lo, hi]; hi None is unbounded."""
+    hi = math.inf if hi is None else hi
+    if cur is None:
+        return TimeInterval(lo, hi)
+    return TimeInterval(min(cur.lo, lo), max(cur.hi, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +571,17 @@ class _Acc:
 def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> ReachResult:
     """Exact bounds on makespan and per-instance response times.
 
-    Assumes a model that passes validate_model.  Raises BudgetExceeded when
-    the clock layout cannot fit the budget and SearchCapExceeded when more
-    than state_cap configurations get expanded.
+    Assumes a model that passes validate_model.  Raises BudgetExceeded
+    before the search when the model may need more clocks than the budget,
+    and SearchCapExceeded when more than state_cap configurations get
+    expanded.
     """
     opts = options or ReachOptions()
     net = Network(model, opts)
     store = _Store(opts.merge)
-    acc = _Acc()
+    makespan = None
+    per_inst: dict[int, TimeInterval] = {}
+    overflow = terminal = False
 
     d0 = DState((0,) * len(model.generators), (None,) * len(net.inst_graph), net.compiled.idle)
     lay0 = _layout(net, d0)
@@ -647,11 +623,11 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
             d2, resets, completed = _after_end(net, d, r, ref)
             if completed is not None:
                 rlo, rhi = clock_window(zg, idx[(RESP, completed)])
-                acc.record_latency(completed, rlo, rhi)
+                per_inst[completed] = _widen(per_inst.get(completed), rlo, rhi)
             if _terminal(net, d2):
                 mlo, mhi = clock_window(zg, idx[(M,)])
-                acc.record_makespan(mlo, mhi)
-                acc.terminal = True
+                makespan = _widen(makespan, mlo, mhi)
+                terminal = True
                 continue
             _push(net, store, frontier, d2, zg, idx, resets)
 
@@ -666,23 +642,20 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
                     zg, 0, idx[_clock(gidx, gd.clock)], enc(-gd.ticks, strict=gd.strict)):
                 continue
             if _backlog(d.insts) >= net.model.deployment.queue_capacity:
-                acc.overflow = True
+                overflow = True
                 continue  # absorbing: the run is flagged, not continued
             d2, resets = _after_arrival(net, d, gidx)
             _push(net, store, frontier, d2, zg, idx, resets)
 
-    def interval(pair):
-        return None if pair is None else TimeInterval(pair[0], pair[1])
-
-    overall = None
-    for pair in acc.per_inst.values():
-        overall = _Acc._widen(overall, pair[0], pair[1])
+    latency = None
+    for iv in per_inst.values():
+        latency = _widen(latency, iv.lo, iv.hi)
     return ReachResult(
-        makespan=interval(acc.makespan),
-        latency=interval(overall),
-        instance_latency={i: interval(p) for i, p in sorted(acc.per_inst.items())},
-        overflow_reachable=acc.overflow,
-        terminal_reached=acc.terminal,
+        makespan=makespan,
+        latency=latency,
+        instance_latency=dict(sorted(per_inst.items())),
+        overflow_reachable=overflow,
+        terminal_reached=terminal,
         states=explored,
         zones=store.total(),
         merges=store.merges,

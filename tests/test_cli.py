@@ -302,6 +302,15 @@ def test_sweep_duplicate_axis_rejected(tmp_path):
                      "--runs", "1", "--seed", "1", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_repeated_axis_value_rejected(tmp_path, capsys, workers):
+    """Two points with one value would share, and race for, one directory."""
+    assert cli.main(["sweep", CHAIN2, "--axis", "period=100,100", "--workers", workers,
+                     "--runs", "3", "--seed", "5", "--out", str(tmp_path / "w")]) == 2
+    assert "repeats 100" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_sweep_processors_and_frequency(tmp_path):
     power = str(pathlib.Path(CHAIN2).parent / "power_sweep.json")
     out = tmp_path / "pf"

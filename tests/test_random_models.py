@@ -15,7 +15,8 @@ identical processors each run a copy of one random chain or fork (windows
 drawn per position) between a source and a sink on PE0, under fifo_local or
 under strict_priority_local with equal priorities per position.
 Over all three families, no verb exits with an internal error (property a),
-and merging and purging change no bound (property c).
+merging changes no bound (property c) and no layout outgrows the clock count
+checked before the search.
 """
 
 import contextlib
@@ -47,6 +48,7 @@ from taskdse.reachability import Network, ReachOptions, reach_bounds
 from taskdse.rng import SplitMix64
 from taskdse.simulator import CompiledModel, simulate
 from taskdse.timebase import to_ticks
+from test_reachability import check_antichains, check_layouts
 
 SEED = 20240611
 BUS_SEED = 7
@@ -272,14 +274,27 @@ def test_no_verb_exits_with_an_internal_error(tmp_path):
     assert codes["sweep", 0] >= len(models) // (2 * SWEEP_EVERY)
 
 
-def test_merge_and_purge_change_no_bound():
-    """Property (c): exact union merging and dead-clock purging are pure
-    optimisations; switching either off gives the same bounds."""
+def test_merge_changes_no_bound():
+    """Property (c): exact union merging is a pure optimisation; switching
+    it off gives the same bounds."""
     def bounds(r):
         return (r.makespan, r.latency, r.instance_latency, r.overflow_reachable,
                 r.terminal_reached)
 
     for n, m in enumerate(every_family()):
         want = bounds(reach_bounds(m))
-        assert bounds(reach_bounds(m, ReachOptions(merge=False))) == want, (n, "merge")
-        assert bounds(reach_bounds(m, ReachOptions(purge=False))) == want, (n, "purge")
+        assert bounds(reach_bounds(m, ReachOptions(merge=False))) == want, n
+
+
+def test_layouts_of_random_models_fit_the_clock_count(monkeypatch):
+    widths = check_layouts(monkeypatch)
+    for m in every_family():
+        reach_bounds(m)
+    assert widths
+
+
+def test_store_of_random_symmetric_models_stays_an_antichain(monkeypatch):
+    check_antichains(monkeypatch)
+    for m in symmetric_models():
+        for merge in (True, False):
+            reach_bounds(m, ReachOptions(merge=merge))

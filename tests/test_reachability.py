@@ -38,7 +38,7 @@ from taskdse.reachability import (
     reach_bounds,
 )
 from taskdse.schedulers import SchedulerState
-from taskdse.zones import clock_window
+from taskdse.zones import clock_window, zone_includes
 from test_parity import priority_variants, two_jobs
 from taskdse.simulator import run_campaign
 from taskdse.timebase import to_ticks
@@ -121,13 +121,6 @@ def test_merge_off_gives_identical_bounds():
         b = reach_bounds(m, ReachOptions(merge=False))
         assert (a.makespan, a.latency) == (b.makespan, b.latency)
         assert b.zones >= a.zones
-
-
-def test_purge_off_gives_identical_bounds():
-    m = fixtures.diamond()
-    a = reach_bounds(m, ReachOptions(purge=True))
-    b = reach_bounds(m, ReachOptions(purge=False))
-    assert (a.makespan, a.latency) == (b.makespan, b.latency)
 
 
 def symmetry_cases() -> dict:
@@ -403,6 +396,64 @@ def test_clock_need_formula_on_chain2():
     Network(fixtures.chain2(), ReachOptions(clock_budget=4))
     with pytest.raises(BudgetExceeded):
         Network(fixtures.chain2(), ReachOptions(clock_budget=3))
+
+
+def check_layouts(monkeypatch) -> list:
+    """From here on, every layout a search builds must fit the clock count
+    its Network checked against the budget; returns the widths seen."""
+    layout, widths = reachability._layout, []
+
+    def checked(net, d):
+        lay = layout(net, d)
+        assert len(lay) <= net.clocks, (d, lay, net.clocks)
+        widths.append(len(lay))
+        return lay
+
+    monkeypatch.setattr(reachability, "_layout", checked)
+    return widths
+
+
+def check_antichains(monkeypatch):
+    """From here on, after every insert no stored zone of the configuration
+    includes another one, and every key is its zone's bytes.  Inserts are
+    the store's only writes, so only pairs with the stored zone can break
+    the antichain."""
+    insert = reachability._Store.insert
+
+    def checked(store, d, mat):
+        b = insert(store, d, mat)
+        zs = store.zones[d]
+        assert all(k == z.tobytes() for k, z in zs.items())
+        if b is not None:
+            new = zs[b]
+            assert not any(zone_includes(new, z) or zone_includes(z, new)
+                           for k, z in zs.items() if k != b), d
+        return b
+
+    monkeypatch.setattr(reachability._Store, "insert", checked)
+
+
+def layout_cases() -> dict:
+    """mirror_cases and stream_chain at capacity 1, where overflow is reachable."""
+    m = fixtures.stream_chain()
+    m.deployment.queue_capacity = 1
+    return {**mirror_cases(), "stream_chain capacity 1": m}
+
+
+@pytest.mark.parametrize("name", sorted(layout_cases()))
+def test_layouts_fit_the_clock_count(name, monkeypatch):
+    """The budget is checked once, before the search; no layout reached
+    holds more clocks than that count."""
+    widths = check_layouts(monkeypatch)
+    r = reach_bounds(layout_cases()[name], ReachOptions(clock_budget=40))
+    assert widths and r.overflow_reachable == (name == "stream_chain capacity 1")
+
+
+@pytest.mark.parametrize("name", sorted(mirror_cases()))
+def test_store_stays_an_antichain(name, monkeypatch):
+    check_antichains(monkeypatch)
+    for merge in (True, False):
+        reach_bounds(mirror_cases()[name], ReachOptions(clock_budget=40, merge=merge))
 
 
 def test_overflow_reachable_flagged():
