@@ -120,6 +120,16 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _instance_prefix(model) -> str:
+    """The instances the bounds cover: the first min(count, K) of each
+    generator, one entry per generator when there are several."""
+    spans = [f"1..{min(g.count, model.instance_bound)} of {g.count}" for g in model.generators]
+    if len(spans) == 1:
+        return f"bounds cover instances {spans[0]} per generator"
+    return "bounds cover instances per generator: " + ", ".join(
+        f"{span} ({g.job_type})" for span, g in zip(spans, model.generators))
+
+
 def _cmd_verify(args) -> int:
     model, h = _load(args.file)
     if args.k is not None:
@@ -153,11 +163,12 @@ def _cmd_verify(args) -> int:
         print("makespan unbounded: no run to completion")
     if res.latency is not None:
         print(f"latency [{_fmt_bound(res.latency.lo)}, {_fmt_bound(res.latency.hi)}]")
+    print(_instance_prefix(model))
     print(f"overflow reachable: {'yes' if res.overflow_reachable else 'no'}")
     print(f"states {res.states}, zones {res.zones}, merges {res.merges}")
     classes = ", ".join(map(str, res.classes))
-    print(f"symmetry: processor classes {classes}; mirrored completions skipped {res.mirrored}"
-          if classes else "symmetry: none")
+    print(f"symmetry: processor classes {classes}; mirrored completions skipped {res.mirrored}; "
+          f"zones removed as symmetric covers {res.covered}" if classes else "symmetry: none")
     print(f"report written to {os.path.join(out, 'report.json')}")
     return EXIT_OK
 

@@ -21,10 +21,15 @@ Three ingredients keep the zone count tractable:
     successor is stored as one representative of its orbit under
     permutations of a class (scalarset reduction, sound with an approximate
     canonical form: Hendriks et al., "Adding Symmetry Reduction to Uppaal",
-    FORMATS 2003).  A completion is skipped as a mirror image when swapping
-    its member with an already expanded member of the class maps the state
-    onto itself, since the swap then maps one successor onto the other (Ip &
-    Dill, "Better Verification Through Symmetry", FMSD 1996).  Every such
+    FORMATS 2003).  A zone cannot be given one exact canonical form under
+    these permutations, so inclusion is also tested up to the permutations
+    that map the representative's configuration onto itself: a zone whose
+    image lies in a stored zone is dropped, and a stored zone whose image
+    lies in the new one is deleted.  A completion is skipped as a mirror
+    image when swapping its member with an already expanded member of the
+    class maps the state onto itself.  Both are sound because a permutation
+    maps the successors of a state onto the successors of its image (Ip &
+    Dill, "Better Verification Through Symmetry", FMSD 1996), and every such
     permutation fixes the global, makespan, response and generator clocks,
     so every bound stays exact.
 
@@ -65,6 +70,7 @@ from .simulator import CompiledModel
 from .zones import (
     clock_window,
     constrain_one,
+    constrain_upper,
     elapse,
     enc,
     enc_add,
@@ -74,8 +80,6 @@ from .zones import (
     zone_includes,
     LE_ZERO,
 )
-
-MERGE_LIMIT = 4096  # skip hull checks beyond this many differing entries
 
 # clock tags are (group, ...) tuples; the groups number the canonical layout
 # order, so a sorted list of tags is the layout
@@ -110,6 +114,7 @@ class ReachResult:
     merges: int
     classes: tuple[int, ...] = ()  # sizes of the processor classes reduced by
     mirrored: int = 0  # completions skipped as mirror images of expanded ones
+    covered: int = 0  # zones dropped or deleted as permuted subsets of another zone
 
 
 @dataclass(frozen=True)
@@ -319,19 +324,20 @@ def _after_arrival(net: Network, d: DState, gidx: int):
 
 
 def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
-    """Intersect with every location invariant; False when that empties it."""
+    """Intersect with every location invariant; False when that empties it.
+    Each invariant is an upper bound on one clock, so one pass applies all."""
+    clocks, bounds = [], []
     for r, ref in enumerate(d.sched.running):
-        if ref is None:
-            continue
-        _lo, hi = net.compiled.window(ref.code, r)
-        if not constrain_one(mat, idx[(RUN, ref.instance, ref.code)], 0, enc(hi)):
-            return False
+        if ref is not None:
+            clocks.append(idx[(RUN, ref.instance, ref.code)])
+            bounds.append(enc(net.compiled.window(ref.code, r)[1]))
     for gidx, rules in enumerate(net.rules):
         a = d.arrivals[gidx]
         dl = rules[a].deadline if a < len(rules) else None
-        if dl is not None and not constrain_one(mat, idx[_clock(gidx, dl.clock)], 0, enc(dl.ticks)):
-            return False
-    return True
+        if dl is not None:
+            clocks.append(idx[_clock(gidx, dl.clock)])
+            bounds.append(enc(dl.ticks))
+    return constrain_upper(mat, clocks, bounds)
 
 
 class _Renaming:
@@ -374,42 +380,59 @@ class _Renaming:
         return tuple(out)
 
     def zone(self, idx: dict, mat):
+        """The renamed zone and the renamed state's clock index."""
         src_of = {(p if p[0] != RUN else (RUN, p[1], self.code_map.get(p[2], p[2]))): i
                   for p, i in idx.items()}
-        return relayout(mat, [0] + [src_of[p] for p in sorted(src_of)])
+        lay = sorted(src_of)
+        return relayout(mat, [0] + [src_of[p] for p in lay]), _index(lay)
 
 
 def _canonical(net: Network, d: DState, idx: dict, mat):
-    """Representative of (d, mat) under permutations of each processor class.
+    """Representative of (d, mat) under permutations of each processor
+    class, with the representative's groups of symmetric run clocks.
 
-    Each class's members are sorted by their statuses across all instances,
-    then by their running clock's bounds against the clocks no permutation
-    moves (T, M, RESP, GEN), and the sort is applied as one `_Renaming`.
-    Members with equal keys keep their order, so the form is approximate:
-    symmetric states may still be stored apart, never merged wrongly.
+    A member's discrete key is its statuses across all instances and its
+    local queue, both read position by position.  Each class's members are
+    sorted by that key, then by their running clock's bounds against the
+    clocks no permutation moves (T, M, RESP, GEN), and the sort is applied as
+    one `_Renaming`.  Members with equal keys keep their order, so the form
+    is approximate: one orbit can leave several zones in a configuration.
+    The running members of a class with equal discrete keys form a group:
+    permuting them maps the configuration onto itself and moves only their
+    run clocks, so `_Store.insert` compares zones up to those permutations.
     """
-    running = d.sched.running
-    fixed = None
-    moves = []
-    for cls in net.orbits:
+    running, queues = d.sched.running, d.sched.queues
+    fixed = [0] + [i for p, i in idx.items() if p[0] != RUN]
+    moves, keyed = [], []
+    for k, cls in enumerate(net.orbits):
         keys = []
         for m in cls:
             status = tuple(st[p] for st, ps in zip(d.insts, m.pos) if st is not None for p in ps)
-            ref = running[m.slot]
-            if ref is None:
-                keys.append((status,))
-                continue
-            if fixed is None:
-                fixed = [0] + [i for p, i in idx.items() if p[0] != RUN]
-            c = idx[(RUN, ref.instance, ref.code)]
-            keys.append((status, mat[c, fixed].tolist(), mat[fixed, c].tolist()))
+            queue = () if m.queue is None else tuple(
+                (ref.instance, m.codes.index(ref.code)) for ref in queues[m.queue])
+            keys.append(((status, queue),))
+        run = [(x, idx[(RUN, ref.instance, ref.code)]) for x, ref in
+               enumerate(running[m.slot] for m in cls) if ref is not None]
+        if run:
+            clocks = [c for _x, c in run]
+            rows = mat.take(clocks, axis=0).take(fixed, axis=1).tolist()
+            cols = mat.take(fixed, axis=0).take(clocks, axis=1).T.tolist()
+            for (x, _c), row, col in zip(run, rows, cols):
+                keys[x] += (row, col)
         order = sorted(range(len(cls)), key=keys.__getitem__)
         moves += [(cls[src], cls[dst]) for dst, src in enumerate(order) if dst != src]
-    if not moves:
-        return d, mat
-    perm = _Renaming(moves)
-    sched = SchedulerState(perm.queues(d.sched.queues), perm.running(running))
-    return DState(d.arrivals, perm.insts(d.insts), sched), perm.zone(idx, mat)
+        keyed += [(k, cls[dst], keys[src][0]) for dst, src in enumerate(order)]
+    if moves:
+        perm = _Renaming(moves)
+        running = perm.running(running)
+        d = DState(d.arrivals, perm.insts(d.insts), SchedulerState(perm.queues(d.sched.queues), running))
+        mat, idx = perm.zone(idx, mat)
+    groups: dict[tuple, list[int]] = {}
+    for k, m, key in keyed:
+        ref = running[m.slot]
+        if ref is not None:
+            groups.setdefault((k, key), []).append(idx[(RUN, ref.instance, ref.code)])
+    return d, mat, tuple(g for g in groups.values() if len(g) > 1)
 
 
 def _mirrors(d: DState, idx: dict, mat, o: Member, r: Member) -> bool:
@@ -425,7 +448,48 @@ def _mirrors(d: DState, idx: dict, mat, o: Member, r: Member) -> bool:
         return False
     a, b = (idx[(RUN, ref.instance, ref.code)] for ref in (running[o.slot], running[r.slot]))
     return bool(mat[a, b] == mat[b, a] and mat[a, 0] == mat[b, 0] and mat[0, a] == mat[0, b]
-                and np.array_equal(swap.zone(idx, mat), mat))
+                and np.array_equal(swap.zone(idx, mat)[0], mat))
+
+
+def _covers(a, b, groups) -> bool:
+    """True when zone b includes the image of zone a under some permutation
+    that moves clocks only within each group: a[i, j] <= b[pi(i), pi(j)] for
+    every pair of clocks.
+
+    The permutations are searched, never listed.  Entries between two
+    unmoved clocks must hold as they are.  A clock may only go where its row
+    and column dominate it against every unmoved clock, and the clocks are
+    then placed one at a time, each checked against the ones already placed.
+    On matrices this small, Python lists beat numpy's per-call overhead.
+    """
+    moved = [c for g in groups for c in g]
+    fixed = [c for c in range(len(a)) if c not in moved]
+    a, b = a.tolist(), b.tolist()
+    if any(a[i][j] > b[i][j] for i in fixed for j in fixed):
+        return False
+    cands = {}
+    for g in groups:
+        for i in g:
+            cands[i] = [j for j in g if all(a[i][f] <= b[j][f] and a[f][i] <= b[f][j] for f in fixed)]
+            if not cands[i]:
+                return False
+    order = sorted(moved, key=lambda c: len(cands[c]))
+    placed: dict[int, int] = {}
+
+    def place(k: int) -> bool:
+        if k == len(order):
+            return True
+        i = order[k]
+        for j in cands[i]:
+            if j not in placed.values() and all(
+                    a[i][p] <= b[j][q] and a[p][i] <= b[q][j] for p, q in placed.items()):
+                placed[i] = j
+                if place(k + 1):
+                    return True
+                del placed[i]
+        return False
+
+    return place(0)
 
 
 def _shift(mat, old_idx: dict, new_lay: tuple, resets) -> np.ndarray:
@@ -435,7 +499,7 @@ def _shift(mat, old_idx: dict, new_lay: tuple, resets) -> np.ndarray:
     return relayout(mat, srcs)
 
 
-def _hull_is_union(h, a, b, limit: int) -> bool:
+def _hull_is_union(h, a, b) -> bool:
     """Exact check that hull h (entrywise max of a, b) adds no new points.
 
     h differs from the union iff some point of h violates one bound of a and
@@ -446,8 +510,6 @@ def _hull_is_union(h, a, b, limit: int) -> bool:
     tb = np.argwhere(h > b)
     if len(ta) == 0 or len(tb) == 0:
         return True  # hull collapses to one operand
-    if len(ta) > limit or len(tb) > limit:
-        return False  # too wide to verify cheaply; keep zones separate
     for i, j in ta:
         z = h.copy()
         if not constrain_one(z, int(j), int(i), enc_neg(int(a[i, j]))):
@@ -504,25 +566,46 @@ def _family_hull(mats: list):
 
 
 class _Store:
-    """Per-configuration zone antichains with inclusion pruning and merging."""
+    """Per-configuration zone antichains with inclusion pruning and merging.
+
+    `groups[d]` holds the groups of symmetric run clocks that `_canonical`
+    found for configuration d, recorded by `_push`; inclusion is then tested
+    up to their permutations, which map d onto itself and fix every clock a
+    bound reads.
+    """
 
     def __init__(self, merge: bool):
         self.zones: dict[DState, dict[bytes, np.ndarray]] = {}
+        self.groups: dict[DState, tuple] = {}
         self.merge = merge
         self.merges = 0
+        self.covered = 0
 
     def get(self, d: DState, b: bytes):
         return self.zones.get(d, {}).get(b)
 
+    def _within(self, a, b, groups) -> bool:
+        """True when zone b includes zone a or a permutation of it."""
+        if zone_includes(b, a):
+            return True
+        if groups and _covers(a, b, groups):
+            self.covered += 1
+            return True
+        return False
+
     def insert(self, d: DState, mat: np.ndarray) -> bytes | None:
         """Store a zone; returns its key when it must be (re)explored.  The
-        store is an antichain: no zone both covers mat and is covered by it."""
+        store is an antichain up to symmetry: no permutation of d's groups
+        maps a stored zone into another."""
         zs = self.zones.setdefault(d, {})
         b = mat.tobytes()
-        if b in zs or any(zone_includes(om, mat) for om in zs.values()):
+        if b in zs:
+            return None
+        groups = self.groups.get(d) if zs else None
+        if any(self._within(mat, om, groups) for om in zs.values()):
             return None
         while True:
-            for ob in [ob for ob, om in zs.items() if zone_includes(mat, om)]:
+            for ob in [ob for ob, om in zs.items() if self._within(om, mat, groups)]:
                 del zs[ob]
             h = self._merge_one(zs, mat) if self.merge else None
             if h is None:
@@ -537,7 +620,7 @@ class _Store:
         mat, after taking the merged zones out of zs; None if none merges."""
         for ob, om in zs.items():
             h = np.maximum(mat, om)
-            if _hull_is_union(h, mat, om, MERGE_LIMIT):
+            if _hull_is_union(h, mat, om):
                 del zs[ob]
                 self.merges += 1
                 return h
@@ -661,6 +744,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
         merges=store.merges,
         classes=tuple(len(cls) for cls in net.orbits),
         mirrored=mirrored,
+        covered=store.covered,
     )
 
 
@@ -674,7 +758,9 @@ def _push(net, store, frontier, d2, zg, old_idx, resets):
     if not _invariants(net, d2, idx2, z2):
         return
     if net.orbits:
-        d2, z2 = _canonical(net, d2, idx2, z2)
+        d2, z2, groups = _canonical(net, d2, idx2, z2)
+        if groups:
+            store.groups[d2] = groups
     b2 = store.insert(d2, z2)
     if b2 is not None:
         frontier.append((d2, b2))

@@ -12,8 +12,9 @@ The encoding is order-preserving, and bound addition is a shift/or dance that
 never allocates Python objects.  Canonical form is the all-pairs shortest-path
 tightening.  Every operation here maps canonical zones to canonical zones;
 constrain_one does it with one incremental pass and reports an empty zone
-when the new bound closes a negative cycle.  Inclusion is therefore a plain
-entrywise comparison.
+when the new bound closes a negative cycle, and constrain_upper applies any
+number of upper bounds on single clocks in one such pass.  Inclusion is
+therefore a plain entrywise comparison.
 """
 
 from __future__ import annotations
@@ -66,6 +67,29 @@ def constrain_one(mat: np.ndarray, i: int, j: int, bound: int) -> bool:
     # one incremental tightening pass: paths p -> i -> j -> q
     row = _mat_add(np.full(mat.shape[0], bound, dtype=np.int64), mat[j, :])
     mat[:] = np.minimum(mat, _mat_add(mat[:, i : i + 1], row[None, :]))
+    return True
+
+
+def constrain_upper(mat: np.ndarray, clocks: list[int], bounds: list[int]) -> bool:
+    """Intersect a canonical zone with c_i <= u_i for every clock i in
+    `clocks`, u_i encoded in `bounds`, keeping it canonical; the same bytes
+    as one constrain_one call per bound, in one pass.
+
+    Each bound is an edge into clock 0, and a shortest path needs at most one
+    of them (two would enclose a cycle through 0, which is non-negative unless
+    the zone is empty).  So the tightened column 0 is the old one or a path
+    into some bounded clock, every other entry may route through that column,
+    and the zone is empty exactly when the column's entry for clock 0 drops
+    below zero; then it returns False without touching the matrix.
+    """
+    if not clocks:
+        return True
+    cols = np.asarray(clocks, dtype=np.intp)
+    ups = np.asarray(bounds, dtype=np.int64)
+    col0 = np.minimum(mat[:, 0], _mat_add(mat[:, cols], ups[None, :]).min(axis=1))
+    if col0[0] < LE_ZERO:
+        return False
+    np.minimum(mat, _mat_add(col0[:, None], mat[0:1, :]), out=mat)
     return True
 
 

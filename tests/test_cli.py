@@ -10,6 +10,7 @@ import pytest
 
 from taskdse import cli, config, fixtures
 from taskdse.model import DataEdge, Deployment, TaskSpec, WorkInterval
+from test_parity import two_jobs
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CHAIN2 = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "chain2.json")
@@ -145,13 +146,30 @@ def test_verify_writes_report(tmp_path, capsys):
 
 
 def test_verify_prints_classes_and_mirrored_completions(tmp_path, capsys):
-    """band16.json (4 processors) reduces by PE1-PE3 and skips 6 mirrored
-    completions; chain2 has no class.  Neither count goes into report.json."""
+    """band16.json (4 processors) reduces by PE1-PE3, skips 6 mirrored
+    completions and removes 14 zones as symmetric covers; chain2 has no
+    class.  No count goes into report.json."""
     assert cli.main(["verify", BAND16, "--out", str(tmp_path / "b")]) == 0
-    assert "symmetry: processor classes 3; mirrored completions skipped 6\n" in capsys.readouterr().out
-    assert "mirrored" not in (tmp_path / "b" / "report.json").read_text()
+    assert ("symmetry: processor classes 3; mirrored completions skipped 6; "
+            "zones removed as symmetric covers 14\n") in capsys.readouterr().out
+    report = (tmp_path / "b" / "report.json").read_text()
+    assert "mirrored" not in report and "covers" not in report
     assert cli.main(["verify", CHAIN2, "--out", str(tmp_path / "c")]) == 0
     assert "symmetry: none\n" in capsys.readouterr().out
+
+
+def test_verify_prints_the_instances_its_bounds_cover(tmp_path, capsys):
+    """mapping_stream declares 60 instances and verifies the first; with
+    two generators there is one entry per generator.  report.json keeps
+    only `instance_bound`."""
+    assert cli.main(["verify", MAPPING, "--out", str(tmp_path / "m")]) == 0
+    assert "\nbounds cover instances 1..1 of 60 per generator\n" in capsys.readouterr().out
+    assert "cover" not in (tmp_path / "m" / "report.json").read_text()
+    path = tmp_path / "two.json"
+    path.write_text(config.dumps(two_jobs("fifo_local")))
+    assert cli.main(["verify", str(path), "--k", "2", "--out", str(tmp_path / "t")]) == 0
+    assert ("\nbounds cover instances per generator: 1..2 of 3 (beta), 1..2 of 3 (alpha)\n"
+            in capsys.readouterr().out)
 
 
 def test_verify_clock_budget_exit_code(tmp_path, capsys):

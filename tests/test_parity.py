@@ -129,7 +129,7 @@ DIGESTS = {
     'simulate-stream_chain': '0a955029f5286b851356e2db02d42918bef45ee1fba4a37813ead435a61dcfc4',
     'simulate-stream_chain-fifo_priority_global': '08ec65c5a296db358507a15f867697957f2dc69012653e82955800a378e476df',
     'simulate-stream_chain-strict_priority_local': 'eb70d88645c10b2e5c3e9550463b7c55df9b5210cbbc39945eeeef9ff9687f5b',
-    'verify-band16': '7c39077b7d19476aa77f8e96ebe31be9543bb8968198053899eb7c54be9f2739',
+    'verify-band16': '59b0b7196caece9aaac72813c980f06568f109aa3c3c7597cf3bda6a9744f054',
     'verify-chain2': 'f98da5eba1f675bfe7562a9378a248dd6524582e12f85bdfc7d1364ed9649577',
     'verify-diamond': '5ac9a99f18aca18ecdccd2d2f42f4c0f9f8d8d1485e827e871ee4a41f864726c',
     'verify-diamond-fifo_priority_global': '9d5cc05bb1791a0150e9d5f35c8ef4dcc6e6c1807c7584de2497f554e4908207',

@@ -9,6 +9,7 @@ Expected windows are independent hand derivations:
 """
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,6 +36,9 @@ from taskdse.reachability import (
     Network,
     ReachOptions,
     SearchCapExceeded,
+    _index,
+    _layout,
+    _Renaming,
     reach_bounds,
 )
 from taskdse.schedulers import SchedulerState
@@ -134,9 +138,16 @@ def symmetry_cases() -> dict:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(symmetry_cases()))
+def symmetry_off_cases() -> dict:
+    """symmetry_cases and mapping_stream at K=1, at its default period 7000
+    and at 4500; each full search takes about 5 s."""
+    return {**symmetry_cases(),
+            **{f"mapping_stream period {p}": fixtures.mapping_stream(period=p) for p in (7000, 4500)}}
+
+
+@pytest.mark.parametrize("name", sorted(symmetry_off_cases()))
 def test_symmetry_off_gives_identical_bounds(name):
-    m = symmetry_cases()[name]
+    m = symmetry_off_cases()[name]
     a = reach_bounds(m, ReachOptions(clock_budget=40))
     b = reach_bounds(m, ReachOptions(clock_budget=40, symmetry=False))
     assert (a.makespan, a.latency, a.instance_latency) == (b.makespan, b.latency, b.instance_latency)
@@ -150,7 +161,7 @@ def test_symmetry_off_keeps_the_full_band16_search():
     on = reach_bounds(fixtures.band16(4))
     off = reach_bounds(fixtures.band16(4), ReachOptions(symmetry=False))
     assert (off.states, off.merges) == (115, 51)
-    assert (on.states, on.merges, on.classes) == (56, 20, (3,))
+    assert (on.states, on.merges, on.classes) == (48, 9, (3,))
     assert (on.makespan, on.latency, on.instance_latency) == \
         (off.makespan, off.latency, off.instance_latency)
 
@@ -285,7 +296,8 @@ def test_blocks_started_by_split_mirror_each_other(monkeypatch):
 
 def test_equal_statuses_with_unequal_run_clocks_do_not_mirror(monkeypatch):
     """Two members whose statuses match but whose running blocks started at
-    different times are no mirror images of each other."""
+    different times are no mirror images of each other.  mapping_stream
+    reaches such pairs; the reduced band16(12) search no longer does."""
     calls = []
     check = reachability._mirrors
 
@@ -295,9 +307,9 @@ def test_equal_statuses_with_unequal_run_clocks_do_not_mirror(monkeypatch):
         return got
 
     monkeypatch.setattr(reachability, "_mirrors", recorded)
-    reach_bounds(fixtures.band16(12))
+    reach_bounds(fixtures.mapping_stream())
     unequal = [got for d, idx, mat, o, r, got in calls
-               if reachability._Renaming(((o, r), (r, o))).insts(d.insts) == d.insts
+               if _Renaming(((o, r), (r, o))).insts(d.insts) == d.insts
                and clock_window(mat, run_clock(idx, d, o)) != clock_window(mat, run_clock(idx, d, r))]
     assert unequal and not any(unequal)
     assert any(got for *_args, got in calls)
@@ -317,6 +329,21 @@ def test_local_queues_in_another_order_do_not_mirror(monkeypatch):
     queues[o.queue] = queues[o.queue][::-1]
     d2 = DState(d.arrivals, d.insts, SchedulerState(tuple(queues), d.sched.running))
     assert not reachability._mirrors(d2, idx, mat, o, r)
+
+
+def test_local_queues_in_another_order_split_a_symmetric_group(monkeypatch):
+    """In the same state the four members form one group of symmetric run
+    clocks; once one member's queue is reversed, no permutation that moves
+    it maps the configuration onto itself, so it leaves the group."""
+    m = fixtures.blockwise(4)
+    d, idx, mat = first_compared_state(m, monkeypatch)
+    net = Network(m)
+    (cls,) = net.orbits
+    assert [len(g) for g in reachability._canonical(net, d, idx, mat)[2]] == [4]
+    queues = list(d.sched.queues)
+    queues[cls[0].queue] = queues[cls[0].queue][::-1]
+    d2 = DState(d.arrivals, d.insts, SchedulerState(tuple(queues), d.sched.running))
+    assert [len(g) for g in reachability._canonical(net, d2, idx, mat)[2]] == [3]
 
 
 def test_mirrored_completions_are_counted():
@@ -377,6 +404,66 @@ def test_skipping_mirrors_changes_no_result(name, monkeypatch):
     off = reach_bounds(m, ReachOptions(clock_budget=40))
     assert off.mirrored == 0
     assert dataclasses.replace(on, mirrored=0) == off
+
+
+def stabiliser(net: Network, d: DState) -> list:
+    """Every permutation of each class's members that maps d onto itself,
+    the identity included, found by listing all of them."""
+    out = []
+    for combo in itertools.product(*(itertools.permutations(cls) for cls in net.orbits)):
+        perm = _Renaming([(src, dst) for cls, image in zip(net.orbits, combo)
+                          for src, dst in zip(cls, image) if src != dst])
+        running, queues = d.sched.running, d.sched.queues
+        if (perm.insts(d.insts) == d.insts and perm.running(running) == running
+                and perm.queues(queues) == queues):
+            out.append(perm)
+    return out
+
+
+@pytest.mark.parametrize("name", ["band16(4)", "blockwise(4)", "mapping_stream"])
+def test_no_stored_zone_covers_a_permuted_zone(name, monkeypatch):
+    """Brute-force reference for the store's cover search, with merging on
+    and off.  These classes have at most 4 members, so each configuration's
+    whole stabiliser (at most 24 permutations) is listed here.  Every cover
+    search the store runs answers as a scan of that list would, so it finds
+    no cover outside the stabiliser; and no zone of the final store includes
+    the image of another zone of its configuration, so it misses none.  Each
+    search removed some zones as symmetric covers, and without merging
+    band16(4) leaves 96 pairs in its final store."""
+    m = mirror_cases()[name]
+    net = Network(m)
+    perms = {}
+    current = []
+    insert, covers = reachability._Store.insert, reachability._covers
+
+    def listed(d) -> tuple:
+        if d not in perms:
+            perms[d] = (_index(_layout(net, d)), stabiliser(net, d))
+        return perms[d]
+
+    def covered(idx, ps, a, b) -> bool:
+        return any(zone_includes(b, perm.zone(idx, a)[0]) for perm in ps)
+
+    def kept(store, d, mat):
+        current[:] = [store, d]
+        return insert(store, d, mat)
+
+    def compared(a, b, groups):
+        got = covers(a, b, groups)
+        assert got == covered(*listed(current[1]), a, b), current[1]
+        return got
+
+    monkeypatch.setattr(reachability._Store, "insert", kept)
+    monkeypatch.setattr(reachability, "_covers", compared)
+    for merge in (True, False):
+        r = reach_bounds(m, ReachOptions(merge=merge))
+        pairs = 0
+        for d, zs in current[0].zones.items():
+            for a, b in itertools.permutations(zs.values(), 2):
+                pairs += 1
+                assert not covered(*listed(d), a, b), d
+        assert r.covered > 0
+    assert pairs
 
 
 def test_clock_budget_enforced_before_search():

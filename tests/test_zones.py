@@ -10,13 +10,14 @@ per-clock bounds.
 
 import numpy as np
 
-from taskdse.reachability import MERGE_LIMIT, _family_hull, _hull_is_union
+from taskdse.reachability import _family_hull, _hull_is_union
 from taskdse.rng import SplitMix64
 from taskdse.zones import (
     INF_ENC,
     LE_ZERO,
     clock_window,
     constrain_one,
+    constrain_upper,
     elapse,
     enc,
     enc_add,
@@ -190,7 +191,7 @@ def test_hull_is_union_against_integer_point_oracle():
         h = np.maximum(a, b)
         union = satisfies(cons_a, pts) | satisfies(cons_b, pts)
         exact = bool((satisfies(matrix_constraints(h), pts) == union).all())
-        assert _hull_is_union(h, a, b, MERGE_LIMIT) == exact, f"case {case}"
+        assert _hull_is_union(h, a, b) == exact, f"case {case}"
         outcomes.add(exact)
     assert outcomes == {True, False}
 
@@ -222,6 +223,33 @@ def test_upper_bounds_before_the_delay_change_nothing():
         if once is not None:
             assert (twice == once).all(), f"case {case}"
         seen.add(once is None)
+    assert seen == {True, False}
+
+
+def test_upper_bounds_in_one_pass_equal_one_call_per_bound():
+    # constrain_upper must give the bytes of sequential constrain_one calls
+    # (canonical zones are unique) and the same emptiness, with repeated
+    # clocks, bounds looser than the zone's and elapsed zones among the cases
+    rng = SplitMix64(0xB47C)
+    seen = set()
+    for case in range(400):
+        n = 1 + int(rng.next_u64() % 5)
+        z, _cons = random_weak_zone(rng, n)
+        if z is None:
+            continue
+        if rng.next_u64() % 2:
+            elapse(z)
+        k = int(rng.next_u64() % (n + 2))
+        clocks = [1 + int(rng.next_u64() % n) for _ in range(k)]
+        bounds = [enc(int(rng.next_u64() % 14) - 2) for _ in range(k)]
+        one_by_one, batched = z.copy(), z.copy()
+        ok = all(constrain_one(one_by_one, c, 0, e) for c, e in zip(clocks, bounds))
+        assert constrain_upper(batched, clocks, bounds) == ok, f"case {case}: emptiness"
+        if ok:
+            assert batched.tobytes() == one_by_one.tobytes(), f"case {case}"
+        else:
+            assert (batched == z).all(), f"case {case}: an empty result leaves the zone"
+        seen.add(ok)
     assert seen == {True, False}
 
 
