@@ -167,8 +167,8 @@ def _cmd_verify(args) -> int:
     print(f"overflow reachable: {'yes' if res.overflow_reachable else 'no'}")
     print(f"states {res.states}, zones {res.zones}, merges {res.merges}")
     classes = ", ".join(map(str, res.classes))
-    print(f"symmetry: processor classes {classes}; mirrored completions skipped {res.mirrored}; "
-          f"zones removed as symmetric covers {res.covered}" if classes else "symmetry: none")
+    print(f"symmetry: processor classes {classes}; mirrored completions skipped {res.mirrored}"
+          if classes else "symmetry: none")
     print(f"report written to {os.path.join(out, 'report.json')}")
     return EXIT_OK
 

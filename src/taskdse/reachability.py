@@ -19,19 +19,15 @@ Three ingredients keep the zone count tractable:
   * processor-symmetry reduction: under the per-processor policies, identical
     processors whose pinned tasks are interchangeable form classes, and each
     successor is stored as one representative of its orbit under
-    permutations of a class (scalarset reduction, sound with an approximate
-    canonical form: Hendriks et al., "Adding Symmetry Reduction to Uppaal",
-    FORMATS 2003).  A zone cannot be given one exact canonical form under
-    these permutations, so inclusion is also tested up to the permutations
-    that map the representative's configuration onto itself: a zone whose
-    image lies in a stored zone is dropped, and a stored zone whose image
-    lies in the new one is deleted.  A completion is skipped as a mirror
-    image when swapping its member with an already expanded member of the
-    class maps the state onto itself.  Both are sound because a permutation
-    maps the successors of a state onto the successors of its image (Ip &
-    Dill, "Better Verification Through Symmetry", FMSD 1996), and every such
-    permutation fixes the global, makespan, response and generator clocks,
-    so every bound stays exact.
+    permutations of a class: the members are sorted by their discrete state
+    alone (scalarset reduction, sound with an approximate canonical form:
+    Hendriks et al., "Adding Symmetry Reduction to Uppaal", FORMATS 2003).
+    A completion is skipped as a mirror image when swapping its member with
+    an already expanded member of the class maps the state onto itself.
+    Both are sound because a permutation maps the successors of a state onto
+    the successors of its image (Ip & Dill, "Better Verification Through
+    Symmetry", FMSD 1996), and every such permutation fixes the global,
+    makespan, response and generator clocks, so every bound stays exact.
 
 Clock layout per configuration, in canonical order: the global clock, the
 makespan anchor (reset at the first arrival), one response clock per admitted
@@ -112,9 +108,8 @@ class ReachResult:
     states: int  # configurations expanded
     zones: int  # zones stored at the end
     merges: int
-    classes: tuple[int, ...] = ()  # sizes of the processor classes reduced by
+    classes: tuple[int, ...] = ()  # sizes of the processor classes the search is reduced by
     mirrored: int = 0  # completions skipped as mirror images of expanded ones
-    covered: int = 0  # zones dropped or deleted as permuted subsets of another zone
 
 
 @dataclass(frozen=True)
@@ -186,7 +181,8 @@ class Network:
     """The formal engine's view of one model: the shared CompiledModel, the
     arrival rules and instance numbering of the first K instances, `clocks`
     (the most any layout holds, checked against the budget here) and the
-    processor classes (`orbits`; `member_of`: slot -> (class index, member))."""
+    processor classes (`orbits`, whose members `_canonical` sorts and
+    `_mirrors` swaps; `member_of`: slot -> (class index, member))."""
 
     def __init__(self, model: SystemModel, options: ReachOptions | None = None):
         self.model = model
@@ -380,116 +376,54 @@ class _Renaming:
         return tuple(out)
 
     def zone(self, idx: dict, mat):
-        """The renamed zone and the renamed state's clock index."""
         src_of = {(p if p[0] != RUN else (RUN, p[1], self.code_map.get(p[2], p[2]))): i
                   for p, i in idx.items()}
-        lay = sorted(src_of)
-        return relayout(mat, [0] + [src_of[p] for p in lay]), _index(lay)
+        return relayout(mat, [0] + [src_of[p] for p in sorted(src_of)])
 
 
 def _canonical(net: Network, d: DState, idx: dict, mat):
-    """Representative of (d, mat) under permutations of each processor
-    class, with the representative's groups of symmetric run clocks.
+    """Representative of (d, mat) under permutations of each processor class.
 
-    A member's discrete key is its statuses across all instances and its
-    local queue, both read position by position.  Each class's members are
-    sorted by that key, then by their running clock's bounds against the
-    clocks no permutation moves (T, M, RESP, GEN), and the sort is applied as
-    one `_Renaming`.  Members with equal keys keep their order, so the form
-    is approximate: one orbit can leave several zones in a configuration.
-    The running members of a class with equal discrete keys form a group:
-    permuting them maps the configuration onto itself and moves only their
-    run clocks, so `_Store.insert` compares zones up to those permutations.
+    A member's key is its statuses across all instances and its local queue,
+    both read position by position.  Each class's members are sorted by that
+    key alone, and the sort is applied as one `_Renaming`.  Members with
+    equal keys keep their slot order, so the form is approximate: one orbit
+    may leave several zones in a configuration, never a wrong one, since
+    every permutation fixes each clock a bound reads.
     """
-    running, queues = d.sched.running, d.sched.queues
-    fixed = [0] + [i for p, i in idx.items() if p[0] != RUN]
-    moves, keyed = [], []
-    for k, cls in enumerate(net.orbits):
+    queues = d.sched.queues
+    moves = []
+    for cls in net.orbits:
         keys = []
         for m in cls:
             status = tuple(st[p] for st, ps in zip(d.insts, m.pos) if st is not None for p in ps)
             queue = () if m.queue is None else tuple(
                 (ref.instance, m.codes.index(ref.code)) for ref in queues[m.queue])
-            keys.append(((status, queue),))
-        run = [(x, idx[(RUN, ref.instance, ref.code)]) for x, ref in
-               enumerate(running[m.slot] for m in cls) if ref is not None]
-        if run:
-            clocks = [c for _x, c in run]
-            rows = mat.take(clocks, axis=0).take(fixed, axis=1).tolist()
-            cols = mat.take(fixed, axis=0).take(clocks, axis=1).T.tolist()
-            for (x, _c), row, col in zip(run, rows, cols):
-                keys[x] += (row, col)
+            keys.append((status, queue))
         order = sorted(range(len(cls)), key=keys.__getitem__)
         moves += [(cls[src], cls[dst]) for dst, src in enumerate(order) if dst != src]
-        keyed += [(k, cls[dst], keys[src][0]) for dst, src in enumerate(order)]
-    if moves:
-        perm = _Renaming(moves)
-        running = perm.running(running)
-        d = DState(d.arrivals, perm.insts(d.insts), SchedulerState(perm.queues(d.sched.queues), running))
-        mat, idx = perm.zone(idx, mat)
-    groups: dict[tuple, list[int]] = {}
-    for k, m, key in keyed:
-        ref = running[m.slot]
-        if ref is not None:
-            groups.setdefault((k, key), []).append(idx[(RUN, ref.instance, ref.code)])
-    return d, mat, tuple(g for g in groups.values() if len(g) > 1)
+    if not moves:
+        return d, mat
+    perm = _Renaming(moves)
+    sched = SchedulerState(perm.queues(queues), perm.running(d.sched.running))
+    return DState(d.arrivals, perm.insts(d.insts), sched), perm.zone(idx, mat)
 
 
 def _mirrors(d: DState, idx: dict, mat, o: Member, r: Member) -> bool:
     """True when swapping members o and r of one class, r running a task,
-    maps (d, mat) onto itself: statuses, running tasks, local queues and
-    zone, in that order.  The zone is first tested on the entries between
-    the two run clocks and clock 0, which the swap exchanges and which
-    differ in nearly every zone the swap does not fix, before the relayout."""
-    swap = _Renaming(((o, r), (r, o)))
+    maps (d, mat) onto itself.  The three zone entries the swap exchanges,
+    between the two run clocks and each against clock 0, differ in nearly
+    every zone the swap does not fix, so they are compared first; then the
+    statuses, running tasks and local queues, and last the whole zone."""
     running = d.sched.running
-    if (swap.insts(d.insts) != d.insts or swap.running(running) != running
-            or swap.queues(d.sched.queues) != d.sched.queues):
+    ro, rr = running[o.slot], running[r.slot]
+    a, b = idx[(RUN, ro.instance, ro.code)], idx[(RUN, rr.instance, rr.code)]
+    if not (mat[a, b] == mat[b, a] and mat[a, 0] == mat[b, 0] and mat[0, a] == mat[0, b]):
         return False
-    a, b = (idx[(RUN, ref.instance, ref.code)] for ref in (running[o.slot], running[r.slot]))
-    return bool(mat[a, b] == mat[b, a] and mat[a, 0] == mat[b, 0] and mat[0, a] == mat[0, b]
-                and np.array_equal(swap.zone(idx, mat)[0], mat))
-
-
-def _covers(a, b, groups) -> bool:
-    """True when zone b includes the image of zone a under some permutation
-    that moves clocks only within each group: a[i, j] <= b[pi(i), pi(j)] for
-    every pair of clocks.
-
-    The permutations are searched, never listed.  Entries between two
-    unmoved clocks must hold as they are.  A clock may only go where its row
-    and column dominate it against every unmoved clock, and the clocks are
-    then placed one at a time, each checked against the ones already placed.
-    On matrices this small, Python lists beat numpy's per-call overhead.
-    """
-    moved = [c for g in groups for c in g]
-    fixed = [c for c in range(len(a)) if c not in moved]
-    a, b = a.tolist(), b.tolist()
-    if any(a[i][j] > b[i][j] for i in fixed for j in fixed):
-        return False
-    cands = {}
-    for g in groups:
-        for i in g:
-            cands[i] = [j for j in g if all(a[i][f] <= b[j][f] and a[f][i] <= b[f][j] for f in fixed)]
-            if not cands[i]:
-                return False
-    order = sorted(moved, key=lambda c: len(cands[c]))
-    placed: dict[int, int] = {}
-
-    def place(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in cands[i]:
-            if j not in placed.values() and all(
-                    a[i][p] <= b[j][q] and a[p][i] <= b[q][j] for p, q in placed.items()):
-                placed[i] = j
-                if place(k + 1):
-                    return True
-                del placed[i]
-        return False
-
-    return place(0)
+    swap = _Renaming(((o, r), (r, o)))
+    return (swap.insts(d.insts) == d.insts and swap.running(running) == running
+            and swap.queues(d.sched.queues) == d.sched.queues
+            and np.array_equal(swap.zone(idx, mat), mat))
 
 
 def _shift(mat, old_idx: dict, new_lay: tuple, resets) -> np.ndarray:
@@ -567,45 +501,27 @@ def _family_hull(mats: list):
 
 class _Store:
     """Per-configuration zone antichains with inclusion pruning and merging.
-
-    `groups[d]` holds the groups of symmetric run clocks that `_canonical`
-    found for configuration d, recorded by `_push`; inclusion is then tested
-    up to their permutations, which map d onto itself and fix every clock a
-    bound reads.
-    """
+    The zones of a configuration are compared clock by clock, in the member
+    order that `_canonical` picked for it."""
 
     def __init__(self, merge: bool):
         self.zones: dict[DState, dict[bytes, np.ndarray]] = {}
-        self.groups: dict[DState, tuple] = {}
         self.merge = merge
         self.merges = 0
-        self.covered = 0
 
     def get(self, d: DState, b: bytes):
         return self.zones.get(d, {}).get(b)
 
-    def _within(self, a, b, groups) -> bool:
-        """True when zone b includes zone a or a permutation of it."""
-        if zone_includes(b, a):
-            return True
-        if groups and _covers(a, b, groups):
-            self.covered += 1
-            return True
-        return False
-
     def insert(self, d: DState, mat: np.ndarray) -> bytes | None:
-        """Store a zone; returns its key when it must be (re)explored.  The
-        store is an antichain up to symmetry: no permutation of d's groups
-        maps a stored zone into another."""
+        """Store a zone; returns its key when it must be (re)explored."""
         zs = self.zones.setdefault(d, {})
         b = mat.tobytes()
         if b in zs:
             return None
-        groups = self.groups.get(d) if zs else None
-        if any(self._within(mat, om, groups) for om in zs.values()):
+        if any(zone_includes(om, mat) for om in zs.values()):
             return None
         while True:
-            for ob in [ob for ob, om in zs.items() if self._within(om, mat, groups)]:
+            for ob in [ob for ob, om in zs.items() if zone_includes(mat, om)]:
                 del zs[ob]
             h = self._merge_one(zs, mat) if self.merge else None
             if h is None:
@@ -744,7 +660,6 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
         merges=store.merges,
         classes=tuple(len(cls) for cls in net.orbits),
         mirrored=mirrored,
-        covered=store.covered,
     )
 
 
@@ -758,9 +673,7 @@ def _push(net, store, frontier, d2, zg, old_idx, resets):
     if not _invariants(net, d2, idx2, z2):
         return
     if net.orbits:
-        d2, z2, groups = _canonical(net, d2, idx2, z2)
-        if groups:
-            store.groups[d2] = groups
+        d2, z2 = _canonical(net, d2, idx2, z2)
     b2 = store.insert(d2, z2)
     if b2 is not None:
         frontier.append((d2, b2))

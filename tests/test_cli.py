@@ -146,14 +146,12 @@ def test_verify_writes_report(tmp_path, capsys):
 
 
 def test_verify_prints_classes_and_mirrored_completions(tmp_path, capsys):
-    """band16.json (4 processors) reduces by PE1-PE3, skips 6 mirrored
-    completions and removes 14 zones as symmetric covers; chain2 has no
-    class.  No count goes into report.json."""
+    """band16.json (4 processors) reduces by PE1-PE3 and skips 6 mirrored
+    completions; chain2 has no class.  No count goes into report.json."""
     assert cli.main(["verify", BAND16, "--out", str(tmp_path / "b")]) == 0
-    assert ("symmetry: processor classes 3; mirrored completions skipped 6; "
-            "zones removed as symmetric covers 14\n") in capsys.readouterr().out
+    assert "symmetry: processor classes 3; mirrored completions skipped 6\n" in capsys.readouterr().out
     report = (tmp_path / "b" / "report.json").read_text()
-    assert "mirrored" not in report and "covers" not in report
+    assert "mirrored" not in report and "classes" not in report
     assert cli.main(["verify", CHAIN2, "--out", str(tmp_path / "c")]) == 0
     assert "symmetry: none\n" in capsys.readouterr().out
 

@@ -48,7 +48,7 @@ from taskdse.reachability import Network, ReachOptions, reach_bounds
 from taskdse.rng import SplitMix64
 from taskdse.simulator import CompiledModel, simulate
 from taskdse.timebase import to_ticks
-from test_reachability import check_antichains, check_layouts
+from test_reachability import check_antichains, check_layouts, check_no_permuted_covers, final_stores
 
 SEED = 20240611
 BUS_SEED = 7
@@ -298,3 +298,17 @@ def test_store_of_random_symmetric_models_stays_an_antichain(monkeypatch):
     for m in symmetric_models():
         for merge in (True, False):
             reach_bounds(m, ReachOptions(merge=merge))
+
+
+def test_store_of_random_symmetric_models_holds_no_permuted_covers(monkeypatch):
+    """The brute-force check of test_reachability on the symmetric family's
+    models whose classes have at most 4 members, with merging on and off."""
+    stores = final_stores(monkeypatch)
+    pairs = 0
+    for m in symmetric_models():
+        net = Network(m)
+        if net.orbits and all(len(cls) <= 4 for cls in net.orbits):
+            for merge in (True, False):
+                reach_bounds(m, ReachOptions(merge=merge))
+                pairs += check_no_permuted_covers(net, stores[-1])
+    assert pairs
