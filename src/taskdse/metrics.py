@@ -4,6 +4,10 @@ A MetricSpec names one observable; extract() turns one trace into (key, value)
 samples for it and summarize() folds samples from a whole campaign into a
 Report.  Time-valued samples are integer ticks so they can be compared exactly
 against formal bounds; summaries are floats in time units.
+
+Every metric kind but event_pair reads a trace's TraceFacts.  The
+simulator's event loop gathers them while it runs; trace_facts derives the
+same facts from an event list, for traces built by hand.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .model import Platform, SystemModel
@@ -89,8 +94,11 @@ class TraceFacts(NamedTuple):
 
 
 def trace_facts(trace: TimedTrace) -> TraceFacts:
-    """One pass over the events plus one busy_intervals call; traces keep the
-    result as `trace.facts`, so every metric of a run shares it."""
+    """The facts of a trace built from an event list: one pass over the
+    events plus one busy_intervals call.  The dicts follow the events: a
+    resource enters `busy` at its first end and `start_freqs` at its first
+    start, an instance enters `last_ends` at its first end.  The simulator
+    gathers the same facts in the same order while it runs."""
     h = trace.horizon
     busy = {r: [(min(s, h), min(e, h)) for s, e in iv] for r, iv in busy_intervals(trace).items()}
     arrivals: dict[int, tuple[str, int]] = {}
@@ -116,51 +124,76 @@ def utilization(trace: TimedTrace) -> dict[str, float]:
     return {r: b / trace.horizon for r, b in busy.items()}
 
 
-def energy(trace: TimedTrace, platform: Platform) -> float:
+class PowerTable:
+    """A platform's power draw, looked up once per campaign for `energy`.
+
+    `idle` holds each powered-on processor's static watts at its lowest
+    frequency and `links` each interconnect's (static, dynamic) watts, both
+    in platform order.  `watts(res, f)` is processor `res`'s static plus
+    dynamic draw at frequency `f`.  A campaign's runs share the same
+    frequency objects, so the table keeps the last one priced per processor
+    and compares by identity before it hashes a Fraction again.
+    """
+
+    def __init__(self, platform: Platform):
+        self.platform = platform
+        self.links = [(ic.id, *ic.power) for ic in platform.interconnects]
+        self.link_ids = frozenset(ic.id for ic in platform.interconnects)
+        self.power = {p.id: p.power for p in platform.processors}
+        self.priced: dict[str, tuple] = {}  # processor id -> (frequency, watts)
+
+    @cached_property
+    def idle(self) -> list[tuple[str, float]]:
+        return [(p.id, p.power[p.min_frequency()][0])
+                for p in self.platform.processors if p.initially_on]
+
+    def watts(self, res: str, f) -> float:
+        got = self.priced.get(res)
+        if got is None or got[0] is not f:
+            power = self.power[res]
+            if f not in power:
+                raise MissingPowerEntry(f"{res} has no power entry for {f}")
+            stat, dyn = power[f]
+            got = self.priced[res] = (f, stat + dyn)
+        return got[1]
+
+
+def energy(trace: TimedTrace, platform: Platform | PowerTable) -> float:
     """Total energy over the horizon, in watt x time units.
 
     A powered-on processor draws its lowest-frequency static power while idle
     and static+dynamic at the running frequency while busy; interconnects draw
     static power for the whole horizon plus dynamic power while transferring.
-    Work past the horizon is not counted.
+    Work past the horizon is not counted.  A campaign passes one PowerTable
+    for all its runs; a Platform is priced afresh.
     """
+    table = platform if isinstance(platform, PowerTable) else PowerTable(platform)
     facts = trace.facts
     horizon = trace.horizon / SCALE
     busy = {res: b / SCALE for res, b in facts.busy_ticks.items()}
     total = 0.0
 
-    ic_ids = {ic.id for ic in platform.interconnects}
     # active work, priced per interval at the frequency it ran at
     for res, iv in facts.busy.items():
-        if res in ic_ids:
+        if res in table.link_ids:
             continue
-        power = platform.processor(res).power
-        priced = None  # (frequency, watts) of the previous interval
         for (st, en), f in zip(iv, facts.start_freqs[res]):
-            if priced is None or priced[0] is not f:
-                if f not in power:
-                    raise MissingPowerEntry(f"{res} has no power entry for {f}")
-                stat, dyn = power[f]
-                priced = (f, stat + dyn)
-            total += priced[1] * (en - st) / SCALE
+            total += table.watts(res, f) * (en - st) / SCALE
 
-    for proc in platform.processors:
-        if not proc.initially_on:
-            continue
-        stat_idle, _ = proc.power[proc.min_frequency()]
-        total += stat_idle * max(horizon - busy.get(proc.id, 0.0), 0.0)
+    for pid, stat_idle in table.idle:
+        total += stat_idle * max(horizon - busy.get(pid, 0.0), 0.0)
 
-    for ic in platform.interconnects:
-        stat, dyn = ic.power
-        total += stat * horizon + dyn * busy.get(ic.id, 0.0)
+    for icid, stat, dyn in table.links:
+        total += stat * horizon + dyn * busy.get(icid, 0.0)
     return total
 
 
-def extract(trace: TimedTrace, spec: MetricSpec, platform: Platform | None = None):
+def extract(trace: TimedTrace, spec: MetricSpec, platform: Platform | PowerTable | None = None):
     """Samples for one metric from one trace, as (key, value) pairs.
 
     Time values are integer ticks; utilization and energy are floats;
-    overflow_count is an integer.
+    overflow_count is an integer.  Energy needs the platform or its
+    PowerTable.
     """
     if spec.kind == "job_latency":
         arr, ends = trace.facts.arrivals, trace.facts.last_ends
@@ -178,10 +211,10 @@ def extract(trace: TimedTrace, spec: MetricSpec, platform: Platform | None = Non
         t0 = min(t for _, t in arr.values())
         return [("", max(ends.values()) - t0)]
     if spec.kind == "utilization":
-        us = utilization(trace)
         if spec.resource:
-            return [(spec.resource, us.get(spec.resource, 0.0))]
-        return sorted(us.items())
+            b = trace.facts.busy_ticks.get(spec.resource, 0)
+            return [(spec.resource, b / trace.horizon if trace.horizon > 0 else 0.0)]
+        return sorted(utilization(trace).items())
     if spec.kind == "energy":
         if platform is None:
             raise ValueError("energy metric needs the platform")

@@ -267,7 +267,9 @@ def _freeze(arrivals, insts, sched) -> DState:
 def _cascade(net: Network, insts: list, sched):
     """Fire every start the policy allows; returns created run clocks."""
     resets = []
-    view = partial(strict_view, insts, net.inst_graph)
+    live = {i: st for i, st in enumerate(insts)
+            if st is not None and any(s != DONE for s in st)}
+    view = partial(strict_view, live, net.inst_graph)
     while True:
         disp = next_dispatch(sched, net.compiled, view)
         if disp is None:
@@ -276,7 +278,7 @@ def _cascade(net: Network, insts: list, sched):
         sched = apply_dispatch(sched, disp)
         st = list(insts[ref.instance])
         st[ref.code - net.inst_graph[ref.instance].first] = RUNNING
-        insts[ref.instance] = st
+        insts[ref.instance] = live[ref.instance] = st
         resets.append((RUN, ref.instance, ref.code))
 
 

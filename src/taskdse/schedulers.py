@@ -37,6 +37,11 @@ from .model import COMMUNICATION, Deployment, JobType, TaskSpec
 
 PENDING, QUEUED, RUNNING, DONE = 0, 1, 2, 3
 
+# The hot paths build TaskRef, Dispatch and SchedulerState values with
+# tuple.__new__ instead of the NamedTuple constructors, which are Python-level
+# functions; the values, their equality and their hashes are the same.
+_new = tuple.__new__
+
 
 class TaskRef(NamedTuple):
     """One task instance: (instance index, task code) is also the tie-break key."""
@@ -104,7 +109,7 @@ def admit(graph: TaskGraph, instance: int) -> tuple[list[int], list[TaskRef]]:
     st = [PENDING] * len(graph.tasks)
     for i in graph.sources:
         st[i] = QUEUED
-    return st, ready_order([TaskRef(instance, graph.first + i) for i in graph.sources])
+    return st, ready_order([_new(TaskRef, (instance, graph.first + i)) for i in graph.sources])
 
 
 def finish(graph: TaskGraph, st: list[int], ref: TaskRef) -> list[TaskRef] | None:
@@ -118,27 +123,26 @@ def finish(graph: TaskGraph, st: list[int], ref: TaskRef) -> list[TaskRef] | Non
              if st[k] == PENDING and all(st[p] == DONE for p in graph.preds[k])]
     for k in newly:
         st[k] = QUEUED
-    return ready_order([TaskRef(ref.instance, graph.first + k) for k in newly])
+    return ready_order([_new(TaskRef, (ref.instance, graph.first + k)) for k in newly])
 
 
-def strict_view(insts, graphs, r: int) -> list[tuple[TaskRef, bool]]:
+def strict_view(live: dict, graphs, r: int) -> list[tuple[TaskRef, bool]]:
     """Incomplete task instances mapped to processor slot `r` as (ref,
     enabled) pairs.
 
-    `insts[i]` is instance i's status list (anything else when it is not
-    admitted) and `graphs[i]` its TaskGraph; strict_priority_local picks
-    among these pairs.
+    `live` maps each admitted, incomplete instance i to its status list and
+    `graphs[i]` is its TaskGraph; strict_priority_local picks among these
+    pairs.  Completed instances have nothing left to run, so callers leave
+    them out and the scan stays as long as the backlog, not the campaign.
     """
     out = []
-    for i, st in enumerate(insts):
-        if not isinstance(st, (tuple, list)):
-            continue
+    for i, st in live.items():
         graph = graphs[i]
         for k in graph.on_pe.get(r, ()):
             if st[k] in (RUNNING, DONE):
                 continue
             enabled = all(st[p] == DONE for p in graph.preds[k])
-            out.append((TaskRef(i, graph.first + k), enabled))
+            out.append((_new(TaskRef, (i, graph.first + k)), enabled))
     return out
 
 
@@ -163,7 +167,7 @@ def enqueue(state: SchedulerState, ref: TaskRef, slot: int | None) -> SchedulerS
     if slot is None:
         return state
     queues = state.queues
-    return SchedulerState(_put(queues, slot, queues[slot] + (ref,)), state.running)
+    return _new(SchedulerState, (_put(queues, slot, queues[slot] + (ref,)), state.running))
 
 
 def next_dispatch(state: SchedulerState, compiled, strict_view=None) -> Dispatch | None:
@@ -176,7 +180,7 @@ def next_dispatch(state: SchedulerState, compiled, strict_view=None) -> Dispatch
     work-conserving start without letting time pass.  `strict_view(r)` is
     required by strict_priority_local: it returns processor slot r's
     incomplete mapped task instances as (ref, enabled) pairs.  Both engines
-    pass the module's strict_view bound to their statuses.
+    pass the module's strict_view bound to their live instances.
     """
     queues, running = state
     strict = compiled.strict
@@ -190,29 +194,30 @@ def next_dispatch(state: SchedulerState, compiled, strict_view=None) -> Dispatch
                 prio = compiled.priority
                 ref, enabled = min(pending, key=lambda p: (p[0].instance, -prio[p[0].code], p[0]))
                 if enabled:
-                    return Dispatch(ref, r, compiled.frequency(ref.code, lowest), None)
+                    return _new(Dispatch, (ref, r, compiled.frequency(ref.code, lowest), None))
                 # hold: this processor waits for its top task
             continue
         for s in compiled.serves[r]:
             q = queues[s]
             if q:
-                return Dispatch(q[0], r, compiled.frequency(q[0].code, lowest), s)
+                return _new(Dispatch, (q[0], r, compiled.frequency(q[0].code, lowest), s))
 
     for s, r in compiled.links:
         q = queues[s]
         if q and running[r] is None:
-            return Dispatch(q[0], r, None, s)
+            return _new(Dispatch, (q[0], r, None, s))
     return None
 
 
 def apply_dispatch(state: SchedulerState, d: Dispatch) -> SchedulerState:
     """Pop the dispatched task off its queue and mark the resource busy."""
     queues, running = state
-    s = d.queue
+    ref, r, _freq, s = d
     if s is not None:
         queues = _put(queues, s, queues[s][1:])
-    return SchedulerState(queues, _put(running, d.resource, d.ref))
+    return _new(SchedulerState, (queues, _put(running, r, ref)))
 
 
 def release(state: SchedulerState, resource: int) -> SchedulerState:
-    return SchedulerState(state.queues, _put(state.running, resource, None))
+    queues, running = state
+    return _new(SchedulerState, (queues, _put(running, resource, None)))

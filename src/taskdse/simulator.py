@@ -10,6 +10,11 @@ Event processing is strictly sequential and fully deterministic: the heap
 holds only ends and arrivals, ordered (time, rank, tiebreak) with ends first
 at equal time, and each processed event is followed by a dispatch cascade
 that fires every start the policy allows before the next event is popped.
+
+A run is one pass: the loop logs each event as a plain tuple in Event field
+order and gathers the metric facts (metrics.TraceFacts) as it handles the
+events, so no metric reads the log again.  Event objects are built only
+when a trace's events are read, for trace files and event_pair metrics.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import NamedTuple
 from .generators import sample_arrivals
 from .metrics import (
     MetricSpec,
+    PowerTable,
     Report,
     TIME_KINDS,
     TraceFacts,
@@ -77,20 +83,32 @@ class Event(NamedTuple):
 
 @dataclass
 class TimedTrace:
-    """One run's events (sorted), overflow count and observation horizon."""
+    """One run's events, overflow count and observation horizon.
 
-    events: list[Event]
+    `log` holds the events in processing order, as Events or as plain tuples
+    in Event field order (the form the simulator's loop appends); `events`
+    wraps them into Events on first read.  `gathered` holds the metric facts
+    when the simulator's loop collected them; otherwise `facts` derives them
+    from the events on first use.
+    """
+
+    log: list
     horizon: int = 0
     overflow_count: int = 0
     seed: int | None = None
     run_index: int = 0
     model_hash: str = ""
+    gathered: TraceFacts | None = None
+
+    @cached_property
+    def events(self) -> list[Event]:
+        return [tuple.__new__(Event, e) for e in self.log]
 
     @cached_property
     def facts(self) -> TraceFacts:
         """Arrivals, last ends, clipped busy intervals and start frequencies,
-        gathered on first use and shared by every metric."""
-        return trace_facts(self)
+        shared by every metric."""
+        return trace_facts(self) if self.gathered is None else self.gathered
 
     def lines(self) -> list[str]:
         head = []
@@ -167,9 +185,12 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
              horizon: int | None = None, model_hash: str = "",
              compiled: CompiledModel | None = None) -> TimedTrace:
     """Run `run_index` of the campaign seeded with `seed`; `compiled` is the
-    model's CompiledModel, built here when not given."""
+    model's CompiledModel, built here when not given.
+
+    The loop logs each event as a plain tuple and gathers the metric facts
+    as it handles them, so no pass over the events follows the run."""
     rng = stream_for(seed, run_index)
-    dep = model.deployment
+    capacity = model.deployment.queue_capacity
     cm = CompiledModel(model) if compiled is None else compiled
     graphs, names, queue, resources = cm.graphs, cm.names, cm.queue, cm.resources
 
@@ -187,14 +208,23 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
         inst_graph.append(graphs[model.generators[gidx].job_type])
         heapq.heappush(heap, (t, ARRIVAL, (gidx, inst), None))
 
-    # per instance: None until admitted or when dropped, else task statuses
-    insts: list[list[int] | None] = [None] * len(raw)
+    # admitted, incomplete instances -> task statuses; its size is the backlog
+    live: dict[int, list[int]] = {}
     sched = cm.idle
     last_freq: list = [None] * len(cm.lowest)  # per processor slot
-    events: list[Event] = []
-    view = partial(strict_view, insts, inst_graph)
-    backlog = 0
+    log: list[tuple] = []  # events in Event field order
+    view = partial(strict_view, live, inst_graph)
     overflow_count = 0
+    # the metric facts, in the dict order trace_facts gives them: per resource
+    # slot the start time of its task, its intervals and its start frequencies,
+    # and the slots in order of their first end and first start
+    arrivals: dict[int, tuple[str, int]] = {}
+    last_ends: dict[int, int] = {}
+    started = [0] * len(resources)
+    intervals: list[list[tuple[int, int]]] = [[] for _ in resources]
+    freqs: list[list] = [[] for _ in resources]
+    first_end: list[int] = []
+    first_start: list[int] = []
 
     def cascade(now: int):
         nonlocal sched
@@ -204,54 +234,80 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
                 return
             ref, r, freq, _queue = d
             sched = apply_dispatch(sched, d)
-            insts[ref.instance][ref.code - inst_graph[ref.instance].first] = RUNNING
-            lo, hi = cm.window(ref.code, r)
+            inst, code = ref
+            live[inst][code - inst_graph[inst].first] = RUNNING
+            lo, hi = cm.window(code, r)
             dur = lo if lo == hi else rng.uniform_ticks(lo, hi)
+            res = resources[r]
             if freq is not None:
                 last = last_freq[r]
-                if last is not freq and last != freq:  # `is` spares Fraction.__eq__
+                # `is` and the None test spare Fraction.__eq__
+                if last is not freq and (last is None or last != freq):
                     last_freq[r] = freq
-                    events.append(Event(now, "freq_set", resource=resources[r], frequency=freq))
-            events.append(Event(now, "start", ref.instance, *names[ref.code], resources[r], freq))
+                    log.append((now, "freq_set", -1, "", "", res, freq, -1))
+            job, task = names[code]
+            log.append((now, "start", inst, job, task, res, freq, -1))
+            started[r] = now
+            fs = freqs[r]
+            if not fs:
+                first_start.append(r)
+            fs.append(freq)
             heapq.heappush(heap, (now + dur, END, ref, r))
 
     # heap entries: (time, rank, key, resource slot); the key, (generator,
     # instance) for an arrival and the TaskRef for an end, breaks ties
     while heap:
-        now, rank, key, resource = heapq.heappop(heap)
+        now, rank, key, r = heapq.heappop(heap)
         if rank == ARRIVAL:
             gidx, inst = key
             graph = inst_graph[inst]
-            if backlog >= dep.queue_capacity:
+            if len(live) >= capacity:
                 overflow_count += 1
-                events.append(Event(now, "overflow", inst, graph.name, generator=gidx))
+                log.append((now, "overflow", inst, graph.name, "", "", None, gidx))
                 continue
-            backlog += 1
-            events.append(Event(now, "arrival", inst, graph.name, generator=gidx))
-            insts[inst], sources = admit(graph, inst)
+            log.append((now, "arrival", inst, graph.name, "", "", None, gidx))
+            arrivals[inst] = (graph.name, now)
+            live[inst], sources = admit(graph, inst)
             for ref in sources:
                 sched = enqueue(sched, ref, queue[ref.code])
             cascade(now)
         else:  # end
             ref = key
-            sched = release(sched, resource)
-            graph = inst_graph[ref.instance]
-            events.append(Event(now, "end", ref.instance, *names[ref.code], resources[resource]))
-            newly = finish(graph, insts[ref.instance], ref)
+            inst, code = ref
+            sched = release(sched, r)
+            job, task = names[code]
+            log.append((now, "end", inst, job, task, resources[r], None, -1))
+            last_ends[inst] = now
+            iv = intervals[r]
+            if not iv:
+                first_end.append(r)
+            iv.append((started[r], now))
+            newly = finish(inst_graph[inst], live[inst], ref)
             if newly is None:
-                backlog -= 1
-            for nref in newly or ():
-                sched = enqueue(sched, nref, queue[nref.code])
+                del live[inst]
+            else:
+                for nref in newly:
+                    sched = enqueue(sched, nref, queue[nref.code])
             cascade(now)
 
     # events stay in processing order: non-decreasing time, ends handled
     # before arrivals before starts at each instant, and each dispatch
     # cascade recorded right after its trigger.  Re-sorting by kind rank
     # would lift a zero-width task's end above its own start and break
-    # per-resource nesting.
-    end = max((e.time for e in events), default=0)
-    return TimedTrace(events, horizon if horizon is not None else end, overflow_count,
-                      seed=seed, run_index=run_index, model_hash=model_hash)
+    # per-resource nesting.  The last event is therefore the latest.
+    end = log[-1][0] if log else 0
+    h = end if horizon is None else horizon
+    busy = {}
+    for r in first_end:
+        iv = intervals[r]
+        if h < end:
+            iv = [(min(st, h), min(en, h)) for st, en in iv]
+        busy[resources[r]] = iv
+    busy_ticks = {res: sum(en - st for st, en in iv) for res, iv in busy.items()}
+    start_freqs = {resources[r]: freqs[r] for r in first_start}
+    facts = TraceFacts(arrivals, last_ends, busy, busy_ticks, start_freqs)
+    return TimedTrace(log, h, overflow_count, seed=seed, run_index=run_index,
+                      model_hash=model_hash, gathered=facts)
 
 
 @dataclass
@@ -290,13 +346,14 @@ def run_campaign(model: SystemModel, runs: int, seed: int,
     overflow_total = 0
     traces: list[TimedTrace] | None = [] if keep_traces else None
     compiled = CompiledModel(model)
+    prices = PowerTable(model.platform)
     for i in range(runs):
         t = simulate(model, seed, i, horizon, model_hash, compiled)
         horizons.append(t.horizon)
         overflow_total += t.overflow_count
         overflow_runs += 1 if t.overflow_count else 0
         for s in specs:
-            per_run[s.label].append(extract(t, s, model.platform))
+            per_run[s.label].append(extract(t, s, prices))
         if traces is not None:
             traces.append(t)
     reports = {}

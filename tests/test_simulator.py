@@ -6,6 +6,7 @@ from taskdse import config, fixtures, metrics, simulator
 from taskdse.generators import Generator
 from taskdse.model import Deployment, JobType, Platform, Processor, SystemModel, TaskSpec, WorkInterval
 from taskdse.metrics import MetricSpec, busy_intervals
+from taskdse.schedulers import DONE, strict_view
 from taskdse.simulator import CompiledModel, run_campaign, simulate
 from taskdse.timebase import SCALE, to_ticks
 
@@ -131,7 +132,7 @@ def test_run_campaign_rejects_zero_runs():
 
 def test_campaign_compiles_once_and_reads_each_trace_once(monkeypatch):
     """Graphs are built once per campaign, each (job, task, resource) window
-    once, and every metric of a run shares one busy_intervals pass."""
+    once, and no metric re-reads the events: the loop gathered the facts."""
     calls = {"busy_intervals": 0, "expand_comm_tasks": 0, "task_duration": 0}
 
     def counted(module, name):
@@ -150,7 +151,7 @@ def test_campaign_compiles_once_and_reads_each_trace_once(monkeypatch):
     c = run_campaign(m, 4, seed=3, keep_traces=True)
 
     keys = {(e.job, e.task, e.resource) for t in c.traces for e in t.events if e.kind == "start"}
-    assert calls["busy_intervals"] == 4
+    assert calls["busy_intervals"] == 0
     assert calls["expand_comm_tasks"] == len(m.job_types)
     assert 0 < calls["task_duration"] <= len(keys)
 
@@ -183,3 +184,20 @@ def test_each_processor_runs_a_task_at_its_own_frequency():
         (1, "a"): ("PE1", to_ticks(2)),
         (1, "b"): ("PE1", to_ticks("0.5")),
     }
+
+
+def test_strict_scan_never_visits_a_completed_instance(monkeypatch):
+    """The simulator hands strict_view only its live instances, so the scan
+    is as long as the backlog, not the campaign."""
+    sizes = []
+
+    def checked(live, graphs, r):
+        assert all(any(s != DONE for s in st) for st in live.values())
+        sizes.append(len(live))
+        return strict_view(live, graphs, r)
+
+    monkeypatch.setattr(simulator, "strict_view", checked)
+    m = fixtures.mapping_stream(period=4500, policy="strict_priority_local", count=40)
+    t = simulate(m, 3, 0)
+    assert len(t.facts.last_ends) == 40 and not t.overflow_count
+    assert sizes and max(sizes) <= m.deployment.queue_capacity
