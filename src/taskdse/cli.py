@@ -339,7 +339,8 @@ def _cmd_sweep(args) -> int:
 
     payloads = []
     for i, assignment in enumerate(points):
-        label = _point_label(assignment)
+        # a value may hold "/" (frequency=800/2); the point stays one directory
+        label = _point_label(assignment).replace("/", "%2F")
         payloads.append((data, assignment, args.runs,
                          derive_seed(args.seed, i), os.path.join(out, label)))
 

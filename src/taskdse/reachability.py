@@ -69,12 +69,11 @@ from .zones import (
     constrain_upper,
     elapse,
     enc,
-    enc_add,
-    enc_neg,
     new_zero,
     relayout,
     zone_includes,
     LE_ZERO,
+    _mat_add,
 )
 
 # clock tags are (group, ...) tuples; the groups number the canonical layout
@@ -440,21 +439,28 @@ def _hull_is_union(h, a, b) -> bool:
 
     h differs from the union iff some point of h violates one bound of a and
     one bound of b; only bounds the hull strictly relaxed can be violated, so
-    the pair search is restricted to those entries.
+    the pair search runs over the entries (i, j) where h > a and (k, l) where
+    h > b.  It is closed form, with no copy and no closure:
+
+    - h is canonical, so cutting it with the complement of a's bound,
+      c_j - c_i ~ not a[i, j], changes entry (k, l) only to
+      min(h[k, l], h[k, j] + not a[i, j] + h[i, l]).
+    - The cut is never empty, because h[i, j] > a[i, j].
+    - The cut meets the complement of b's bound iff that entry exceeds
+      b[k, l] (enc_add(enc_neg(e), x) >= LE_ZERO holds exactly when x > e),
+      and h[k, l] already does.
+
+    So h is not the union exactly when some pair has
+    h[k, j] + not a[i, j] + h[i, l] > b[k, l], with + the bound sum enc_add
+    and not e = enc_neg(e) = LE_ZERO - e.  Every pair is tested in one
+    broadcast, the (k, l) pairs down the rows and the (i, j) across.
     """
-    ta = np.argwhere(h > a)
-    tb = np.argwhere(h > b)
-    if len(ta) == 0 or len(tb) == 0:
+    ti, tj = np.nonzero(h > a)
+    tk, tl = np.nonzero(h > b)
+    if len(ti) == 0 or len(tk) == 0:
         return True  # hull collapses to one operand
-    for i, j in ta:
-        z = h.copy()
-        if not constrain_one(z, int(j), int(i), enc_neg(int(a[i, j]))):
-            continue  # no point of h escapes a across this bound
-        for k, l in tb:
-            # one O(1) feasibility probe per candidate pair
-            if enc_add(enc_neg(int(b[k, l])), int(z[k, l])) >= LE_ZERO:
-                return False
-    return True
+    via = _mat_add(_mat_add(h[tk[:, None], tj], LE_ZERO - a[ti, tj]), h[ti, tl[:, None]])
+    return not (via > b[tk, tl][:, None]).any()
 
 
 def _family_hull(mats: list):

@@ -117,10 +117,17 @@ def finish(graph: TaskGraph, st: list[int], ref: TaskRef) -> list[TaskRef] | Non
     successors it enables, now QUEUED and in ready order."""
     i = ref.code - graph.first
     st[i] = DONE
-    if st.count(DONE) == len(st):
+    if min(st) == DONE:  # DONE is the largest status
         return None
-    newly = [k for k in graph.succs[i]
-             if st[k] == PENDING and all(st[p] == DONE for p in graph.preds[k])]
+    newly = []
+    for k in graph.succs[i]:
+        if st[k] != PENDING:
+            continue
+        for p in graph.preds[k]:
+            if st[p] != DONE:
+                break
+        else:
+            newly.append(k)
     for k in newly:
         st[k] = QUEUED
     return ready_order([_new(TaskRef, (ref.instance, graph.first + k)) for k in newly])

@@ -8,13 +8,17 @@ in an encoded int64 form so the hot path can run on numpy arrays:
     enc(v, strict) = 2*v          (c_i - c_j <  v)
     INF_ENC                        (no bound)
 
-The encoding is order-preserving, and bound addition is a shift/or dance that
-never allocates Python objects.  Canonical form is the all-pairs shortest-path
-tightening.  Every operation here maps canonical zones to canonical zones;
-constrain_one does it with one incremental pass and reports an empty zone
-when the new bound closes a negative cycle, and constrain_upper applies any
-number of upper bounds on single clocks in one such pass.  Inclusion is
-therefore a plain entrywise comparison.
+The encoding is order-preserving, and bound addition is plain integer
+arithmetic: a + b - ((a | b) & 1) adds the values and keeps the weak bit only
+when both bounds are weak, and the complement of a bound is LE_ZERO - e.  On
+matrices a sum with an INF_ENC operand may wrap around int64 (INF + INF);
+such entries are masked back to INF_ENC, and no Python object is allocated.
+Canonical form is the all-pairs shortest-path tightening.  Every operation
+here maps canonical zones to canonical zones; constrain_one does it with one
+incremental pass and reports an empty zone when the new bound closes a
+negative cycle, and constrain_upper applies any number of upper bounds on
+single clocks in one such pass.  Inclusion is therefore a plain entrywise
+comparison.
 """
 
 from __future__ import annotations
@@ -32,20 +36,23 @@ def enc(value: int, strict: bool = False) -> int:
 def enc_add(a: int, b: int) -> int:
     if a >= INF_ENC or b >= INF_ENC:
         return INF_ENC
-    return (((a >> 1) + (b >> 1)) << 1) | (a & b & 1)
+    return a + b - ((a | b) & 1)
 
 
 def enc_neg(e: int) -> int:
-    """Complement bound: points violating (c_i - c_j ~ v) satisfy this on (j, i)."""
-    v = e >> 1
-    weak = e & 1
-    # not(x <= v)  ->  -x < -v ; not(x < v) -> -x <= -v
-    return ((-v) << 1) | (0 if weak else 1)
+    """Complement bound: points violating (c_i - c_j ~ v) satisfy this on (j, i).
+
+    not(x <= v) is -x < -v and not(x < v) is -x <= -v; both are LE_ZERO - e.
+    """
+    return LE_ZERO - e
 
 
 def _mat_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    s = (((a >> 1) + (b >> 1)) << 1) | (a & b & 1)
-    return np.where((a >= INF_ENC) | (b >= INF_ENC), INF_ENC, s)
+    """enc_add entry by entry, over broadcast operands."""
+    s = a + b
+    s -= (a | b) & 1
+    s[np.maximum(a, b) >= INF_ENC] = INF_ENC  # also every wrapped INF + INF
+    return s
 
 
 def new_zero(m: int) -> np.ndarray:

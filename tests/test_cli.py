@@ -327,6 +327,20 @@ def test_sweep_repeated_axis_value_rejected(tmp_path, capsys, workers):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_value_with_a_slash_writes_one_flat_directory(tmp_path, capsys, workers):
+    power = str(pathlib.Path(CHAIN2).parent / "power_sweep.json")
+    out = tmp_path / "w"
+    assert cli.main(["sweep", power, "--axis", "frequency=400,800/2", "--workers", workers,
+                     "--runs", "1", "--seed", "2", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "frequency=400", "frequency=800%2F2", "tradeoff.csv"]
+    assert (out / "frequency=800%2F2" / "report.json").is_file()
+    rows = (out / "tradeoff.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["400", "800/2"]
+    assert "frequency=800/2: mean_makespan" in capsys.readouterr().out
+
+
 def test_sweep_processors_and_frequency(tmp_path):
     power = str(pathlib.Path(CHAIN2).parent / "power_sweep.json")
     out = tmp_path / "pf"

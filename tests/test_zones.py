@@ -5,16 +5,19 @@ The randomized cases build every zone the way the formal engine does: one
 weak (non-strict) integer bounds only.  Such a zone, when non-empty, is an
 integral polytope (shortest-path potentials are integral), so enumerating a
 bounded integer grid is an exact reference for emptiness, inclusion and
-per-clock bounds.
+per-clock bounds.  The closed-form hull test is also compared with the
+cut-and-close algorithm it replaced, on zones with strict bounds too.
 """
 
 import numpy as np
 
-from taskdse.reachability import _family_hull, _hull_is_union
+from taskdse import fixtures, reachability
+from taskdse.reachability import _family_hull, _hull_is_union, reach_bounds
 from taskdse.rng import SplitMix64
 from taskdse.zones import (
     INF_ENC,
     LE_ZERO,
+    _mat_add,
     clock_window,
     constrain_one,
     constrain_upper,
@@ -44,6 +47,39 @@ def test_encoding_orders_strictness():
     # not (x < 5) is -x <= -5; not (x <= 5) is -x < -5
     assert enc_neg(enc(5, strict=True)) == enc(-5)
     assert enc_neg(enc(5)) == enc(-5, strict=True)
+
+
+def bound_sum(a: int, b: int) -> int:
+    """Reference bound addition from the encoding's definition."""
+    if a >= INF_ENC or b >= INF_ENC:
+        return INF_ENC
+    return enc((a >> 1) + (b >> 1), strict=not (a & b & 1))
+
+
+def test_bound_addition_and_complement_on_every_kind_of_entry():
+    rng = SplitMix64(0xADD)
+    for case in range(40):
+        n = 1 + int(rng.next_u64() % 6)
+        # weak and strict bounds around zero, and INF
+        pool = [enc(int(rng.next_u64() % 41) - 20, strict=bool(rng.next_u64() % 2))
+                for _ in range(8)] + [INF_ENC, INF_ENC]
+        a = np.array([[pool[rng.next_u64() % len(pool)] for _ in range(n)]
+                      for _ in range(n)], dtype=np.int64)
+        b = np.array([pool[rng.next_u64() % len(pool)] for _ in range(n)], dtype=np.int64)
+        a[0, 0] = b[0] = INF_ENC  # INF + INF wraps around int64
+        got = _mat_add(a, b[None, :])
+        outer = _mat_add(a[:, :1], b[None, :])  # both operands broadcast
+        for i in range(n):
+            for j in range(n):
+                want = bound_sum(int(a[i, j]), int(b[j]))
+                assert enc_add(int(a[i, j]), int(b[j])) == want, f"case {case}"
+                assert got[i, j] == want, f"case {case}: ({i}, {j})"
+                assert outer[i, j] == bound_sum(int(a[i, 0]), int(b[j])), f"case {case}"
+    for e in (enc(7), enc(7, strict=True), enc(-3), enc(-3, strict=True), LE_ZERO):
+        assert enc_neg(e) == LE_ZERO - e
+        # a bound and its complement close a cycle of weight < 0: no common point
+        assert enc_add(e, enc_neg(e)) == enc(0, strict=True)
+    assert enc_neg(INF_ENC) == LE_ZERO - INF_ENC
 
 
 def test_zero_zone_and_unconstrained():
@@ -194,6 +230,82 @@ def test_hull_is_union_against_integer_point_oracle():
         assert _hull_is_union(h, a, b) == exact, f"case {case}"
         outcomes.add(exact)
     assert outcomes == {True, False}
+
+
+def cut_and_close(h, a, b) -> bool:
+    """Reference exact-union test: cut a copy of h with the complement of each
+    bound of a that h relaxed, close it, and probe each relaxed bound of b."""
+    ta = np.argwhere(h > a)
+    tb = np.argwhere(h > b)
+    if len(ta) == 0 or len(tb) == 0:
+        return True
+    for i, j in ta:
+        z = h.copy()
+        if not constrain_one(z, int(j), int(i), enc_neg(int(a[i, j]))):
+            continue
+        for k, l in tb:
+            if enc_add(enc_neg(int(b[k, l])), int(z[k, l])) >= LE_ZERO:
+                return False
+    return True
+
+
+def random_cut(rng: SplitMix64, mat: np.ndarray, cuts: int, bound: int = 6) -> np.ndarray | None:
+    """Copy of a canonical zone cut by random weak or strict difference bounds."""
+    z = mat.copy()
+    n = z.shape[0] - 1
+    for _ in range(cuts):
+        i, j = int(rng.next_u64() % (n + 1)), int(rng.next_u64() % (n + 1))
+        if i == j:
+            continue
+        e = enc(int(rng.next_u64() % (2 * bound + 1)) - bound, strict=bool(rng.next_u64() % 2))
+        if not constrain_one(z, i, j, e):
+            return None
+    return z
+
+
+def test_closed_form_hull_test_equals_cut_and_close_on_strict_zones():
+    # Two cuts of one random base zone share most bounds, so both outcomes
+    # occur.  Every other case cuts the base by one bound and by its
+    # complement, which touch: a path through a's cut then ties b's bound.
+    rng = SplitMix64(0x4A12)
+    outcomes = set()
+    for case in range(2000):
+        n = 1 + case % 5
+        base = random_cut(rng, unconstrained(n), n)
+        if base is None:
+            continue
+        if case % 2:
+            a, b = random_cut(rng, base, 1 + case % 3), random_cut(rng, base, 1 + case % 4)
+        else:
+            i = int(rng.next_u64() % (n + 1))
+            j = (i + 1 + int(rng.next_u64() % n)) % (n + 1)
+            e = enc(int(rng.next_u64() % 13) - 6, strict=bool(rng.next_u64() % 2))
+            a, b = base.copy(), base.copy()
+            if not constrain_one(a, i, j, e) or not constrain_one(b, j, i, enc_neg(e)):
+                continue
+            b = random_cut(rng, b, case % 3)
+        if a is None or b is None:
+            continue
+        h = np.maximum(a, b)
+        want = cut_and_close(h, a, b)
+        assert _hull_is_union(h, a, b) == want, f"case {case}"
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_closed_form_hull_test_equals_cut_and_close_on_engine_calls(monkeypatch):
+    calls = []
+
+    def record(h, a, b):
+        calls.append((h.copy(), a.copy(), b.copy()))
+        return _hull_is_union(h, a, b)
+
+    monkeypatch.setattr(reachability, "_hull_is_union", record)
+    reach_bounds(fixtures.mapping_stream())
+    reach_bounds(fixtures.blockwise(4))
+    outcomes = [cut_and_close(h, a, b) for h, a, b in calls]
+    assert [_hull_is_union(h, a, b) for h, a, b in calls] == outcomes
+    assert set(outcomes) == {True, False}
 
 
 def test_upper_bounds_before_the_delay_change_nothing():
