@@ -252,45 +252,64 @@ def _parse_axes(specs: list[str]) -> list[tuple[str, list[str]]]:
             raise AxisError(f"axis {name!r} given twice")
         seen.add(name)
         values = vals.split(",")
-        repeated = sorted({v for v in values if values.count(v) > 1})
+        # compared parsed, so two spellings of one value (400 and 800/2,
+        # 1 and 01) count as a repeat too
+        parsed = [_axis_value(name, v) for v in values]
+        repeated = []
+        for k, p in enumerate(parsed):
+            first = parsed.index(p)
+            said = values[k] if values[k] == values[first] else f"{values[k]} (as {values[first]})"
+            if first < k and said not in repeated:
+                repeated.append(said)
         if repeated:
             raise AxisError(f"axis {name!r} repeats {', '.join(repeated)}; "
-                            "two points would write one directory")
+                            "two points would run one model")
         axes.append((name, values))
     return axes
 
 
-def apply_axis(model: SystemModel, name: str, value: str):
-    """Mutate `model` along one sweep axis; values arrive as strings."""
+def _axis_value(name: str, value: str):
+    """The value a sweep axis takes from its text: a processor count, a
+    Fraction frequency, a period in ticks or a policy name."""
     if name == "processors":
         try:
-            n = int(value)
+            return int(value)
         except ValueError:
             raise AxisError(f"processors={value!r} is not an integer") from None
+    if name == "frequency":
+        return config._fraction(value, "--axis frequency")
+    if name == "period":
+        t = config._ticks(value, "--axis period")
+        if t <= 0:
+            raise AxisError("period must be positive")
+        return t
+    if name == "policy":
+        if value not in POLICIES:
+            raise AxisError(f"unknown policy {value!r}")
+        return value
+    raise AxisError(f"unknown axis {name!r}")
+
+
+def apply_axis(model: SystemModel, name: str, value: str):
+    """Mutate `model` along one sweep axis; values arrive as strings."""
+    v = _axis_value(name, value)
+    if name == "processors":
         pes = model.platform.processors
-        if not 1 <= n <= len(pes):
-            raise AxisError(f"processors={n} outside 1..{len(pes)}")
+        if not 1 <= v <= len(pes):
+            raise AxisError(f"processors={v} outside 1..{len(pes)}")
         if model.deployment.policy in LOCAL_POLICIES:
             raise AxisError("processors axis needs a global policy; "
                             "local mappings pin tasks to named processors")
         for i, pe in enumerate(pes):
-            pe.initially_on = i < n
+            pe.initially_on = i < v
     elif name == "frequency":
-        f = config._fraction(value, "--axis frequency")
         for pe in model.platform.processors:
-            pe.frequencies = [f]
+            pe.frequencies = [v]
     elif name == "period":
-        t = config._ticks(value, "--axis period")
-        if t <= 0:
-            raise AxisError("period must be positive")
         for g in model.generators:
-            g.period = t
-    elif name == "policy":
-        if value not in POLICIES:
-            raise AxisError(f"unknown policy {value!r}")
-        model.deployment.policy = value
-    else:
-        raise AxisError(f"unknown axis {name!r}")
+            g.period = v
+    else:  # policy
+        model.deployment.policy = v
 
 
 def _point_label(assignment: list[tuple[str, str]]) -> str:

@@ -58,9 +58,11 @@ from .schedulers import (
     apply_dispatch,
     enqueue,
     finish,
+    freeze,
     next_dispatch,
     release,
     strict_view,
+    thaw,
 )
 from .simulator import CompiledModel
 from .zones import (
@@ -263,18 +265,19 @@ def _freeze(arrivals, insts, sched) -> DState:
     )
 
 
-def _cascade(net: Network, insts: list, sched):
-    """Fire every start the policy allows; returns created run clocks."""
+def _cascade(net: Network, insts: list, work) -> list:
+    """Fire every start the policy allows on the scheduler's working state
+    `work`; returns created run clocks."""
     resets = []
     live = {i: st for i, st in enumerate(insts)
             if st is not None and any(s != DONE for s in st)}
     view = partial(strict_view, live, net.inst_graph)
     while True:
-        disp = next_dispatch(sched, net.compiled, view)
+        disp = next_dispatch(work, net.compiled, view)
         if disp is None:
-            return sched, resets
+            return resets
         ref = disp.ref
-        sched = apply_dispatch(sched, disp)
+        apply_dispatch(work, disp)
         st = list(insts[ref.instance])
         st[ref.code - net.inst_graph[ref.instance].first] = RUNNING
         insts[ref.instance] = live[ref.instance] = st
@@ -282,15 +285,18 @@ def _cascade(net: Network, insts: list, sched):
 
 
 def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
+    """End `ref` on `resource`; returns (d2, resets, the instance it
+    completed or None)."""
     graph = net.inst_graph[ref.instance]
     insts = list(d.insts)
     st = insts[ref.instance] = list(insts[ref.instance])
-    sched = release(d.sched, resource)
+    work = thaw(d.sched)
+    release(work, resource)
     newly = finish(graph, st, ref)
     for nref in newly or ():
-        sched = enqueue(sched, nref, net.compiled.queue[nref.code])
-    sched, resets = _cascade(net, insts, sched)
-    d2 = _freeze(d.arrivals, insts, sched)
+        enqueue(work, nref, net.compiled.queue[nref.code])
+    resets = _cascade(net, insts, work)
+    d2 = _freeze(d.arrivals, insts, freeze(work))
     return d2, resets, (ref.instance if newly is None else None)
 
 
@@ -309,11 +315,11 @@ def _after_arrival(net: Network, d: DState, gidx: int):
 
     graph = net.inst_graph[inst]
     insts[inst], sources = admit(graph, inst)
-    sched = d.sched
+    work = thaw(d.sched)
     for ref in sources:
-        sched = enqueue(sched, ref, net.compiled.queue[ref.code])
-    sched, more = _cascade(net, insts, sched)
-    return _freeze(arrivals, insts, sched), resets + more
+        enqueue(work, ref, net.compiled.queue[ref.code])
+    more = _cascade(net, insts, work)
+    return _freeze(arrivals, insts, freeze(work)), resets + more
 
 
 # ---------------------------------------------------------------------------
@@ -382,49 +388,57 @@ class _Renaming:
         return relayout(mat, [0] + [src_of[p] for p in sorted(src_of)])
 
 
+def _member_key(d: DState, m: Member) -> tuple:
+    """Member m's statuses across all instances and its local queue, both
+    read position by position, so members with equal keys look alike."""
+    status = tuple(st[p] for st, ps in zip(d.insts, m.pos) if st is not None for p in ps)
+    queue = () if m.queue is None else tuple(
+        (ref.instance, m.codes.index(ref.code)) for ref in d.sched.queues[m.queue])
+    return status, queue
+
+
 def _canonical(net: Network, d: DState, idx: dict, mat):
     """Representative of (d, mat) under permutations of each processor class.
 
-    A member's key is its statuses across all instances and its local queue,
-    both read position by position.  Each class's members are sorted by that
-    key alone, and the sort is applied as one `_Renaming`.  Members with
-    equal keys keep their slot order, so the form is approximate: one orbit
-    may leave several zones in a configuration, never a wrong one, since
-    every permutation fixes each clock a bound reads.
+    Each class's members are sorted by `_member_key` alone, and the sort is
+    applied as one `_Renaming`.  Members with equal keys keep their slot
+    order, so the form is approximate: one orbit may leave several zones in
+    a configuration, never a wrong one, since every permutation fixes each
+    clock a bound reads.
     """
-    queues = d.sched.queues
     moves = []
     for cls in net.orbits:
-        keys = []
-        for m in cls:
-            status = tuple(st[p] for st, ps in zip(d.insts, m.pos) if st is not None for p in ps)
-            queue = () if m.queue is None else tuple(
-                (ref.instance, m.codes.index(ref.code)) for ref in queues[m.queue])
-            keys.append((status, queue))
+        keys = [_member_key(d, m) for m in cls]
         order = sorted(range(len(cls)), key=keys.__getitem__)
         moves += [(cls[src], cls[dst]) for dst, src in enumerate(order) if dst != src]
     if not moves:
         return d, mat
     perm = _Renaming(moves)
-    sched = SchedulerState(perm.queues(queues), perm.running(d.sched.running))
+    sched = SchedulerState(perm.queues(d.sched.queues), perm.running(d.sched.running))
     return DState(d.arrivals, perm.insts(d.insts), sched), perm.zone(idx, mat)
 
 
 def _mirrors(d: DState, idx: dict, mat, o: Member, r: Member) -> bool:
-    """True when swapping members o and r of one class, r running a task,
-    maps (d, mat) onto itself.  The three zone entries the swap exchanges,
-    between the two run clocks and each against clock 0, differ in nearly
-    every zone the swap does not fix, so they are compared first; then the
-    statuses, running tasks and local queues, and last the whole zone."""
+    """True when swapping members o and r of one class, both running a
+    task, maps (d, mat) onto itself.
+
+    Equal member keys mean the swap fixes the statuses, the running tasks
+    and the local queues, and then it exchanges exactly the two run clocks
+    a and b.  So the zone must be symmetric in a and b: row a equals row b
+    and column a equals column b once entries a and b are exchanged.  The
+    three entries between the two clocks and against clock 0 differ in
+    nearly every zone the swap does not fix, so they are compared first.
+    """
     running = d.sched.running
     ro, rr = running[o.slot], running[r.slot]
     a, b = idx[(RUN, ro.instance, ro.code)], idx[(RUN, rr.instance, rr.code)]
     if not (mat[a, b] == mat[b, a] and mat[a, 0] == mat[b, 0] and mat[0, a] == mat[0, b]):
         return False
-    swap = _Renaming(((o, r), (r, o)))
-    return (swap.insts(d.insts) == d.insts and swap.running(running) == running
-            and swap.queues(d.sched.queues) == d.sched.queues
-            and np.array_equal(swap.zone(idx, mat), mat))
+    if _member_key(d, o) != _member_key(d, r):
+        return False
+    swap = list(range(len(mat)))
+    swap[a], swap[b] = b, a
+    return np.array_equal(mat[a, swap], mat[b]) and np.array_equal(mat[swap, a], mat[:, b])
 
 
 def _shift(mat, old_idx: dict, new_lay: tuple, resets) -> np.ndarray:

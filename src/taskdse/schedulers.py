@@ -1,12 +1,20 @@
 """Deterministic scheduling policies shared by both analysis engines.
 
-The policy state is a frozen value (plain tuples), so the formal engine can
-hash it into discrete states and the simulator can mutate-by-replacement; both
-therefore run the exact same decision code.  Tasks are addressed by integer
-codes that a compiled model assigns in (job name, task id) order.  Tie-breaks
-are total: tasks that become ready at the same instant enqueue in (instance
-index, task code) order, which is (instance index, job name, task id) order,
-and free processors are considered in ascending id order.
+The policy state has two forms.  `SchedulerState` is the frozen value
+(plain tuples) that the formal engine hashes into its discrete states; the
+working state is its open form, one list per queue slot and one list of
+running tasks, and `enqueue`, `apply_dispatch` and `release` change it in
+place.  `thaw` opens a frozen state and `freeze` closes a working one: the
+simulator thaws the idle state once per run and never freezes, and the formal
+engine thaws a configuration's state, applies one transition and freezes the
+successor's.  `next_dispatch` only reads queue heads and running tasks, so it
+serves both forms, and both engines run the exact same decision code.
+
+Tasks are addressed by integer codes that a compiled model assigns in (job
+name, task id) order.  Tie-breaks are total: tasks that become ready at the
+same instant enqueue in (instance index, task code) order, which is (instance
+index, job name, task id) order, and free processors are considered in
+ascending id order.
 
 The enabling rules live here too: both engines track each admitted instance
 as a list of PENDING/QUEUED/RUNNING/DONE task statuses over one TaskGraph, and
@@ -165,20 +173,30 @@ class SchedulerState(NamedTuple):
     running: tuple[TaskRef | None, ...]  # one task or None per resource slot
 
 
-def _put(entries: tuple, i: int, value) -> tuple:
-    return entries[:i] + (value,) + entries[i + 1:]
+# the open form of a SchedulerState: (queues, running), each a list
+Work = tuple[list[list[TaskRef]], list[TaskRef | None]]
 
 
-def enqueue(state: SchedulerState, ref: TaskRef, slot: int | None) -> SchedulerState:
+def thaw(state: SchedulerState) -> Work:
+    """Working state holding `state`'s queues and running tasks as lists."""
+    return [list(q) for q in state.queues], list(state.running)
+
+
+def freeze(work: Work) -> SchedulerState:
+    """Frozen, hashable copy of working state `work`."""
+    queues, running = work
+    return _new(SchedulerState, (tuple(map(tuple, queues)), tuple(running)))
+
+
+def enqueue(work: Work, ref: TaskRef, slot: int | None) -> None:
     """Append one enabled task instance to queue `slot` (None: no queue)."""
-    if slot is None:
-        return state
-    queues = state.queues
-    return _new(SchedulerState, (_put(queues, slot, queues[slot] + (ref,)), state.running))
+    if slot is not None:
+        work[0][slot].append(ref)
 
 
-def next_dispatch(state: SchedulerState, compiled, strict_view=None) -> Dispatch | None:
-    """First dispatch the policy fires in `state`, or None if none does.
+def next_dispatch(state, compiled, strict_view=None) -> Dispatch | None:
+    """First dispatch the policy fires in `state`, frozen or working, or
+    None if none does.
 
     `compiled` is the model's simulator.CompiledModel: its processor slots
     with their lowest frequencies and served queue slots, its link queues,
@@ -216,15 +234,14 @@ def next_dispatch(state: SchedulerState, compiled, strict_view=None) -> Dispatch
     return None
 
 
-def apply_dispatch(state: SchedulerState, d: Dispatch) -> SchedulerState:
+def apply_dispatch(work: Work, d: Dispatch) -> None:
     """Pop the dispatched task off its queue and mark the resource busy."""
-    queues, running = state
     ref, r, _freq, s = d
     if s is not None:
-        queues = _put(queues, s, queues[s][1:])
-    return _new(SchedulerState, (queues, _put(running, r, ref)))
+        del work[0][s][0]
+    work[1][r] = ref
 
 
-def release(state: SchedulerState, resource: int) -> SchedulerState:
-    queues, running = state
-    return _new(SchedulerState, (queues, _put(running, resource, None)))
+def release(work: Work, resource: int) -> None:
+    """Mark the resource free."""
+    work[1][resource] = None

@@ -53,6 +53,7 @@ from .schedulers import (
     queue_key,
     release,
     strict_view,
+    thaw,
 )
 from .timebase import SCALE, format_ticks_fixed
 
@@ -187,8 +188,10 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     """Run `run_index` of the campaign seeded with `seed`; `compiled` is the
     model's CompiledModel, built here when not given.
 
-    The loop logs each event as a plain tuple and gathers the metric facts
-    as it handles them, so no pass over the events follows the run."""
+    The scheduler's idle state is thawed once into a working state that the
+    kernel changes in place, and never frozen.  The loop logs each event as
+    a plain tuple and gathers the metric facts as it handles them, so no
+    pass over the events follows the run."""
     rng = stream_for(seed, run_index)
     capacity = model.deployment.queue_capacity
     cm = CompiledModel(model) if compiled is None else compiled
@@ -210,7 +213,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
 
     # admitted, incomplete instances -> task statuses; its size is the backlog
     live: dict[int, list[int]] = {}
-    sched = cm.idle
+    sched = thaw(cm.idle)  # the scheduler's working state, changed in place
     last_freq: list = [None] * len(cm.lowest)  # per processor slot
     log: list[tuple] = []  # events in Event field order
     view = partial(strict_view, live, inst_graph)
@@ -227,13 +230,12 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     first_start: list[int] = []
 
     def cascade(now: int):
-        nonlocal sched
         while True:
             d = next_dispatch(sched, cm, view)
             if d is None:
                 return
             ref, r, freq, _queue = d
-            sched = apply_dispatch(sched, d)
+            apply_dispatch(sched, d)
             inst, code = ref
             live[inst][code - inst_graph[inst].first] = RUNNING
             lo, hi = cm.window(code, r)
@@ -269,12 +271,12 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             arrivals[inst] = (graph.name, now)
             live[inst], sources = admit(graph, inst)
             for ref in sources:
-                sched = enqueue(sched, ref, queue[ref.code])
+                enqueue(sched, ref, queue[ref.code])
             cascade(now)
         else:  # end
             ref = key
             inst, code = ref
-            sched = release(sched, r)
+            release(sched, r)
             job, task = names[code]
             log.append((now, "end", inst, job, task, resources[r], None, -1))
             last_ends[inst] = now
@@ -287,7 +289,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
                 del live[inst]
             else:
                 for nref in newly:
-                    sched = enqueue(sched, nref, queue[nref.code])
+                    enqueue(sched, nref, queue[nref.code])
             cascade(now)
 
     # events stay in processing order: non-decreasing time, ends handled

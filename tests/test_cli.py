@@ -327,18 +327,31 @@ def test_sweep_repeated_axis_value_rejected(tmp_path, capsys, workers):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("axis, said", [("frequency=400,800/2", "repeats 800/2 (as 400)"),
+                                        ("frequency=400,400.0,600", "repeats 400.0 (as 400)"),
+                                        ("processors=1,01", "repeats 01 (as 1)"),
+                                        ("period=100,200,100.0,100", "repeats 100.0 (as 100), 100;")])
+def test_sweep_value_spelled_twice_rejected(tmp_path, capsys, axis, said):
+    """Two spellings of one value would run one model as two points."""
+    power = str(pathlib.Path(CHAIN2).parent / "power_sweep.json")
+    assert cli.main(["sweep", power, "--axis", axis,
+                     "--runs", "1", "--seed", "2", "--out", str(tmp_path / "w")]) == 2
+    assert said in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_value_with_a_slash_writes_one_flat_directory(tmp_path, capsys, workers):
     power = str(pathlib.Path(CHAIN2).parent / "power_sweep.json")
     out = tmp_path / "w"
-    assert cli.main(["sweep", power, "--axis", "frequency=400,800/2", "--workers", workers,
+    assert cli.main(["sweep", power, "--axis", "frequency=400,1200/2", "--workers", workers,
                      "--runs", "1", "--seed", "2", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
-        "frequency=400", "frequency=800%2F2", "tradeoff.csv"]
-    assert (out / "frequency=800%2F2" / "report.json").is_file()
+        "frequency=1200%2F2", "frequency=400", "tradeoff.csv"]
+    assert (out / "frequency=1200%2F2" / "report.json").is_file()
     rows = (out / "tradeoff.csv").read_text().splitlines()
-    assert [r.split(",")[0] for r in rows[1:]] == ["400", "800/2"]
-    assert "frequency=800/2: mean_makespan" in capsys.readouterr().out
+    assert [r.split(",")[0] for r in rows[1:]] == ["400", "1200/2"]
+    assert "frequency=1200/2: mean_makespan" in capsys.readouterr().out
 
 
 def test_sweep_processors_and_frequency(tmp_path):

@@ -13,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from taskdse import fixtures, reachability, simulator
@@ -294,6 +295,23 @@ def test_blocks_started_by_split_mirror_each_other(monkeypatch):
                 assert reachability._mirrors(d, idx, mat, o, r)
 
 
+@pytest.mark.parametrize("entry", ["row", "column"])
+def test_one_asymmetric_zone_entry_breaks_the_mirror(monkeypatch, entry):
+    """Tightening the bound between the global clock and one run clock, in
+    its row or in its column, leaves every other entry symmetric in the two
+    run clocks, and the swap no longer maps the zone onto itself."""
+    m = fixtures.band16(12)
+    d, idx, mat = first_compared_state(m, monkeypatch)
+    o, r = Network(m).orbits[0][:2]
+    a, t = run_clock(idx, d, o), idx[(reachability.T,)]
+    assert reachability._mirrors(d, idx, mat, o, r)
+    bent = mat.copy()
+    at = (a, t) if entry == "row" else (t, a)
+    bent[at] -= 2  # the same bound, one tick tighter
+    assert not reachability._mirrors(d, idx, bent, o, r)
+    assert not renamed_mirrors(d, idx, bent, o, r)
+
+
 def test_equal_statuses_with_unequal_run_clocks_do_not_mirror(monkeypatch):
     """Two members whose statuses match but whose running blocks started at
     different times are no mirror images of each other.  mapping_stream
@@ -363,6 +381,72 @@ def test_local_queue_order_stays_in_the_canonical_key(monkeypatch):
         forms = {reachability._canonical(net, image, _index(_layout(net, image)), zone)[0]
                  for image, zone in images.items()}
         assert len(forms) == 1
+
+
+def renamed_mirrors(d: DState, idx: dict, mat, o, r) -> bool:
+    """The mirror check `_mirrors` replaced, kept as its reference: apply
+    the swap of o and r as a `_Renaming` and compare every part of the
+    state, the zone through one relayout."""
+    swap = _Renaming(((o, r), (r, o)))
+    return (swap.insts(d.insts) == d.insts and swap.running(d.sched.running) == d.sched.running
+            and swap.queues(d.sched.queues) == d.sched.queues
+            and np.array_equal(swap.zone(idx, mat), mat))
+
+
+@pytest.mark.parametrize("name, m", [("band16(4)", fixtures.band16(4)),
+                                     ("blockwise(4)", fixtures.blockwise(4)),
+                                     ("mapping_stream", fixtures.mapping_stream())])
+def test_mirror_check_agrees_with_the_renamed_swap(name, m, monkeypatch):
+    """In every explored state where the search compares members, every
+    pair of running members of a class gets the same answer from
+    `_mirrors` as from the renamed swap."""
+    net = Network(m)
+    check = reachability._mirrors
+    states = {}
+
+    def recorded(d, idx, mat, o, r):
+        states.setdefault((d, mat.tobytes()), (d, idx, mat.copy()))
+        return check(d, idx, mat, o, r)
+
+    monkeypatch.setattr(reachability, "_mirrors", recorded)
+    reach_bounds(m)
+    answers = []
+    for d, idx, mat in states.values():
+        for cls in net.orbits:
+            busy = [mem for mem in cls if d.sched.running[mem.slot] is not None]
+            for o, r in itertools.permutations(busy, 2):
+                got = check(d, idx, mat, o, r)
+                assert got == renamed_mirrors(d, idx, mat, o, r), name
+                answers.append(got)
+    assert True in answers and False in answers
+
+
+def test_search_leaves_every_stored_state_frozen(monkeypatch):
+    """Every configuration the store keeps holds its scheduler state as
+    tuples of tuples, and no later successor changes it: its hash and its
+    text after the search are those it had when it was stored."""
+    models = [fixtures.mapping_stream(), fixtures.blockwise(4), fixtures.band16(3)]
+    models[2].deployment.policy = "fifo_global"
+    stores = []
+    insert = reachability._Store.insert
+
+    def recorded(self, d, mat):
+        if not stores or stores[-1][0] is not self:
+            stores.append((self, {}))
+        stores[-1][1].setdefault(id(d), (d, hash(d), repr(d)))
+        return insert(self, d, mat)
+
+    monkeypatch.setattr(reachability._Store, "insert", recorded)
+    for m in models:
+        reach_bounds(m)
+    assert len(stores) == len(models)
+    for store, seen in stores:
+        assert len(seen) >= len(store.zones)
+        for d in store.zones:
+            assert type(d.sched.queues) is tuple and type(d.sched.running) is tuple
+            assert all(type(q) is tuple for q in d.sched.queues)
+        for d, h, text in seen.values():
+            assert hash(d) == h and repr(d) == text
 
 
 def test_mirrored_completions_are_counted():

@@ -1,8 +1,12 @@
-"""Scheduling policies: dispatch order, work conservation, hold-back."""
+"""Scheduling policies: dispatch order, work conservation, hold-back, and
+the in-place kernel against a functional reference."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+from taskdse import reachability, schedulers, simulator
 
 from taskdse.model import (
     COMMUNICATION,
@@ -20,13 +24,16 @@ from taskdse.schedulers import (
     LOCAL,
     SHARED,
     Dispatch,
+    SchedulerState,
     TaskRef,
     apply_dispatch,
     enqueue,
+    freeze,
     next_dispatch,
     queue_key,
     ready_order,
     release,
+    thaw,
 )
 from taskdse.simulator import CompiledModel
 
@@ -52,8 +59,8 @@ def _compile(plat, dep, jobs):
     return cm, lambda instance, job, task: TaskRef(instance, codes[(job, task)])
 
 
-def _enqueue(st, ref, cm):
-    return enqueue(st, ref, cm.queue[ref.code])
+def _enqueue(work, ref, cm):
+    enqueue(work, ref, cm.queue[ref.code])
 
 
 def test_ready_order_is_instance_then_job_then_task():
@@ -69,20 +76,20 @@ def test_fifo_global_drains_in_arrival_order_to_lowest_pe():
     cm, ref = _compile(plat, dep, {"j": ["a", "b", "c"]})
     assert cm.resources == ["PE0", "PE1"]
     assert cm.queue == [0, 0, 0]  # the one shared queue
-    st = cm.idle
+    st = thaw(cm.idle)
     r1, r2, r3 = ref(0, "j", "a"), ref(0, "j", "b"), ref(0, "j", "c")
     for r in (r1, r2, r3):
-        st = _enqueue(st, r, cm)
+        _enqueue(st, r, cm)
 
     d1 = next_dispatch(st, cm)
     assert d1 == Dispatch(r1, 0, Fraction(1), 0)  # PE0
-    st = apply_dispatch(st, d1)
+    apply_dispatch(st, d1)
     d2 = next_dispatch(st, cm)
     assert d2 == Dispatch(r2, 1, Fraction(1), 0)  # PE1
-    st = apply_dispatch(st, d2)
+    apply_dispatch(st, d2)
     assert next_dispatch(st, cm) is None  # both PEs busy
 
-    st = release(st, 0)
+    release(st, 0)
     d3 = next_dispatch(st, cm)
     assert d3 == Dispatch(r3, 0, Fraction(1), 0)
 
@@ -92,13 +99,13 @@ def test_fifo_local_respects_mapping():
     dep = Deployment(policy="fifo_local", mapping={"a": "PE1", "b": "PE0"})
     cm, ref = _compile(plat, dep, {"j": ["a", "b"]})
     assert cm.queue == [1, 0] and cm.serves == [(0,), (1,)]  # each PE its own slot
-    st = cm.idle
+    st = thaw(cm.idle)
     ra, rb = ref(0, "j", "a"), ref(0, "j", "b")
-    st = _enqueue(st, ra, cm)
-    st = _enqueue(st, rb, cm)
+    _enqueue(st, ra, cm)
+    _enqueue(st, rb, cm)
     d1 = next_dispatch(st, cm)
     assert cm.resources[d1.resource] == "PE0" and d1.ref == rb  # PE0 considered first
-    st = apply_dispatch(st, d1)
+    apply_dispatch(st, d1)
     d2 = next_dispatch(st, cm)
     assert cm.resources[d2.resource] == "PE1" and d2.ref == ra
 
@@ -107,9 +114,9 @@ def test_priority_global_serves_higher_level_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"hi": 2, "lo": 1})
     cm, ref = _compile(plat, dep, {"j": ["lo", "hi"]})
-    st = cm.idle
-    st = _enqueue(st, ref(0, "j", "lo"), cm)
-    st = _enqueue(st, ref(0, "j", "hi"), cm)
+    st = thaw(cm.idle)
+    _enqueue(st, ref(0, "j", "lo"), cm)
+    _enqueue(st, ref(0, "j", "hi"), cm)
     d = next_dispatch(st, cm)
     assert d.ref == ref(0, "j", "hi")
 
@@ -118,20 +125,21 @@ def test_one_map_serves_three_levels_highest_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"lo": 1, "mid": 5, "hi": 9})
     cm, ref = _compile(plat, dep, {"j": ["mid", "lo", "hi", "mid2"]})
-    st = cm.idle
+    st = thaw(cm.idle)
     for tid in ("mid", "lo", "hi", "mid2"):  # mid2 has no level: 0, below lo
-        st = _enqueue(st, ref(0, "j", tid), cm)
+        _enqueue(st, ref(0, "j", tid), cm)
     # one slot per level, numbered from the highest level down: service order
     assert [cm.queue[ref(0, "j", tid).code] for tid in ("hi", "mid", "lo", "mid2")] == [0, 1, 2, 3]
     assert cm.serves == [(0, 1, 2, 3)]
-    assert st.queues == ((ref(0, "j", "hi"),), (ref(0, "j", "mid"),),
-                         (ref(0, "j", "lo"),), (ref(0, "j", "mid2"),))
+    assert freeze(st).queues == ((ref(0, "j", "hi"),), (ref(0, "j", "mid"),),
+                                 (ref(0, "j", "lo"),), (ref(0, "j", "mid2"),))
     served = []
     while (d := next_dispatch(st, cm)) is not None:
         served.append(cm.names[d.ref.code][1])
-        st = release(apply_dispatch(st, d), d.resource)
+        apply_dispatch(st, d)
+        release(st, d.resource)
     assert served == ["hi", "mid", "lo", "mid2"]
-    assert st == cm.idle  # drained queues leave the idle state
+    assert freeze(st) == cm.idle  # drained queues leave the idle state
 
 
 def test_queue_key_resolves_each_policy():
@@ -157,7 +165,7 @@ def test_strict_priority_local_holds_back():
                      priorities={"top": 2, "low": 1})
     cm, ref = _compile(plat, dep, {"j": ["top", "low"]})
     assert cm.queue == [None, None] and cm.idle.queues == ()
-    st = cm.idle
+    st = thaw(cm.idle)
 
     # top not yet enabled: the PE must idle rather than run low
     pending = {0: [(ref(0, "j", "top"), False), (ref(0, "j", "low"), True)]}
@@ -173,7 +181,7 @@ def test_strict_priority_local_finishes_instance_before_next():
     plat = _platform(1)
     dep = Deployment(policy="strict_priority_local", mapping={"t": "PE0"}, priorities={"t": 1})
     cm, ref = _compile(plat, dep, {"j": ["t"]})
-    st = cm.idle
+    st = thaw(cm.idle)
     pending = {0: [(ref(1, "j", "t"), True), (ref(0, "j", "t"), True)]}
     d = next_dispatch(st, cm, strict_view=lambda r: pending[r])
     assert d.ref.instance == 0
@@ -186,15 +194,16 @@ def test_communication_tasks_queue_on_interconnect():
     comm = _task("a->b", kind=COMMUNICATION, ic="bus")
     cm, ref = _compile(plat, dep, {"j": [comm]})
     assert cm.resources == ["PE0", "bus"] and cm.links == ((0, 1),)
-    st = _enqueue(cm.idle, ref(0, "j", "a->b"), cm)
+    st = thaw(cm.idle)
+    _enqueue(st, ref(0, "j", "a->b"), cm)
 
     d = next_dispatch(st, cm)
     assert d == Dispatch(ref(0, "j", "a->b"), 1, None, 0)
     assert cm.resources[d.resource] == "bus"
-    st = apply_dispatch(st, d)
+    apply_dispatch(st, d)
     assert next_dispatch(st, cm) is None
-    st = release(st, d.resource)
-    assert st == cm.idle
+    release(st, d.resource)
+    assert freeze(st) == cm.idle
 
 
 def test_slots_number_processors_then_interconnects_by_id():
@@ -220,14 +229,119 @@ def test_off_processors_never_dispatch():
     dep = Deployment(policy="fifo_global")
     cm, ref = _compile(plat, dep, {"j": ["a"]})
     assert cm.resources == ["PE1"]
-    st = _enqueue(cm.idle, ref(0, "j", "a"), cm)
+    st = thaw(cm.idle)
+    _enqueue(st, ref(0, "j", "a"), cm)
     d = next_dispatch(st, cm)
     assert cm.resources[d.resource] == "PE1"
 
 
 def test_scheduler_state_is_hashable_value():
+    """Two frozen states built alike are equal and hash equal."""
     dep = Deployment(policy="fifo_global")
     cm, ref = _compile(_platform(1), dep, {"j": ["a"]})
-    a = _enqueue(cm.idle, ref(0, "j", "a"), cm)
-    b = _enqueue(cm.idle, ref(0, "j", "a"), cm)
+    frozen = []
+    for _ in range(2):
+        st = thaw(cm.idle)
+        _enqueue(st, ref(0, "j", "a"), cm)
+        frozen.append(freeze(st))
+    a, b = frozen
     assert a == b and hash(a) == hash(b)
+    assert a == SchedulerState(((ref(0, "j", "a"),),), (None,))
+    assert cm.idle == SchedulerState(((),), (None,))  # thawing left it as it was
+
+
+@pytest.mark.parametrize("name", ["next_dispatch", "apply_dispatch", "enqueue", "release"])
+def test_both_engines_call_the_one_kernel(name):
+    """The simulator and the formal engine share one copy of the kernel."""
+    kernel = getattr(schedulers, name)
+    assert getattr(simulator, name) is kernel
+    assert getattr(reachability, name) is kernel
+
+
+# the functional kernel the in-place one replaced: each step returns a new
+# frozen state; it is the reference the working state is checked against
+
+
+def _put(entries: tuple, i: int, value) -> tuple:
+    return entries[:i] + (value,) + entries[i + 1:]
+
+
+def reference_enqueue(state, ref, slot):
+    if slot is None:
+        return state
+    return SchedulerState(_put(state.queues, slot, state.queues[slot] + (ref,)), state.running)
+
+
+def reference_apply(state, d):
+    queues, running = state
+    ref, r, _freq, s = d
+    if s is not None:
+        queues = _put(queues, s, queues[s][1:])
+    return SchedulerState(queues, _put(running, r, ref))
+
+
+def reference_release(state, resource):
+    return SchedulerState(state.queues, _put(state.running, resource, None))
+
+
+def _kernel_models():
+    """Compiled models with several queue slots, links and resources."""
+    f = Fraction(1)
+    plat = _platform(3, ics=[Interconnect("busA", rate=f), Interconnect("busB", rate=f)])
+    jobs = {"j": ["a", "b", "c", _task("x", COMMUNICATION, "busA")],
+            "k": ["d", _task("y", COMMUNICATION, "busB"), _task("z", COMMUNICATION, "busA")]}
+    mapping = {"a": "PE0", "b": "PE1", "c": "PE2", "d": "PE0"}
+    return [_compile(plat, dep, jobs)[0] for dep in (
+        Deployment(policy="fifo_global"),
+        Deployment(policy="fifo_priority_global", priorities={"a": 3, "b": 1, "d": 3}),
+        Deployment(policy="fifo_local", mapping=mapping),
+    )]
+
+
+KERNEL_MODELS = _kernel_models()
+
+
+def check_against_reference(cm, ops):
+    """Apply `ops`, (kind, argument) pairs of integers, to a thawed idle
+    state and to the reference; the frozen working state must equal the
+    reference state after every step, and both forms dispatch alike."""
+    work, ref_state = thaw(cm.idle), cm.idle
+    for kind, arg in ops:
+        if kind == 0:
+            code = arg % len(cm.tasks)
+            task = TaskRef(arg // len(cm.tasks) % 4, code)
+            enqueue(work, task, cm.queue[code])
+            ref_state = reference_enqueue(ref_state, task, cm.queue[code])
+        elif kind == 1:
+            d = next_dispatch(work, cm)
+            assert d == next_dispatch(ref_state, cm)
+            if d is not None:
+                apply_dispatch(work, d)
+                ref_state = reference_apply(ref_state, d)
+        else:
+            r = arg % len(cm.resources)
+            release(work, r)
+            ref_state = reference_release(ref_state, r)
+        frozen = freeze(work)
+        assert frozen == ref_state and hash(frozen) == hash(ref_state)
+        assert all(type(q) is tuple for q in frozen.queues) and type(frozen.running) is tuple
+
+
+@pytest.mark.parametrize("model", range(len(KERNEL_MODELS)))
+def test_in_place_kernel_matches_functional_reference(model):
+    rng = random.Random(model)
+    for _ in range(40):
+        ops = [(rng.randrange(3), rng.randrange(1000)) for _ in range(rng.randrange(1, 60))]
+        check_against_reference(KERNEL_MODELS[model], ops)
+
+
+try:
+    from hypothesis import given, strategies as hs
+except ImportError:  # the seeded sequences above still run
+    given = None
+
+if given is not None:
+    @given(hs.sampled_from(range(len(KERNEL_MODELS))),
+           hs.lists(hs.tuples(hs.integers(0, 2), hs.integers(0, 999)), max_size=80))
+    def test_in_place_kernel_matches_functional_reference_on_any_sequence(model, ops):
+        check_against_reference(KERNEL_MODELS[model], ops)
