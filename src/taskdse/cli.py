@@ -321,9 +321,6 @@ def _run_point(payload) -> dict:
     model = config.parse(data)
     for name, value in assignment:
         apply_axis(model, name, value)
-    violations = validate_model(model)
-    if violations:
-        raise AxisError(f"{_point_label(assignment)}: {violations[0]}")
     h = config.model_hash(model)
     specs = default_metrics(model)
     campaign = run_campaign(model, runs, point_seed, specs, model_hash=h)
@@ -356,8 +353,18 @@ def _cmd_sweep(args) -> int:
     for name, values in axes:
         points = [pt + [(name, v)] for pt in points for v in values]
 
+    # every point is checked before any runs, so a bad one leaves no partial
+    # tree.  Each axis sets its fields outright, so one parsed copy serves
+    # every point once the one field an axis reads, the policy, is restored
+    probe = config.parse(data)
     payloads = []
     for i, assignment in enumerate(points):
+        probe.deployment.policy = model.deployment.policy
+        for name, value in assignment:
+            apply_axis(probe, name, value)
+        violations = validate_model(probe)
+        if violations:
+            raise AxisError(f"{_point_label(assignment)}: {violations[0]}")
         # a value may hold "/" (frequency=800/2); the point stays one directory
         label = _point_label(assignment).replace("/", "%2F")
         payloads.append((data, assignment, args.runs,

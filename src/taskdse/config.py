@@ -390,9 +390,17 @@ def _ser_deployment(d: Deployment) -> dict:
 
 
 def load(path: str) -> SystemModel:
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(path, f"key {key!r} repeated in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique)
     except OSError as e:
         raise ConfigError(path, str(e)) from None
     except json.JSONDecodeError as e:

@@ -232,7 +232,11 @@ def validate_model(m: SystemModel) -> list[Violation]:
             ids.add(t.id)
             if not (0 <= t.work.lo <= t.work.hi):
                 out.append(Violation("IntervalOrder", f"{job.name}.{t.id}", f"work [{t.work.lo}, {t.work.hi}]"))
+        pairs = set()
         for e in job.edges:
+            if (e.src, e.dst) in pairs:
+                out.append(Violation("DuplicateEdge", f"{job.name}.{e.src}->{e.dst}"))
+            pairs.add((e.src, e.dst))
             for end in (e.src, e.dst):
                 if end not in ids:
                     out.append(Violation("UnknownTaskRef", f"{job.name}.{end}", f"edge {e.src}->{e.dst}"))

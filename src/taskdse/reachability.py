@@ -49,7 +49,6 @@ import numpy as np
 from .generators import GLOBAL, arrival_rule, own_clocks
 from .model import COMMUNICATION, SystemModel, TimeInterval
 from .schedulers import (
-    DONE,
     RUNNING,
     SchedulerState,
     TaskGraph,
@@ -116,7 +115,7 @@ class ReachResult:
 @dataclass(frozen=True)
 class DState:
     arrivals: tuple  # arrivals so far, per generator
-    insts: tuple  # per instance: None until admitted, else task status tuple
+    live: tuple  # (instance, task status tuple) per admitted, incomplete instance, in order
     sched: object  # SchedulerState
 
 
@@ -230,9 +229,7 @@ def _clock(gidx: int, clock: int) -> tuple:
 
 def _layout(net: Network, d: DState) -> tuple:
     ps = [(T,), (M,)]
-    for i, st in enumerate(d.insts):
-        if isinstance(st, tuple) and any(s != DONE for s in st):
-            ps.append((RESP, i))
+    ps.extend((RESP, i) for i, _st in d.live)
     for ref in d.sched.running:
         if ref is not None:
             ps.append((RUN, ref.instance, ref.code))
@@ -247,30 +244,19 @@ def _index(lay: tuple) -> dict:
     return {p: i + 1 for i, p in enumerate(lay)}
 
 
-def _backlog(insts) -> int:
-    return sum(1 for st in insts if isinstance(st, tuple) and any(s != DONE for s in st))
-
-
 def _terminal(net: Network, d: DState) -> bool:
-    if any(a < len(rules) for a, rules in zip(d.arrivals, net.rules)):
-        return False
-    return all(isinstance(st, tuple) and all(s == DONE for s in st) for st in d.insts)
+    return not d.live and all(a == len(rules) for a, rules in zip(d.arrivals, net.rules))
 
 
-def _freeze(arrivals, insts, sched) -> DState:
-    return DState(
-        tuple(arrivals),
-        tuple(tuple(s) if isinstance(s, list) else s for s in insts),
-        sched,
-    )
+def _freeze(arrivals: tuple, live: dict, sched) -> DState:
+    """Successor state holding the backlog map `live` in instance order."""
+    return DState(arrivals, tuple((i, tuple(live[i])) for i in sorted(live)), sched)
 
 
-def _cascade(net: Network, insts: list, work) -> list:
+def _cascade(net: Network, live: dict, work) -> list:
     """Fire every start the policy allows on the scheduler's working state
-    `work`; returns created run clocks."""
+    `work` and the backlog map `live`; returns created run clocks."""
     resets = []
-    live = {i: st for i, st in enumerate(insts)
-            if st is not None and any(s != DONE for s in st)}
     view = partial(strict_view, live, net.inst_graph)
     while True:
         disp = next_dispatch(work, net.compiled, view)
@@ -278,26 +264,21 @@ def _cascade(net: Network, insts: list, work) -> list:
             return resets
         ref = disp.ref
         apply_dispatch(work, disp)
-        st = list(insts[ref.instance])
-        st[ref.code - net.inst_graph[ref.instance].first] = RUNNING
-        insts[ref.instance] = live[ref.instance] = st
+        live[ref.instance][ref.code - net.inst_graph[ref.instance].first] = RUNNING
         resets.append((RUN, ref.instance, ref.code))
 
 
 def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
     """End `ref` on `resource`; returns (d2, resets, the instance it
     completed or None)."""
-    graph = net.inst_graph[ref.instance]
-    insts = list(d.insts)
-    st = insts[ref.instance] = list(insts[ref.instance])
+    live = {i: list(st) for i, st in d.live}
     work = thaw(d.sched)
     release(work, resource)
-    newly = finish(graph, st, ref)
-    for nref in newly or ():
+    for nref in finish(net.inst_graph[ref.instance], live, ref):
         enqueue(work, nref, net.compiled.queue[nref.code])
-    resets = _cascade(net, insts, work)
-    d2 = _freeze(d.arrivals, insts, freeze(work))
-    return d2, resets, (ref.instance if newly is None else None)
+    resets = _cascade(net, live, work)
+    d2 = _freeze(d.arrivals, live, freeze(work))
+    return d2, resets, (None if ref.instance in live else ref.instance)
 
 
 def _after_arrival(net: Network, d: DState, gidx: int):
@@ -305,7 +286,6 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     k = d.arrivals[gidx] + 1
     arrivals = tuple(a + 1 if i == gidx else a for i, a in enumerate(d.arrivals))
     inst = net.inst_of[(gidx, k)]
-    insts = list(d.insts)
     resets = []
     reset = net.rules[gidx][k - 1].reset
     if reset is not None:
@@ -313,13 +293,12 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     if sum(d.arrivals) == 0:
         resets.append((M,))
 
-    graph = net.inst_graph[inst]
-    insts[inst], sources = admit(graph, inst)
+    live = {i: list(st) for i, st in d.live}
     work = thaw(d.sched)
-    for ref in sources:
+    for ref in admit(net.inst_graph[inst], live, inst):
         enqueue(work, ref, net.compiled.queue[ref.code])
-    more = _cascade(net, insts, work)
-    return _freeze(arrivals, insts, freeze(work)), resets + more
+    more = _cascade(net, live, work)
+    return _freeze(arrivals, live, freeze(work)), resets + more
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +337,14 @@ class _Renaming:
     def ref(self, ref):
         return None if ref is None else TaskRef(ref.instance, self.code_map.get(ref.code, ref.code))
 
-    def insts(self, insts) -> tuple:
-        out = list(insts)
-        for i, st in enumerate(insts):
-            if st is not None:
-                new = list(st)
-                for src, dst in self.moves:
-                    for p, q in zip(src.pos[i], dst.pos[i]):
-                        new[q] = st[p]
-                out[i] = tuple(new)
+    def live(self, live) -> tuple:
+        out = []
+        for i, st in live:
+            new = list(st)
+            for src, dst in self.moves:
+                for p, q in zip(src.pos[i], dst.pos[i]):
+                    new[q] = st[p]
+            out.append((i, tuple(new)))
         return tuple(out)
 
     def running(self, running) -> tuple:
@@ -389,9 +367,9 @@ class _Renaming:
 
 
 def _member_key(d: DState, m: Member) -> tuple:
-    """Member m's statuses across all instances and its local queue, both
-    read position by position, so members with equal keys look alike."""
-    status = tuple(st[p] for st, ps in zip(d.insts, m.pos) if st is not None for p in ps)
+    """Member m's statuses across the live instances and its local queue,
+    both read position by position, so members with equal keys look alike."""
+    status = tuple(st[p] for i, st in d.live for p in m.pos[i])
     queue = () if m.queue is None else tuple(
         (ref.instance, m.codes.index(ref.code)) for ref in d.sched.queues[m.queue])
     return status, queue
@@ -415,7 +393,7 @@ def _canonical(net: Network, d: DState, idx: dict, mat):
         return d, mat
     perm = _Renaming(moves)
     sched = SchedulerState(perm.queues(d.sched.queues), perm.running(d.sched.running))
-    return DState(d.arrivals, perm.insts(d.insts), sched), perm.zone(idx, mat)
+    return DState(d.arrivals, perm.live(d.live), sched), perm.zone(idx, mat)
 
 
 def _mirrors(d: DState, idx: dict, mat, o: Member, r: Member) -> bool:
@@ -604,7 +582,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
     per_inst: dict[int, TimeInterval] = {}
     overflow = terminal = False
 
-    d0 = DState((0,) * len(model.generators), (None,) * len(net.inst_graph), net.compiled.idle)
+    d0 = DState((0,) * len(model.generators), (), net.compiled.idle)
     lay0 = _layout(net, d0)
     z0 = new_zero(len(lay0) + 1)
     elapse(z0)
@@ -662,7 +640,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
             if gd is not None and not constrain_one(
                     zg, 0, idx[_clock(gidx, gd.clock)], enc(-gd.ticks, strict=gd.strict)):
                 continue
-            if _backlog(d.insts) >= net.model.deployment.queue_capacity:
+            if len(d.live) >= net.model.deployment.queue_capacity:
                 overflow = True
                 continue  # absorbing: the run is flagged, not continued
             d2, resets = _after_arrival(net, d, gidx)

@@ -16,9 +16,10 @@ same instant enqueue in (instance index, task code) order, which is (instance
 index, job name, task id) order, and free processors are considered in
 ascending id order.
 
-The enabling rules live here too: both engines track each admitted instance
-as a list of PENDING/QUEUED/RUNNING/DONE task statuses over one TaskGraph, and
-`admit`, `finish` and `strict_view` decide which task instances become ready.
+The enabling rules live here too: both engines keep the backlog as one map
+from each admitted, incomplete instance to its PENDING/QUEUED/RUNNING/DONE task
+statuses over one TaskGraph.  `admit` fills it, `finish` empties it, and with
+`strict_view` they decide which task instances become ready.
 
 Policies for computation tasks:
 
@@ -112,21 +113,24 @@ class TaskGraph:
                 self.on_pe.setdefault(r, []).append(i)
 
 
-def admit(graph: TaskGraph, instance: int) -> tuple[list[int], list[TaskRef]]:
-    """Statuses of a freshly admitted instance and its queued source tasks."""
-    st = [PENDING] * len(graph.tasks)
+def admit(graph: TaskGraph, live: dict, instance: int) -> list[TaskRef]:
+    """Enter `instance` into the backlog `live`; returns its queued sources in ready order."""
+    st = live[instance] = [PENDING] * len(graph.tasks)
     for i in graph.sources:
         st[i] = QUEUED
-    return st, ready_order([_new(TaskRef, (instance, graph.first + i)) for i in graph.sources])
+    return ready_order([_new(TaskRef, (instance, graph.first + i)) for i in graph.sources])
 
 
-def finish(graph: TaskGraph, st: list[int], ref: TaskRef) -> list[TaskRef] | None:
-    """Mark `ref` DONE; None when that completes its instance, else the
-    successors it enables, now QUEUED and in ready order."""
+def finish(graph: TaskGraph, live: dict, ref: TaskRef) -> list[TaskRef]:
+    """Mark `ref` DONE in the backlog `live`; returns the successors it
+    enables, now QUEUED and in ready order.  When that completes the
+    instance, it leaves `live` and nothing is enabled."""
+    st = live[ref.instance]
     i = ref.code - graph.first
     st[i] = DONE
     if min(st) == DONE:  # DONE is the largest status
-        return None
+        del live[ref.instance]
+        return []
     newly = []
     for k in graph.succs[i]:
         if st[k] != PENDING:
@@ -145,10 +149,10 @@ def strict_view(live: dict, graphs, r: int) -> list[tuple[TaskRef, bool]]:
     """Incomplete task instances mapped to processor slot `r` as (ref,
     enabled) pairs.
 
-    `live` maps each admitted, incomplete instance i to its status list and
-    `graphs[i]` is its TaskGraph; strict_priority_local picks among these
-    pairs.  Completed instances have nothing left to run, so callers leave
-    them out and the scan stays as long as the backlog, not the campaign.
+    `live` is the backlog that `admit` fills and `finish` empties: it maps
+    each admitted, incomplete instance i to its status list, and `graphs[i]`
+    is its TaskGraph; strict_priority_local picks among these pairs.  The
+    scan is as long as the backlog, not the campaign.
     """
     out = []
     for i, st in live.items():

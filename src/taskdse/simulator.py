@@ -269,8 +269,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
                 continue
             log.append((now, "arrival", inst, graph.name, "", "", None, gidx))
             arrivals[inst] = (graph.name, now)
-            live[inst], sources = admit(graph, inst)
-            for ref in sources:
+            for ref in admit(graph, live, inst):
                 enqueue(sched, ref, queue[ref.code])
             cascade(now)
         else:  # end
@@ -284,12 +283,8 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             if not iv:
                 first_end.append(r)
             iv.append((started[r], now))
-            newly = finish(inst_graph[inst], live[inst], ref)
-            if newly is None:
-                del live[inst]
-            else:
-                for nref in newly:
-                    enqueue(sched, nref, queue[nref.code])
+            for nref in finish(inst_graph[inst], live, ref):
+                enqueue(sched, nref, queue[nref.code])
             cascade(now)
 
     # events stay in processing order: non-decreasing time, ends handled

@@ -44,6 +44,19 @@ def test_check_semantic_violations_listed(tmp_path, capsys):
     assert "UnknownPolicy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["check", "verify"])
+def test_repeated_task_id_is_a_config_error(tmp_path, capsys, verb):
+    """A second task "a" in one tasks object must not silently replace the
+    first: every verb exits 2 and names the key."""
+    p = tmp_path / "twice.json"
+    p.write_text(pathlib.Path(CHAIN2).read_text().replace(
+        '"tasks": {', '"tasks": {"a": {"work": ["5", "5"]},', 1))
+    out = ["--out", str(tmp_path / "out")] if verb == "verify" else []
+    assert cli.main([verb, str(p)] + out) == 2
+    assert "key 'a' repeated" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _split_chain_without_interconnect(tmp_path) -> str:
     # a->b carries data across two processors, but nothing can move it
     m = fixtures.chain2()
@@ -311,6 +324,19 @@ def test_sweep_malformed_axis_value_is_a_config_error(tmp_path, capsys, axis, wo
     assert "error:" in err
     if axis.endswith("1/0"):
         assert "denominator is zero" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_checks_every_point_before_running_any(tmp_path, capsys, workers):
+    """The strict points of this sweep lack priorities; the sweep fails
+    before any point runs, so it writes no point directory and no table."""
+    out = tmp_path / "w"
+    assert cli.main(["sweep", str(pathlib.Path(CHAIN2).with_name("indep2.json")),
+                     "--axis", "period=50,100,200,300",
+                     "--axis", "policy=fifo_local,strict_priority_local",
+                     "--runs", "3", "--seed", "5", "--workers", workers, "--out", str(out)]) == 2
+    assert "period=50,policy=strict_priority_local: MissingPriority" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_duplicate_axis_rejected(tmp_path):

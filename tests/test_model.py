@@ -99,6 +99,17 @@ def test_duplicate_task_id():
     assert "DuplicateTaskId" in rules
 
 
+def test_duplicate_edge():
+    """An edge given twice would enable its target twice."""
+    job = JobType(
+        "twice",
+        [TaskSpec("a", WorkInterval.of(1, 1)), TaskSpec("b", WorkInterval.of(1, 1))],
+        [DataEdge("a", "b"), DataEdge("a", "b")],
+    )
+    got = [v for v in validate_model(_single_job_model(job)) if v.rule == "DuplicateEdge"]
+    assert [v.subject for v in got] == ["twice.a->b"]
+
+
 def test_unknown_edge_endpoint():
     job = JobType(
         "bad",

@@ -42,7 +42,7 @@ from taskdse.reachability import (
     _Renaming,
     reach_bounds,
 )
-from taskdse.schedulers import SchedulerState
+from taskdse.schedulers import DONE, SchedulerState, strict_view
 from taskdse.zones import clock_window, zone_includes
 from test_parity import priority_variants, two_jobs
 from taskdse.simulator import run_campaign
@@ -327,7 +327,7 @@ def test_equal_statuses_with_unequal_run_clocks_do_not_mirror(monkeypatch):
     monkeypatch.setattr(reachability, "_mirrors", recorded)
     reach_bounds(fixtures.mapping_stream())
     unequal = [got for d, idx, mat, o, r, got in calls
-               if _Renaming(((o, r), (r, o))).insts(d.insts) == d.insts
+               if _Renaming(((o, r), (r, o))).live(d.live) == d.live
                and clock_window(mat, run_clock(idx, d, o)) != clock_window(mat, run_clock(idx, d, r))]
     assert unequal and not any(unequal)
     assert any(got for *_args, got in calls)
@@ -345,7 +345,7 @@ def test_local_queues_in_another_order_do_not_mirror(monkeypatch):
     queues = list(d.sched.queues)
     assert len(queues[o.queue]) == 3
     queues[o.queue] = queues[o.queue][::-1]
-    d2 = DState(d.arrivals, d.insts, SchedulerState(tuple(queues), d.sched.running))
+    d2 = DState(d.arrivals, d.live, SchedulerState(tuple(queues), d.sched.running))
     assert not reachability._mirrors(d2, idx, mat, o, r)
 
 
@@ -358,7 +358,7 @@ def class_permutations(net: Network) -> list:
 
 def permuted(perm: _Renaming, d: DState) -> DState:
     sched = SchedulerState(perm.queues(d.sched.queues), perm.running(d.sched.running))
-    return DState(d.arrivals, perm.insts(d.insts), sched)
+    return DState(d.arrivals, perm.live(d.live), sched)
 
 
 def test_local_queue_order_stays_in_the_canonical_key(monkeypatch):
@@ -372,7 +372,7 @@ def test_local_queue_order_stays_in_the_canonical_key(monkeypatch):
     (cls,) = net.orbits
     queues = list(d.sched.queues)
     queues[cls[0].queue] = queues[cls[0].queue][::-1]
-    reversed_one = DState(d.arrivals, d.insts, SchedulerState(tuple(queues), d.sched.running))
+    reversed_one = DState(d.arrivals, d.live, SchedulerState(tuple(queues), d.sched.running))
     perms = class_permutations(net)
     assert len(perms) == 24
     for state in (d, reversed_one):
@@ -388,7 +388,7 @@ def renamed_mirrors(d: DState, idx: dict, mat, o, r) -> bool:
     the swap of o and r as a `_Renaming` and compare every part of the
     state, the zone through one relayout."""
     swap = _Renaming(((o, r), (r, o)))
-    return (swap.insts(d.insts) == d.insts and swap.running(d.sched.running) == d.sched.running
+    return (swap.live(d.live) == d.live and swap.running(d.sched.running) == d.sched.running
             and swap.queues(d.sched.queues) == d.sched.queues
             and np.array_equal(swap.zone(idx, mat), mat))
 
@@ -744,3 +744,56 @@ def test_a_search_compiles_its_model_once(monkeypatch):
     assert calls["expand_comm_tasks"] == len(m.job_types)
     tasks = sum(len(jt.tasks) for jt in m.job_types)  # fifo_local: one PE each
     assert 0 < calls["task_duration"] <= tasks
+
+
+def backlog_cases() -> dict:
+    """Models whose backlog fills and drains: stream_chain at capacity 1,
+    where overflow is reachable, mapping_stream at period 4500 with K=2, and
+    two generators under the strict scan."""
+    chain = fixtures.stream_chain()
+    chain.deployment.queue_capacity = 1
+    stream = fixtures.mapping_stream(period=4500)
+    stream.instance_bound = 2
+    return {"stream_chain capacity 1": chain, "mapping_stream 4500 K=2": stream,
+            "two_jobs strict": two_jobs("strict_priority_local")}
+
+
+@pytest.mark.parametrize("name", sorted(backlog_cases()))
+def test_stored_states_hold_only_the_live_backlog(name, monkeypatch):
+    """Every stored configuration keeps its admitted, incomplete instances
+    in instance order, none of them all DONE, and at most queue_capacity."""
+    m = backlog_cases()[name]
+    seen = []
+    insert = reachability._Store.insert
+
+    def recorded(store, d, mat):
+        seen.append(d)
+        return insert(store, d, mat)
+
+    monkeypatch.setattr(reachability._Store, "insert", recorded)
+    r = reach_bounds(m)
+    assert r.terminal_reached
+    assert any(d.live for d in seen) and any(not d.live for d in seen[1:])
+    for d in seen:
+        order = [i for i, _st in d.live]
+        assert order == sorted(set(order)), d
+        assert all(min(st) != DONE for _i, st in d.live), d
+        assert len(d.live) <= m.deployment.queue_capacity, d
+
+
+def test_formal_strict_scan_never_visits_a_completed_instance(monkeypatch):
+    """The formal engine hands strict_view only its live instances, so the
+    scan is as long as the backlog, not the analysed prefix."""
+    sizes, visited = [], set()
+
+    def checked(live, graphs, r):
+        assert all(any(s != DONE for s in st) for st in live.values())
+        sizes.append(len(live))
+        visited.update(live)
+        return strict_view(live, graphs, r)
+
+    monkeypatch.setattr(reachability, "strict_view", checked)
+    m = two_jobs("strict_priority_local")
+    r = reach_bounds(m)
+    assert r.terminal_reached and sorted(r.instance_latency) == list(range(6))
+    assert visited == set(range(6)) and max(sizes) <= m.deployment.queue_capacity

@@ -250,9 +250,11 @@ def test_scheduler_state_is_hashable_value():
     assert cm.idle == SchedulerState(((),), (None,))  # thawing left it as it was
 
 
-@pytest.mark.parametrize("name", ["next_dispatch", "apply_dispatch", "enqueue", "release"])
+@pytest.mark.parametrize("name", ["next_dispatch", "apply_dispatch", "enqueue", "release",
+                                  "admit", "finish", "strict_view"])
 def test_both_engines_call_the_one_kernel(name):
-    """The simulator and the formal engine share one copy of the kernel."""
+    """The simulator and the formal engine share one copy of the kernel and
+    of the rules that fill and empty the backlog."""
     kernel = getattr(schedulers, name)
     assert getattr(simulator, name) is kernel
     assert getattr(reachability, name) is kernel
