@@ -66,6 +66,15 @@ def _check_keys(obj, path: str, allowed: set[str]):
             raise ConfigError(f"{path}.{k}", "unknown field")
 
 
+def _section(obj: dict, key: str, path: str, kind: type):
+    """Optional object or list `key` of `obj`; missing or falsy reads as empty."""
+    v = obj.get(key) or kind()
+    if not isinstance(v, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{path}.{key}", f"expected {what}, got {type(v).__name__}")
+    return v
+
+
 def _string(v, path: str) -> str:
     if not isinstance(v, str) or not v:
         raise ConfigError(path, "expected a non-empty string")
@@ -152,7 +161,7 @@ def _parse_job(j, path: str) -> JobType:
         raise ConfigError(f"{path}.tasks", "expected a non-empty object")
     tasks = [_parse_task(tid, t, f"{path}.tasks.{tid}") for tid, t in tasks_v.items()]
     edges = []
-    for key, val in (j.get("edges") or {}).items():
+    for key, val in _section(j, "edges", path, dict).items():
         epath = f"{path}.edges.{key}"
         src, dst = _edge_key(key, epath)
         if isinstance(val, dict):
@@ -190,9 +199,9 @@ def _parse_platform(p, path: str) -> Platform:
         raise ConfigError(f"{path}.processors", "expected a non-empty list")
     pes = [_parse_processor(q, f"{path}.processors[{i}]") for i, q in enumerate(pes_v)]
     ics = [_parse_interconnect(q, f"{path}.interconnects[{i}]")
-           for i, q in enumerate(p.get("interconnects") or [])]
+           for i, q in enumerate(_section(p, "interconnects", path, list))]
     mems = [_parse_memory(q, f"{path}.memories[{i}]")
-            for i, q in enumerate(p.get("memories") or [])]
+            for i, q in enumerate(_section(p, "memories", path, list))]
     return Platform(pes, mems, ics)
 
 
@@ -265,28 +274,18 @@ def _parse_deployment(d, path: str) -> Deployment:
     dep = Deployment()
     if "policy" in d:
         dep.policy = _string(d["policy"], f"{path}.policy")
-    mapping = d.get("mapping") or {}
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path}.mapping", "expected an object")
+    mapping = _section(d, "mapping", path, dict)
     dep.mapping = {t: _string(pe, f"{path}.mapping.{t}") for t, pe in mapping.items()}
-    prios = d.get("priorities") or {}
-    if not isinstance(prios, dict):
-        raise ConfigError(f"{path}.priorities", "expected an object")
+    prios = _section(d, "priorities", path, dict)
     dep.priorities = {t: _integer(v, f"{path}.priorities.{t}") for t, v in prios.items()}
-    tf = d.get("task_frequency") or {}
-    if not isinstance(tf, dict):
-        raise ConfigError(f"{path}.task_frequency", "expected an object")
+    tf = _section(d, "task_frequency", path, dict)
     dep.task_frequency = {t: _fraction(v, f"{path}.task_frequency.{t}") for t, v in tf.items()}
-    dp = d.get("data_placement") or {}
-    if not isinstance(dp, dict):
-        raise ConfigError(f"{path}.data_placement", "expected an object")
+    dp = _section(d, "data_placement", path, dict)
     dep.data_placement = {
         _edge_key(k, f"{path}.data_placement.{k}"): _string(v, f"{path}.data_placement.{k}")
         for k, v in dp.items()
     }
-    ei = d.get("edge_interconnect") or {}
-    if not isinstance(ei, dict):
-        raise ConfigError(f"{path}.edge_interconnect", "expected an object")
+    ei = _section(d, "edge_interconnect", path, dict)
     dep.edge_interconnect = {
         _edge_key(k, f"{path}.edge_interconnect.{k}"): _string(v, f"{path}.edge_interconnect.{k}")
         for k, v in ei.items()

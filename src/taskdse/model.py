@@ -9,7 +9,6 @@ Fractions in cycles per time unit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -258,6 +257,8 @@ def validate_model(m: SystemModel) -> list[Violation]:
         for f, (stat, dyn) in p.power.items():
             if stat < 0 or dyn < 0:
                 out.append(Violation("NegativeWatts", p.id, f"at {f}"))
+    if not m.platform.active_processors():
+        out.append(Violation("NoPoweredProcessor", "platform", "no processor is on"))
     for mem in m.platform.memories:
         check_unique(mem.id, "memory")
         if mem.locality not in (LOCAL, OFFCHIP):

@@ -5,8 +5,12 @@ states (discrete configuration, clock zone).  Zones are difference bound
 matrices over a per-configuration clock layout, and configurations are kept
 dispatch-stable: every start the policy allows fires inside the transition
 that enabled it.  Arrivals and completions only move forward, so the discrete
-space is acyclic and the search terminates without any widening; every
-reported bound is therefore both sound and attained by some run.
+space is acyclic and the search terminates without any widening.  The bounds
+cover the first K instances of each generator (`instance_bound`) in runs
+without overflow, since an overflowing arrival ends its run here.  Each
+endpoint is attained by some run of the timed-automaton semantics, which
+takes the events of one instant in every order; a simulated run handles ends
+before arrivals and need not attain it.  ROADMAP items 1 and 2 plan the fixes.
 
 Three ingredients keep the zone count tractable:
 
@@ -248,24 +252,21 @@ def _terminal(net: Network, d: DState) -> bool:
     return not d.live and all(a == len(rules) for a, rules in zip(d.arrivals, net.rules))
 
 
-def _freeze(arrivals: tuple, live: dict, sched) -> DState:
-    """Successor state holding the backlog map `live` in instance order."""
-    return DState(arrivals, tuple((i, tuple(live[i])) for i in sorted(live)), sched)
-
-
-def _cascade(net: Network, live: dict, work) -> list:
-    """Fire every start the policy allows on the scheduler's working state
-    `work` and the backlog map `live`; returns created run clocks."""
+def _settle(net: Network, arrivals: tuple, live: dict, work, refs: list):
+    """Queue `refs`, fire every start the policy allows on the working state
+    `work` and the backlog map `live`, and freeze the successor with `live`
+    in instance order; returns (d2, run clocks created)."""
+    compiled, graphs = net.compiled, net.inst_graph
+    for ref in refs:
+        enqueue(work, ref, compiled.queue[ref.code])
     resets = []
-    view = partial(strict_view, live, net.inst_graph)
-    while True:
-        disp = next_dispatch(work, net.compiled, view)
-        if disp is None:
-            return resets
+    view = partial(strict_view, live, graphs)
+    while (disp := next_dispatch(work, compiled, view)) is not None:
         ref = disp.ref
         apply_dispatch(work, disp)
-        live[ref.instance][ref.code - net.inst_graph[ref.instance].first] = RUNNING
+        live[ref.instance][ref.code - graphs[ref.instance].first] = RUNNING
         resets.append((RUN, ref.instance, ref.code))
+    return DState(arrivals, tuple((i, tuple(live[i])) for i in sorted(live)), freeze(work)), resets
 
 
 def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
@@ -274,10 +275,7 @@ def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
     live = {i: list(st) for i, st in d.live}
     work = thaw(d.sched)
     release(work, resource)
-    for nref in finish(net.inst_graph[ref.instance], live, ref):
-        enqueue(work, nref, net.compiled.queue[nref.code])
-    resets = _cascade(net, live, work)
-    d2 = _freeze(d.arrivals, live, freeze(work))
+    d2, resets = _settle(net, d.arrivals, live, work, finish(net.inst_graph[ref.instance], live, ref))
     return d2, resets, (None if ref.instance in live else ref.instance)
 
 
@@ -295,10 +293,8 @@ def _after_arrival(net: Network, d: DState, gidx: int):
 
     live = {i: list(st) for i, st in d.live}
     work = thaw(d.sched)
-    for ref in admit(net.inst_graph[inst], live, inst):
-        enqueue(work, ref, net.compiled.queue[ref.code])
-    more = _cascade(net, live, work)
-    return _freeze(arrivals, live, freeze(work)), resets + more
+    d2, more = _settle(net, arrivals, live, work, admit(net.inst_graph[inst], live, inst))
+    return d2, resets + more
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +576,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
     store = _Store(opts.merge)
     makespan = None
     per_inst: dict[int, TimeInterval] = {}
-    overflow = terminal = False
+    overflow = False
 
     d0 = DState((0,) * len(model.generators), (), net.compiled.idle)
     lay0 = _layout(net, d0)
@@ -626,7 +622,6 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
             if _terminal(net, d2):
                 mlo, mhi = clock_window(zg, idx[(M,)])
                 makespan = _widen(makespan, mlo, mhi)
-                terminal = True
                 continue
             _push(net, store, frontier, d2, zg, idx, resets)
 
@@ -654,7 +649,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
         latency=latency,
         instance_latency=dict(sorted(per_inst.items())),
         overflow_reachable=overflow,
-        terminal_reached=terminal,
+        terminal_reached=makespan is not None,
         states=explored,
         zones=store.total(),
         merges=store.merges,

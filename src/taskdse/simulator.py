@@ -3,18 +3,21 @@
 Each run draws arrival times and task durations uniformly from the model's
 windows and replays the deployment's scheduling policy exactly as the formal
 engine encodes it (same task graph, enabling rules and policy kernel, same
-tick arithmetic), so every simulated completion time falls inside the
-formally derived bounds.
+tick arithmetic).  The formal bounds cover the first K instances of each
+generator in runs without overflow, and only their completion times are
+claimed to fall inside them (ROADMAP item 1 plans to cover the rest).
 
 Event processing is strictly sequential and fully deterministic: the heap
 holds only ends and arrivals, ordered (time, rank, tiebreak) with ends first
-at equal time, and each processed event is followed by a dispatch cascade
-that fires every start the policy allows before the next event is popped.
+at equal time.  Each event is one kernel step, `admit` or `finish`, and one
+settle step that queues the tasks it enabled and fires every start the
+policy allows before the next event is popped.
 
 A run is one pass: the loop logs each event as a plain tuple in Event field
-order and gathers the metric facts (metrics.TraceFacts) as it handles the
-events, so no metric reads the log again.  Event objects are built only
-when a trace's events are read, for trace files and event_pair metrics.
+order and fills the metric facts (metrics.TraceFacts) in their final shape
+as it handles the events, so no metric reads the log again.  Event objects
+are built only when a trace's events are read, for trace files and
+event_pair metrics.
 """
 
 from __future__ import annotations
@@ -190,8 +193,8 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
 
     The scheduler's idle state is thawed once into a working state that the
     kernel changes in place, and never frozen.  The loop logs each event as
-    a plain tuple and gathers the metric facts as it handles them, so no
-    pass over the events follows the run."""
+    a plain tuple and fills the metric-fact dicts directly, so after the run
+    only the horizon clip and the busy sums remain."""
     rng = stream_for(seed, run_index)
     capacity = model.deployment.queue_capacity
     cm = CompiledModel(model) if compiled is None else compiled
@@ -199,17 +202,11 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
 
     # arrivals are drawn up front, generator declaration order, then numbered
     # globally by (time, generator, index) so instance ids are canonical
-    raw = []
-    for gidx, g in enumerate(model.generators):
-        for k, t in enumerate(sample_arrivals(g, rng)):
-            raw.append((t, gidx, k))
-    raw.sort()
-
-    inst_graph: list[TaskGraph] = []
-    heap: list = []
-    for inst, (t, gidx, _k) in enumerate(raw):
-        inst_graph.append(graphs[model.generators[gidx].job_type])
-        heapq.heappush(heap, (t, ARRIVAL, (gidx, inst), None))
+    raw = sorted((t, gidx, k) for gidx, g in enumerate(model.generators)
+                 for k, t in enumerate(sample_arrivals(g, rng)))
+    inst_graph: list[TaskGraph] = [graphs[model.generators[gidx].job_type] for _t, gidx, _k in raw]
+    # strictly increasing, so already the heap one push per arrival builds
+    heap: list = [(t, ARRIVAL, (gidx, inst), None) for inst, (t, gidx, _k) in enumerate(raw)]
 
     # admitted, incomplete instances -> task statuses; its size is the backlog
     live: dict[int, list[int]] = {}
@@ -218,22 +215,20 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     log: list[tuple] = []  # events in Event field order
     view = partial(strict_view, live, inst_graph)
     overflow_count = 0
-    # the metric facts, in the dict order trace_facts gives them: per resource
-    # slot the start time of its task, its intervals and its start frequencies,
-    # and the slots in order of their first end and first start
+    # the metric facts in their final shape: a resource enters `busy` at its
+    # first end and `start_freqs` at its first start, the order trace_facts
+    # gives; `started` holds the start time of each resource slot's task
     arrivals: dict[int, tuple[str, int]] = {}
     last_ends: dict[int, int] = {}
+    busy: dict[str, list[tuple[int, int]]] = {}
+    start_freqs: dict[str, list] = {}
     started = [0] * len(resources)
-    intervals: list[list[tuple[int, int]]] = [[] for _ in resources]
-    freqs: list[list] = [[] for _ in resources]
-    first_end: list[int] = []
-    first_start: list[int] = []
 
-    def cascade(now: int):
-        while True:
-            d = next_dispatch(sched, cm, view)
-            if d is None:
-                return
+    def cascade(now: int, refs: list):
+        """Queue the tasks the event enabled, then fire every start allowed."""
+        for ref in refs:
+            enqueue(sched, ref, queue[ref.code])
+        while (d := next_dispatch(sched, cm, view)) is not None:
             ref, r, freq, _queue = d
             apply_dispatch(sched, d)
             inst, code = ref
@@ -250,10 +245,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             job, task = names[code]
             log.append((now, "start", inst, job, task, res, freq, -1))
             started[r] = now
-            fs = freqs[r]
-            if not fs:
-                first_start.append(r)
-            fs.append(freq)
+            start_freqs.setdefault(res, []).append(freq)
             heapq.heappush(heap, (now + dur, END, ref, r))
 
     # heap entries: (time, rank, key, resource slot); the key, (generator,
@@ -269,23 +261,17 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
                 continue
             log.append((now, "arrival", inst, graph.name, "", "", None, gidx))
             arrivals[inst] = (graph.name, now)
-            for ref in admit(graph, live, inst):
-                enqueue(sched, ref, queue[ref.code])
-            cascade(now)
+            cascade(now, admit(graph, live, inst))
         else:  # end
             ref = key
             inst, code = ref
             release(sched, r)
             job, task = names[code]
-            log.append((now, "end", inst, job, task, resources[r], None, -1))
+            res = resources[r]
+            log.append((now, "end", inst, job, task, res, None, -1))
             last_ends[inst] = now
-            iv = intervals[r]
-            if not iv:
-                first_end.append(r)
-            iv.append((started[r], now))
-            for nref in finish(inst_graph[inst], live, ref):
-                enqueue(sched, nref, queue[nref.code])
-            cascade(now)
+            busy.setdefault(res, []).append((started[r], now))
+            cascade(now, finish(inst_graph[inst], live, ref))
 
     # events stay in processing order: non-decreasing time, ends handled
     # before arrivals before starts at each instant, and each dispatch
@@ -294,14 +280,10 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     # per-resource nesting.  The last event is therefore the latest.
     end = log[-1][0] if log else 0
     h = end if horizon is None else horizon
-    busy = {}
-    for r in first_end:
-        iv = intervals[r]
-        if h < end:
-            iv = [(min(st, h), min(en, h)) for st, en in iv]
-        busy[resources[r]] = iv
+    if h < end:
+        for res, iv in busy.items():
+            busy[res] = [(min(st, h), min(en, h)) for st, en in iv]
     busy_ticks = {res: sum(en - st for st, en in iv) for res, iv in busy.items()}
-    start_freqs = {resources[r]: freqs[r] for r in first_start}
     facts = TraceFacts(arrivals, last_ends, busy, busy_ticks, start_freqs)
     return TimedTrace(log, h, overflow_count, seed=seed, run_index=run_index,
                       model_hash=model_hash, gathered=facts)

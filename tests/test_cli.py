@@ -57,6 +57,36 @@ def test_repeated_task_id_is_a_config_error(tmp_path, capsys, verb):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, value", [
+    ("edges", [["a", "b"]]), ("edges", 5), ("edges", "s"), ("edges", True),
+    ("interconnects", 5), ("memories", True),
+], ids=["edges-list", "edges-number", "edges-string", "edges-bool",
+        "interconnects-number", "memories-bool"])
+def test_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, section, value):
+    """An optional section of the wrong type names its field and exits 2."""
+    data = json.loads(pathlib.Path(CHAIN2).read_text())
+    if section == "edges":
+        data["application"]["jobs"][0]["edges"] = value
+        field, expected = "application.jobs[0].edges", "expected an object"
+    else:
+        data["platform"][section] = value
+        field, expected = f"platform.{section}", "expected a list"
+    p = tmp_path / "bad_section.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["check", str(p)]) == 2
+    assert f"{field}: {expected}" in capsys.readouterr().err
+
+
+def test_no_powered_processor_is_a_config_error(tmp_path, capsys):
+    """With its only processor off, no task of chain2 could ever run."""
+    data = json.loads(pathlib.Path(CHAIN2).read_text())
+    data["platform"]["processors"][0]["on"] = False
+    p = tmp_path / "all_off.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["check", str(p)]) == 2
+    assert "NoPoweredProcessor{platform}" in capsys.readouterr().err
+
+
 def _split_chain_without_interconnect(tmp_path) -> str:
     # a->b carries data across two processors, but nothing can move it
     m = fixtures.chain2()

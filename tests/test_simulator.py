@@ -4,7 +4,8 @@ from fractions import Fraction
 
 from taskdse import config, fixtures, metrics, simulator
 from taskdse.generators import Generator
-from taskdse.model import Deployment, JobType, Platform, Processor, SystemModel, TaskSpec, WorkInterval
+from taskdse.model import (Deployment, JobType, Platform, Processor, SystemModel, TaskSpec,
+                           WorkInterval, validate_model)
 from taskdse.metrics import MetricSpec, busy_intervals
 from taskdse.schedulers import DONE, strict_view
 from taskdse.simulator import CompiledModel, run_campaign, simulate
@@ -198,6 +199,8 @@ def test_strict_scan_never_visits_a_completed_instance(monkeypatch):
 
     monkeypatch.setattr(simulator, "strict_view", checked)
     m = fixtures.mapping_stream(period=4500, policy="strict_priority_local", count=40)
+    m.deployment.priorities = {f"blk{i:02d}": 16 - i for i in range(16)}
+    assert validate_model(m) == []
     t = simulate(m, 3, 0)
     assert len(t.facts.last_ends) == 40 and not t.overflow_count
     assert sizes and max(sizes) <= m.deployment.queue_capacity
