@@ -24,7 +24,7 @@ from .model import POLICIES, LOCAL_POLICIES, SystemModel, validate_model
 from .reachability import BudgetExceeded, ReachOptions, SearchCapExceeded, reach_bounds
 from .rng import derive_seed
 from .simulator import run_campaign
-from .timebase import SCALE, format_ticks
+from .timebase import MAX_TICKS, SCALE, format_ticks
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -220,8 +220,8 @@ def _cmd_simulate(args) -> int:
     if args.runs < 1:
         raise config.ConfigError("--runs", "need at least one run")
     horizon = None if args.horizon is None else config._ticks(args.horizon, "--horizon")
-    if horizon is not None and horizon <= 0:
-        raise config.ConfigError("--horizon", "horizon must be positive")
+    if horizon is not None and not 0 < horizon < MAX_TICKS:
+        raise config.ConfigError("--horizon", f"horizon must be positive and below {MAX_TICKS} ticks")
     specs = default_metrics(model)
     campaign = run_campaign(model, args.runs, args.seed, specs,
                             horizon=horizon, keep_traces=args.traces, model_hash=h)

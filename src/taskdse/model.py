@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .timebase import as_fraction, ceil_div, to_ticks
+from .timebase import MAX_TICKS, as_fraction, ceil_div, format_ticks, to_ticks
 
 COMPUTATION = "computation"
 COMMUNICATION = "communication"
@@ -369,6 +369,16 @@ def validate_model(m: SystemModel) -> list[Violation]:
                 if _needs_transfer(e, kinds, dep, m.platform):
                     out.append(Violation("MissingInterconnect", f"{job.name}.{e.src}->{e.dst}",
                                          "needs a transfer but the platform has no interconnect"))
+    for job in m.job_types:
+        for t in job.tasks:
+            if t.kind != COMMUNICATION:
+                continue
+            if t.interconnect is None:
+                out.append(Violation("MissingInterconnect", f"{job.name}.{t.id}",
+                                     "a communication task names no interconnect"))
+            elif t.interconnect not in ic_ids:
+                out.append(Violation("UnknownInterconnect", t.interconnect,
+                                     f"communication task {job.name}.{t.id}"))
 
     # generators -----------------------------------------------------------
     gen_jobs = []
@@ -386,7 +396,36 @@ def validate_model(m: SystemModel) -> list[Violation]:
     if m.instance_bound <= 0:
         out.append(Violation("BadInstanceBound", str(m.instance_bound)))
 
+    if not out:  # the horizon reads fields the rules above check
+        h = time_horizon(m)
+        if h >= MAX_TICKS:
+            out.append(Violation("TimeOutOfRange", "model", f"times may reach {format_ticks(h)}, "
+                                 f"the limit is {format_ticks(MAX_TICKS)} time units"))
     return out
+
+
+def time_horizon(m: SystemModel) -> int:
+    """Ticks bounding every finite time and clock difference the engines
+    compute for a valid model: each generator's arrival constants over all
+    `count` instances, not only the first K, plus every instance's tasks run
+    one after another at their longest durations.
+
+    count x (period + jitter + window + 1) covers the guards and deadlines
+    of every arrival rule; an explicit arrival list adds its last time.
+    Computation tasks are timed at their pinned frequency, else the lowest
+    any powered processor offers; transfers are those expand_comm_tasks
+    inserts.
+    """
+    slowest = min(p.min_frequency() for p in m.platform.active_processors())
+    jobs = {jt.name: jt for jt in m.job_types}
+    total = 0
+    for g in m.generators:
+        job = expand_comm_tasks(jobs[g.job_type], m.deployment, m.platform)
+        work = sum(task_duration(t, m.deployment.task_frequency.get(t.id, slowest)).hi
+                   for t in job.tasks)
+        last = g.arrivals[-1] if g.arrivals else 0
+        total += last + g.count * (g.period + g.jitter + g.window + 1 + work)
+    return total
 
 
 # ---------------------------------------------------------------------------

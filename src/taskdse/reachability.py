@@ -21,11 +21,14 @@ Three ingredients keep the zone count tractable:
     union is one convex set, and this collapses them to a single zone while
     keeping all bounds exact;
   * processor-symmetry reduction: under the per-processor policies, identical
-    processors whose pinned tasks are interchangeable form classes, and each
-    successor is stored as one representative of its orbit under
-    permutations of a class: the members are sorted by their discrete state
-    alone (scalarset reduction, sound with an approximate canonical form:
-    Hendriks et al., "Adding Symmetry Reduction to Uppaal", FORMATS 2003).
+    processors whose pinned tasks are interchangeable form classes, tuples of
+    processor slots read from the compiled model, and each successor is
+    stored as one representative of its orbit under permutations of a
+    class: the members are sorted by their discrete state alone, so the
+    canonical form renames the configuration only, and the zone is laid out
+    once, into the renamed clocks (scalarset reduction, sound with an
+    approximate canonical form: Hendriks et al., "Adding Symmetry Reduction
+    to Uppaal", FORMATS 2003).
     A completion is skipped as a mirror image when swapping its member with
     an already expanded member of the class maps the state onto itself.
     Both are sound because a permutation maps the successors of a state onto
@@ -46,7 +49,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -123,20 +125,9 @@ class DState:
     sched: object  # SchedulerState
 
 
-class Member(NamedTuple):
-    """One processor of a class: its slot, its local queue slot (None under
-    the hold-back scan), its pinned task codes in code order and, per
-    instance, those codes' positions in the instance's statuses."""
-
-    slot: int
-    queue: int | None
-    codes: tuple[int, ...]
-    pos: tuple[tuple[int, ...], ...]
-
-
-def _processor_classes(compiled: CompiledModel, policy: str) -> list[list[tuple[int, tuple]]]:
-    """Classes of interchangeable processors, each a list of (processor slot,
-    pinned task codes in code order), classes of two or more only.
+def _processor_classes(compiled: CompiledModel, policy: str) -> tuple[list[tuple[int, ...]], dict]:
+    """(classes, codes): tuples of two or more interchangeable processor
+    slots, and `codes[r]`, member r's pinned task codes in code order.
 
     Only the per-processor policies qualify: each processor then has its own
     queue or hold-back scan.  Two processors are interchangeable when they
@@ -148,7 +139,7 @@ def _processor_classes(compiled: CompiledModel, policy: str) -> list[list[tuple[
     queues are shared and ordered by code.
     """
     if policy not in ("fifo_local", "strict_priority_local"):
-        return []
+        return [], {}
     cands = {}  # slot -> (codes, signature, codes of outside neighbours)
     for r, lowest in enumerate(compiled.lowest):
         pinned = [(g, i) for g in compiled.graphs.values() for i in g.on_pe.get(r, ())]
@@ -176,7 +167,7 @@ def _processor_classes(compiled: CompiledModel, policy: str) -> list[list[tuple[
         moved = {c for rs in classes for r in rs for c in cands[r][0]}
         bad = [r for rs in classes for r in rs if cands[r][2] & moved]
         if not bad:
-            return [[(r, cands[r][0]) for r in rs] for rs in classes]
+            return [tuple(rs) for rs in classes], {r: cands[r][0] for rs in classes for r in rs}
         for r in bad:
             del cands[r]
 
@@ -185,8 +176,10 @@ class Network:
     """The formal engine's view of one model: the shared CompiledModel, the
     arrival rules and instance numbering of the first K instances, `clocks`
     (the most any layout holds, checked against the budget here) and the
-    processor classes (`orbits`, whose members `_canonical` sorts and
-    `_mirrors` swaps; `member_of`: slot -> (class index, member))."""
+    processor classes: `orbits`, tuples of slots that `_canonical` sorts
+    and `_mirrors` swaps, `class_of` (slot -> class index) and `codes`
+    (slot -> pinned task codes).  A member's status positions and queue are
+    its slot's `on_pe` and `serves` entries in the compiled model."""
 
     def __init__(self, model: SystemModel, options: ReachOptions | None = None):
         self.model = model
@@ -211,15 +204,9 @@ class Network:
                 f"model may need {self.clocks} clocks (budget {self.options.clock_budget})"
             )
 
-        self.orbits: list[tuple[Member, ...]] = []
-        if self.options.symmetry:
-            for cls in _processor_classes(self.compiled, model.deployment.policy):
-                self.orbits.append(tuple(
-                    Member(r, self.compiled.queue[codes[0]], codes,
-                           tuple(tuple(c - g.first for c in codes if g.first <= c < g.first + len(g.tasks))
-                                 for g in self.inst_graph))
-                    for r, codes in cls))
-        self.member_of = {m.slot: (k, m) for k, cls in enumerate(self.orbits) for m in cls}
+        self.orbits, self.codes = (_processor_classes(self.compiled, model.deployment.policy)
+                                   if self.options.symmetry else ([], {}))
+        self.class_of = {r: k for k, cls in enumerate(self.orbits) for r in cls}
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +306,16 @@ def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
 
 
 class _Renaming:
-    """A permutation of class members: each (src, dst) move puts src's
-    statuses, running task and local queue onto dst, renaming task codes
-    position by position, and the zone follows through one relayout of the
-    renamed run clocks."""
+    """A permutation of class members: each (src, dst) move of processor
+    slots puts src's statuses, running task and local queue onto dst,
+    renaming task codes position by position."""
 
-    def __init__(self, moves):
+    def __init__(self, net: Network, moves):
+        self.net = net
         self.moves = moves
         self.code_map = {}
         for src, dst in moves:
-            self.code_map.update(zip(src.codes, dst.codes))
+            self.code_map.update(zip(net.codes[src], net.codes[dst]))
 
     def ref(self, ref):
         return None if ref is None else TaskRef(ref.instance, self.code_map.get(ref.code, ref.code))
@@ -336,9 +323,10 @@ class _Renaming:
     def live(self, live) -> tuple:
         out = []
         for i, st in live:
+            on_pe = self.net.inst_graph[i].on_pe
             new = list(st)
             for src, dst in self.moves:
-                for p, q in zip(src.pos[i], dst.pos[i]):
+                for p, q in zip(on_pe.get(src, ()), on_pe.get(dst, ())):
                     new[q] = st[p]
             out.append((i, tuple(new)))
         return tuple(out)
@@ -346,33 +334,33 @@ class _Renaming:
     def running(self, running) -> tuple:
         out = list(running)
         for src, dst in self.moves:
-            out[dst.slot] = self.ref(running[src.slot])
+            out[dst] = self.ref(running[src])
         return tuple(out)
 
     def queues(self, queues) -> tuple:
         out = list(queues)
+        serves = self.net.compiled.serves
         for src, dst in self.moves:
-            if dst.queue is not None:
-                out[dst.queue] = tuple(map(self.ref, queues[src.queue]))
+            for qs, qd in zip(serves[src], serves[dst]):
+                out[qd] = tuple(map(self.ref, queues[qs]))
         return tuple(out)
 
-    def zone(self, idx: dict, mat):
-        src_of = {(p if p[0] != RUN else (RUN, p[1], self.code_map.get(p[2], p[2]))): i
-                  for p, i in idx.items()}
-        return relayout(mat, [0] + [src_of[p] for p in sorted(src_of)])
 
-
-def _member_key(d: DState, m: Member) -> tuple:
-    """Member m's statuses across the live instances and its local queue,
-    both read position by position, so members with equal keys look alike."""
-    status = tuple(st[p] for i, st in d.live for p in m.pos[i])
-    queue = () if m.queue is None else tuple(
-        (ref.instance, m.codes.index(ref.code)) for ref in d.sched.queues[m.queue])
+def _member_key(net: Network, d: DState, r: int) -> tuple:
+    """Member slot r's statuses across the live instances and its local
+    queue (none under the hold-back scan), both read position by position,
+    so members with equal keys look alike."""
+    graphs, codes = net.inst_graph, net.codes[r]
+    status = tuple(st[p] for i, st in d.live for p in graphs[i].on_pe.get(r, ()))
+    queue = tuple((ref.instance, codes.index(ref.code))
+                  for s in net.compiled.serves[r] for ref in d.sched.queues[s])
     return status, queue
 
 
-def _canonical(net: Network, d: DState, idx: dict, mat):
-    """Representative of (d, mat) under permutations of each processor class.
+def _canonical(net: Network, d: DState) -> tuple[DState, dict]:
+    """Representative of configuration d under permutations of each
+    processor class, and `back`: each renamed task code -> the code it came
+    from ({} when no member moves).
 
     Each class's members are sorted by `_member_key` alone, and the sort is
     applied as one `_Renaming`.  Members with equal keys keep their slot
@@ -382,18 +370,18 @@ def _canonical(net: Network, d: DState, idx: dict, mat):
     """
     moves = []
     for cls in net.orbits:
-        keys = [_member_key(d, m) for m in cls]
+        keys = [_member_key(net, d, r) for r in cls]
         order = sorted(range(len(cls)), key=keys.__getitem__)
         moves += [(cls[src], cls[dst]) for dst, src in enumerate(order) if dst != src]
     if not moves:
-        return d, mat
-    perm = _Renaming(moves)
+        return d, {}
+    perm = _Renaming(net, moves)
     sched = SchedulerState(perm.queues(d.sched.queues), perm.running(d.sched.running))
-    return DState(d.arrivals, perm.live(d.live), sched), perm.zone(idx, mat)
+    return DState(d.arrivals, perm.live(d.live), sched), {v: k for k, v in perm.code_map.items()}
 
 
-def _mirrors(d: DState, idx: dict, mat, o: Member, r: Member) -> bool:
-    """True when swapping members o and r of one class, both running a
+def _mirrors(net: Network, d: DState, idx: dict, mat, o: int, r: int) -> bool:
+    """True when swapping member slots o and r of one class, both running a
     task, maps (d, mat) onto itself.
 
     Equal member keys mean the swap fixes the statuses, the running tasks
@@ -404,22 +392,15 @@ def _mirrors(d: DState, idx: dict, mat, o: Member, r: Member) -> bool:
     nearly every zone the swap does not fix, so they are compared first.
     """
     running = d.sched.running
-    ro, rr = running[o.slot], running[r.slot]
+    ro, rr = running[o], running[r]
     a, b = idx[(RUN, ro.instance, ro.code)], idx[(RUN, rr.instance, rr.code)]
     if not (mat[a, b] == mat[b, a] and mat[a, 0] == mat[b, 0] and mat[0, a] == mat[0, b]):
         return False
-    if _member_key(d, o) != _member_key(d, r):
+    if _member_key(net, d, o) != _member_key(net, d, r):
         return False
     swap = list(range(len(mat)))
     swap[a], swap[b] = b, a
     return np.array_equal(mat[a, swap], mat[b]) and np.array_equal(mat[swap, a], mat[:, b])
-
-
-def _shift(mat, old_idx: dict, new_lay: tuple, resets) -> np.ndarray:
-    """Project a firing-instant zone onto the successor's clock layout."""
-    rs = set(resets)
-    srcs = [0] + [0 if p in rs else old_idx.get(p, 0) for p in new_lay]
-    return relayout(mat, srcs)
 
 
 def _hull_is_union(h, a, b) -> bool:
@@ -602,15 +583,14 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
 
         # task completions, canonical order, skipping mirror images of
         # completions already expanded in this state
-        expanded: dict[int, list[Member]] = {}
+        expanded: dict[int, list[int]] = {}
         for ref, r in sorted((ref, r) for r, ref in enumerate(d.sched.running) if ref is not None):
-            if r in net.member_of:
-                k, m = net.member_of[r]
-                seen = expanded.setdefault(k, [])
-                if any(_mirrors(d, idx, mat, o, m) for o in seen):
+            if r in net.class_of:
+                seen = expanded.setdefault(net.class_of[r], [])
+                if any(_mirrors(net, d, idx, mat, o, r) for o in seen):
                     mirrored += 1
                     continue
-                seen.append(m)
+                seen.append(r)
             lo, _hi = net.compiled.window(ref.code, r)
             zg = mat.copy()
             if not constrain_one(zg, 0, idx[(RUN, ref.instance, ref.code)], enc(-lo)):
@@ -659,16 +639,24 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
 
 
 def _push(net, store, frontier, d2, zg, old_idx, resets):
+    """Store d2 in canonical form, its zone carried from the firing zone zg
+    by one relayout: a renamed run clock reads its source's clock."""
+    back = {}
+    if net.orbits:
+        d2, back = _canonical(net, d2)
     lay2 = _layout(net, d2)
-    z2 = _shift(zg, old_idx, lay2, resets)
+    rs = set(resets)
+    srcs = [0]
+    for p in lay2:
+        if p[0] == RUN and p[2] in back:
+            p = (RUN, p[1], back[p[2]])
+        srcs.append(0 if p in rs else old_idx.get(p, 0))
+    z2 = relayout(zg, srcs)
     # invariants are single-clock upper bounds, so checking them before the
     # delay as well would give the same zone: (Z & I)^ & I == Z^ & I
     elapse(z2)
-    idx2 = _index(lay2)
-    if not _invariants(net, d2, idx2, z2):
+    if not _invariants(net, d2, _index(lay2), z2):
         return
-    if net.orbits:
-        d2, z2 = _canonical(net, d2, idx2, z2)
     b2 = store.insert(d2, z2)
     if b2 is not None:
         frontier.append((d2, b2))

@@ -12,6 +12,11 @@ from fractions import Fraction
 
 SCALE = 10**6
 
+# every time a model can reach stays below this many ticks: zones encode a
+# bound v as 2v + 1 below the "no bound" mark 2**62, and the sum of two
+# encoded finite bounds must stay below that mark
+MAX_TICKS = 2**59
+
 
 def as_fraction(value) -> Fraction:
     """Parse a number-like value into an exact Fraction.

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from taskdse import cli, config, fixtures
-from taskdse.model import DataEdge, Deployment, TaskSpec, WorkInterval
+from taskdse.model import DataEdge, Deployment, TaskSpec, WorkInterval, time_horizon, validate_model
+from taskdse.reachability import reach_bounds
+from taskdse.timebase import MAX_TICKS, format_ticks, to_ticks as U
 from test_parity import two_jobs
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -106,6 +108,79 @@ def test_missing_interconnect_is_a_config_error(tmp_path, capsys, verb):
         argv += ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "MissingInterconnect{chain.a->b}" in capsys.readouterr().err
+
+
+VERBS = [["check"], ["verify"], ["simulate", "--runs", "2", "--seed", "1"]]
+
+
+def _chain2_with(tmp_path, edit) -> str:
+    """chain2's config after `edit` changes its parsed JSON in place."""
+    data = json.loads(pathlib.Path(CHAIN2).read_text())
+    edit(data)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+def _run(verb, path, tmp_path) -> int:
+    argv = verb[:1] + [path] + verb[1:]
+    if verb[0] != "check":
+        argv += ["--out", str(tmp_path / "out")]
+    return cli.main(argv)
+
+
+@pytest.mark.parametrize("ic, named", [(None, "MissingInterconnect{chain.a}"),
+                                       ("nope", "UnknownInterconnect{nope}: communication task chain.a")])
+@pytest.mark.parametrize("verb", VERBS)
+def test_communication_task_needs_a_declared_interconnect(tmp_path, capsys, verb, ic, named):
+    """A task declared as a communication task occupies an interconnect, so
+    it must name one the platform declares."""
+    def edit(data):
+        task = data["application"]["jobs"][0]["tasks"]["a"]
+        task["kind"] = "communication"
+        if ic is not None:
+            task["interconnect"] = ic
+
+    assert _run(verb, _chain2_with(tmp_path, edit), tmp_path) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hi", ["3e12", "1e13"])
+@pytest.mark.parametrize("verb", VERBS)
+def test_times_past_the_zone_encoding_are_a_config_error(tmp_path, capsys, verb, hi):
+    """A duration of 3e12 units reads as "no bound" in a zone and 1e13
+    overflows it, so the model is refused before any engine runs."""
+    def edit(data):
+        data["application"]["jobs"][0]["tasks"]["b"]["work"] = ["3", hi]
+
+    assert _run(verb, _chain2_with(tmp_path, edit), tmp_path) == 2
+    assert "TimeOutOfRange{model}" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_horizon_past_the_time_range(tmp_path, capsys):
+    assert cli.main(["simulate", CHAIN2, "--runs", "1", "--seed", "1",
+                     "--horizon", "1e400", "--out", str(tmp_path)]) == 2
+    assert f"--horizon: horizon must be positive and below {MAX_TICKS} ticks" in capsys.readouterr().err
+
+
+def test_a_model_just_below_the_time_range_verifies_exactly(tmp_path, capsys):
+    """chain2's bound on its time horizon is one period plus one tick plus
+    its longest durations; with b's longest duration set so that the
+    horizon is MAX_TICKS - 1, the makespan's upper bound stays finite and
+    exact: a's 2 units plus b's."""
+    b_hi = MAX_TICKS - 1 - (U(100) + 1 + U(2))
+
+    def edit(data):
+        data["application"]["jobs"][0]["tasks"]["b"]["work"] = ["3", format_ticks(b_hi)]
+
+    path = _chain2_with(tmp_path, edit)
+    m = config.load(path)
+    assert validate_model(m) == [] and time_horizon(m) == MAX_TICKS - 1
+    assert cli.main(["verify", path, "--out", str(tmp_path / "v")]) == 0
+    assert f"makespan [4, {format_ticks(U(2) + b_hi)}]" in capsys.readouterr().out
+    r = reach_bounds(m)
+    assert (r.makespan.lo, r.makespan.hi) == (U(4), U(2) + b_hi)
+    assert _run(VERBS[2], path, tmp_path) == 0
 
 
 @pytest.mark.parametrize("verb", [["check"], ["verify"], ["simulate", "--runs", "200", "--seed", "1"]])

@@ -6,6 +6,8 @@ import pytest
 
 from taskdse import config, fixtures
 from taskdse.config import ConfigError
+from taskdse.model import time_horizon, validate_model
+from taskdse.timebase import MAX_TICKS
 
 
 def _minimal() -> dict:
@@ -86,6 +88,14 @@ def test_checked_in_configs_are_canonical_dumps(configs_dir):
         assert text == config.dumps(config.load(configs_dir / name)), name
 
 
+def test_checked_in_configs_lie_far_inside_the_time_range(configs_dir):
+    """mapping_stream reaches furthest: 60 instances, 2.4e12 ticks in all,
+    about 4e-6 of MAX_TICKS."""
+    for name in FROZEN_HASHES:
+        m = config.load(configs_dir / name)
+        assert validate_model(m) == [] and time_horizon(m) < MAX_TICKS // 10**5, name
+
+
 def test_builders_match_checked_in_configs(configs_dir):
     pairs = {
         "chain2.json": fixtures.chain2(),
@@ -140,8 +150,6 @@ def test_off_grid_number_rejected():
 
 
 def test_unknown_policy_flagged_by_validation():
-    from taskdse.model import validate_model
-
     data = _minimal()
     data["deployment"]["policy"] = "round_robin"
     m = config.parse(data)  # shape is fine; the rule check owns the name

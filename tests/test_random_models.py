@@ -178,6 +178,17 @@ def every_family() -> list[SystemModel]:
     return accepted_models("one_bus") + accepted_models("two_buses") + symmetric_models()
 
 
+def test_no_drawn_model_is_refused_for_its_time_range():
+    """Every model the three families draw, accepted or not, lies inside
+    the time range."""
+    draws = [(seed, draw, MODELS) for seed, draw in FAMILIES.values()]
+    draws.append((SYMMETRIC_SEED, random_symmetric_model, SYMMETRIC_MODELS))
+    for seed, draw, n in draws:
+        rng = SplitMix64(seed)
+        for _ in range(n):
+            assert "TimeOutOfRange" not in {v.rule for v in validate_model(draw(rng))}
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_enough_random_models_are_accepted(family):
     models = accepted_models(family)

@@ -43,7 +43,7 @@ from taskdse.reachability import (
     reach_bounds,
 )
 from taskdse.schedulers import DONE, SchedulerState, strict_view
-from taskdse.zones import clock_window, zone_includes
+from taskdse.zones import clock_window, relayout, zone_includes
 from test_parity import priority_variants, two_jobs
 from taskdse.simulator import run_campaign
 from taskdse.timebase import to_ticks
@@ -264,7 +264,7 @@ def first_compared_state(m, monkeypatch) -> tuple:
     search compares two members of a class for a mirrored completion."""
     seen = []
 
-    def stop(d, idx, mat, o, r):
+    def stop(net, d, idx, mat, o, r):
         seen.append((d, idx, mat))
         raise _Compared
 
@@ -276,7 +276,7 @@ def first_compared_state(m, monkeypatch) -> tuple:
 
 
 def run_clock(idx, d: DState, member):
-    ref = d.sched.running[member.slot]
+    ref = d.sched.running[member]
     return idx[(RUN, ref.instance, ref.code)]
 
 
@@ -292,7 +292,7 @@ def test_blocks_started_by_split_mirror_each_other(monkeypatch):
     for cls in net.orbits:
         for o in cls:
             for r in cls:
-                assert reachability._mirrors(d, idx, mat, o, r)
+                assert reachability._mirrors(net, d, idx, mat, o, r)
 
 
 @pytest.mark.parametrize("entry", ["row", "column"])
@@ -302,14 +302,15 @@ def test_one_asymmetric_zone_entry_breaks_the_mirror(monkeypatch, entry):
     run clocks, and the swap no longer maps the zone onto itself."""
     m = fixtures.band16(12)
     d, idx, mat = first_compared_state(m, monkeypatch)
-    o, r = Network(m).orbits[0][:2]
+    net = Network(m)
+    o, r = net.orbits[0][:2]
     a, t = run_clock(idx, d, o), idx[(reachability.T,)]
-    assert reachability._mirrors(d, idx, mat, o, r)
+    assert reachability._mirrors(net, d, idx, mat, o, r)
     bent = mat.copy()
     at = (a, t) if entry == "row" else (t, a)
     bent[at] -= 2  # the same bound, one tick tighter
-    assert not reachability._mirrors(d, idx, bent, o, r)
-    assert not renamed_mirrors(d, idx, bent, o, r)
+    assert not reachability._mirrors(net, d, idx, bent, o, r)
+    assert not renamed_mirrors(net, d, idx, bent, o, r)
 
 
 def test_equal_statuses_with_unequal_run_clocks_do_not_mirror(monkeypatch):
@@ -319,15 +320,15 @@ def test_equal_statuses_with_unequal_run_clocks_do_not_mirror(monkeypatch):
     calls = []
     check = reachability._mirrors
 
-    def recorded(d, idx, mat, o, r):
-        got = check(d, idx, mat, o, r)
-        calls.append((d, idx, mat, o, r, got))
+    def recorded(net, d, idx, mat, o, r):
+        got = check(net, d, idx, mat, o, r)
+        calls.append((net, d, idx, mat, o, r, got))
         return got
 
     monkeypatch.setattr(reachability, "_mirrors", recorded)
     reach_bounds(fixtures.mapping_stream())
-    unequal = [got for d, idx, mat, o, r, got in calls
-               if _Renaming(((o, r), (r, o))).live(d.live) == d.live
+    unequal = [got for net, d, idx, mat, o, r, got in calls
+               if _Renaming(net, ((o, r), (r, o))).live(d.live) == d.live
                and clock_window(mat, run_clock(idx, d, o)) != clock_window(mat, run_clock(idx, d, r))]
     assert unequal and not any(unequal)
     assert any(got for *_args, got in calls)
@@ -339,19 +340,21 @@ def test_local_queues_in_another_order_do_not_mirror(monkeypatch):
     running task and clock but breaks the mirror."""
     m = fixtures.blockwise(4)
     d, idx, mat = first_compared_state(m, monkeypatch)
-    (cls,) = Network(m).orbits
+    net = Network(m)
+    (cls,) = net.orbits
     o, r = cls[0], cls[1]
-    assert reachability._mirrors(d, idx, mat, o, r)
+    assert reachability._mirrors(net, d, idx, mat, o, r)
     queues = list(d.sched.queues)
-    assert len(queues[o.queue]) == 3
-    queues[o.queue] = queues[o.queue][::-1]
+    (q,) = net.compiled.serves[o]
+    assert len(queues[q]) == 3
+    queues[q] = queues[q][::-1]
     d2 = DState(d.arrivals, d.live, SchedulerState(tuple(queues), d.sched.running))
-    assert not reachability._mirrors(d2, idx, mat, o, r)
+    assert not reachability._mirrors(net, d2, idx, mat, o, r)
 
 
 def class_permutations(net: Network) -> list:
     """Every permutation of each class's members, the identity included."""
-    return [_Renaming([(src, dst) for cls, image in zip(net.orbits, combo)
+    return [_Renaming(net, [(src, dst) for cls, image in zip(net.orbits, combo)
                        for src, dst in zip(cls, image) if src != dst])
             for combo in itertools.product(*(itertools.permutations(cls) for cls in net.orbits))]
 
@@ -359,6 +362,14 @@ def class_permutations(net: Network) -> list:
 def permuted(perm: _Renaming, d: DState) -> DState:
     sched = SchedulerState(perm.queues(d.sched.queues), perm.running(d.sched.running))
     return DState(d.arrivals, perm.live(d.live), sched)
+
+
+def renamed_zone(perm: _Renaming, idx: dict, mat):
+    """The zone of a renamed state, laid out by `idx`: each run clock
+    follows its task code, through one relayout."""
+    src_of = {(p if p[0] != RUN else (RUN, p[1], perm.code_map.get(p[2], p[2]))): i
+              for p, i in idx.items()}
+    return relayout(mat, [0] + [src_of[p] for p in sorted(src_of)])
 
 
 def test_local_queue_order_stays_in_the_canonical_key(monkeypatch):
@@ -371,26 +382,26 @@ def test_local_queue_order_stays_in_the_canonical_key(monkeypatch):
     net = Network(m)
     (cls,) = net.orbits
     queues = list(d.sched.queues)
-    queues[cls[0].queue] = queues[cls[0].queue][::-1]
+    (q,) = net.compiled.serves[cls[0]]
+    queues[q] = queues[q][::-1]
     reversed_one = DState(d.arrivals, d.live, SchedulerState(tuple(queues), d.sched.running))
     perms = class_permutations(net)
     assert len(perms) == 24
     for state in (d, reversed_one):
-        images = {permuted(perm, state): perm.zone(idx, mat) for perm in perms}
+        images = {permuted(perm, state) for perm in perms}
         assert len(images) == (1 if state is d else 4)
-        forms = {reachability._canonical(net, image, _index(_layout(net, image)), zone)[0]
-                 for image, zone in images.items()}
+        forms = {reachability._canonical(net, image)[0] for image in images}
         assert len(forms) == 1
 
 
-def renamed_mirrors(d: DState, idx: dict, mat, o, r) -> bool:
+def renamed_mirrors(net: Network, d: DState, idx: dict, mat, o, r) -> bool:
     """The mirror check `_mirrors` replaced, kept as its reference: apply
     the swap of o and r as a `_Renaming` and compare every part of the
     state, the zone through one relayout."""
-    swap = _Renaming(((o, r), (r, o)))
+    swap = _Renaming(net, ((o, r), (r, o)))
     return (swap.live(d.live) == d.live and swap.running(d.sched.running) == d.sched.running
             and swap.queues(d.sched.queues) == d.sched.queues
-            and np.array_equal(swap.zone(idx, mat), mat))
+            and np.array_equal(renamed_zone(swap, idx, mat), mat))
 
 
 @pytest.mark.parametrize("name, m", [("band16(4)", fixtures.band16(4)),
@@ -404,21 +415,37 @@ def test_mirror_check_agrees_with_the_renamed_swap(name, m, monkeypatch):
     check = reachability._mirrors
     states = {}
 
-    def recorded(d, idx, mat, o, r):
+    def recorded(net, d, idx, mat, o, r):
         states.setdefault((d, mat.tobytes()), (d, idx, mat.copy()))
-        return check(d, idx, mat, o, r)
+        return check(net, d, idx, mat, o, r)
 
     monkeypatch.setattr(reachability, "_mirrors", recorded)
     reach_bounds(m)
     answers = []
     for d, idx, mat in states.values():
         for cls in net.orbits:
-            busy = [mem for mem in cls if d.sched.running[mem.slot] is not None]
+            busy = [mem for mem in cls if d.sched.running[mem] is not None]
             for o, r in itertools.permutations(busy, 2):
-                got = check(d, idx, mat, o, r)
-                assert got == renamed_mirrors(d, idx, mat, o, r), name
+                got = check(net, d, idx, mat, o, r)
+                assert got == renamed_mirrors(net, d, idx, mat, o, r), name
                 answers.append(got)
     assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("m", [fixtures.band16(12), fixtures.mapping_stream(), fixtures.blockwise(4)],
+                         ids=["band16(12)", "mapping_stream", "blockwise(4)"])
+def test_one_relayout_per_successor(m, monkeypatch):
+    """Each successor's zone is carried from the firing zone into its
+    canonical layout by a single relayout: band16(12) pushes 174
+    successors, mapping_stream 270 and blockwise(4) 671, each with one."""
+    counts = {"relayout": 0, "_push": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(reachability, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(reachability, name, counted)
+    reach_bounds(m)
+    assert counts["relayout"] == counts["_push"] > 0
 
 
 def test_search_leaves_every_stored_state_frozen(monkeypatch):
@@ -537,7 +564,7 @@ def check_no_permuted_covers(net: Network, store) -> int:
         idx, perms = _index(_layout(net, d)), stabiliser(net, d)
         for a, b in itertools.permutations(zs.values(), 2):
             pairs += 1
-            assert not any(zone_includes(b, perm.zone(idx, a)) for perm in perms), d
+            assert not any(zone_includes(b, renamed_zone(perm, idx, a)) for perm in perms), d
     return pairs
 
 
