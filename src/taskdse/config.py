@@ -113,9 +113,11 @@ def _edge_key(key: str, path: str) -> tuple[str, str]:
 def _pair(v, path: str) -> tuple[float, float]:
     if not isinstance(v, list) or len(v) != 2:
         raise ConfigError(path, "expected [static_watts, dynamic_watts]")
+    if any(isinstance(w, bool) for w in v):
+        raise ConfigError(path, "watts must be numbers, not true or false")
     try:
         return float(v[0]), float(v[1])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, "watts must be numbers") from None
 
 

@@ -9,6 +9,7 @@ Fractions in cycles per time unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -202,6 +203,14 @@ def _has_cycle(succs: dict[str, list[str]]) -> bool:
     return False
 
 
+def _bad_watts(watts: tuple[float, float]) -> str | None:
+    """The violation a (static, dynamic) watts pair commits, if any: NaN
+    and infinite watts would make every energy figure NaN or infinite."""
+    if not all(math.isfinite(w) for w in watts):
+        return "NonFiniteWatts"
+    return "NegativeWatts" if min(watts) < 0 else None
+
+
 def validate_model(m: SystemModel) -> list[Violation]:
     """Collect every structural rule violation; an empty list means well-formed.
 
@@ -254,9 +263,9 @@ def validate_model(m: SystemModel) -> list[Violation]:
                 out.append(Violation("NonPositiveFrequency", p.id, str(f)))
             elif f not in p.power:
                 out.append(Violation("FrequencyPowerGap", p.id, f"no power entry for {f}"))
-        for f, (stat, dyn) in p.power.items():
-            if stat < 0 or dyn < 0:
-                out.append(Violation("NegativeWatts", p.id, f"at {f}"))
+        for f, watts in p.power.items():
+            if bad := _bad_watts(watts):
+                out.append(Violation(bad, p.id, f"at {f}"))
     if not m.platform.active_processors():
         out.append(Violation("NoPoweredProcessor", "platform", "no processor is on"))
     for mem in m.platform.memories:
@@ -271,8 +280,8 @@ def validate_model(m: SystemModel) -> list[Violation]:
             out.append(Violation("NonPositiveRate", ic.id))
         if ic.init_latency < 0:
             out.append(Violation("NegativeLatency", ic.id))
-        if ic.power[0] < 0 or ic.power[1] < 0:
-            out.append(Violation("NegativeWatts", ic.id))
+        if bad := _bad_watts(ic.power):
+            out.append(Violation(bad, ic.id))
 
     # deployment ---------------------------------------------------------
     dep = m.deployment

@@ -305,47 +305,6 @@ def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
     return constrain_upper(mat, clocks, bounds)
 
 
-class _Renaming:
-    """A permutation of class members: each (src, dst) move of processor
-    slots puts src's statuses, running task and local queue onto dst,
-    renaming task codes position by position."""
-
-    def __init__(self, net: Network, moves):
-        self.net = net
-        self.moves = moves
-        self.code_map = {}
-        for src, dst in moves:
-            self.code_map.update(zip(net.codes[src], net.codes[dst]))
-
-    def ref(self, ref):
-        return None if ref is None else TaskRef(ref.instance, self.code_map.get(ref.code, ref.code))
-
-    def live(self, live) -> tuple:
-        out = []
-        for i, st in live:
-            on_pe = self.net.inst_graph[i].on_pe
-            new = list(st)
-            for src, dst in self.moves:
-                for p, q in zip(on_pe.get(src, ()), on_pe.get(dst, ())):
-                    new[q] = st[p]
-            out.append((i, tuple(new)))
-        return tuple(out)
-
-    def running(self, running) -> tuple:
-        out = list(running)
-        for src, dst in self.moves:
-            out[dst] = self.ref(running[src])
-        return tuple(out)
-
-    def queues(self, queues) -> tuple:
-        out = list(queues)
-        serves = self.net.compiled.serves
-        for src, dst in self.moves:
-            for qs, qd in zip(serves[src], serves[dst]):
-                out[qd] = tuple(map(self.ref, queues[qs]))
-        return tuple(out)
-
-
 def _member_key(net: Network, d: DState, r: int) -> tuple:
     """Member slot r's statuses across the live instances and its local
     queue (none under the hold-back scan), both read position by position,
@@ -363,7 +322,7 @@ def _canonical(net: Network, d: DState) -> tuple[DState, dict]:
     from ({} when no member moves).
 
     Each class's members are sorted by `_member_key` alone, and the sort is
-    applied as one `_Renaming`.  Members with equal keys keep their slot
+    applied through `_renamed`.  Members with equal keys keep their slot
     order, so the form is approximate: one orbit may leave several zones in
     a configuration, never a wrong one, since every permutation fixes each
     clock a bound reads.
@@ -373,11 +332,35 @@ def _canonical(net: Network, d: DState) -> tuple[DState, dict]:
         keys = [_member_key(net, d, r) for r in cls]
         order = sorted(range(len(cls)), key=keys.__getitem__)
         moves += [(cls[src], cls[dst]) for dst, src in enumerate(order) if dst != src]
-    if not moves:
-        return d, {}
-    perm = _Renaming(net, moves)
-    sched = SchedulerState(perm.queues(d.sched.queues), perm.running(d.sched.running))
-    return DState(d.arrivals, perm.live(d.live), sched), {v: k for k, v in perm.code_map.items()}
+    return _renamed(net, d, moves) if moves else (d, {})
+
+
+def _renamed(net: Network, d: DState, moves) -> tuple[DState, dict]:
+    """d with each (src, dst) move of processor slots applied, and `back`
+    (each renamed task code -> the code it came from): src's statuses,
+    running task and local queue go onto dst, and task codes are renamed
+    position by position."""
+    code_map = {}
+    for src, dst in moves:
+        code_map.update(zip(net.codes[src], net.codes[dst]))
+
+    def ref(x):
+        return None if x is None else TaskRef(x.instance, code_map.get(x.code, x.code))
+
+    live = []
+    for i, st in d.live:
+        on_pe, new = net.inst_graph[i].on_pe, list(st)
+        for src, dst in moves:
+            for p, q in zip(on_pe.get(src, ()), on_pe.get(dst, ())):
+                new[q] = st[p]
+        live.append((i, tuple(new)))
+    queues, running, serves = list(d.sched.queues), list(d.sched.running), net.compiled.serves
+    for src, dst in moves:
+        running[dst] = ref(d.sched.running[src])
+        for qs, qd in zip(serves[src], serves[dst]):
+            queues[qd] = tuple(map(ref, d.sched.queues[qs]))
+    sched = SchedulerState(tuple(queues), tuple(running))
+    return DState(d.arrivals, tuple(live), sched), {v: k for k, v in code_map.items()}
 
 
 def _mirrors(net: Network, d: DState, idx: dict, mat, o: int, r: int) -> bool:
@@ -477,55 +460,47 @@ def _family_hull(mats: list):
 
 
 class _Store:
-    """Per-configuration zone antichains with inclusion pruning and merging.
+    """Per-configuration zone antichains with inclusion pruning and merging:
+    `zones[d]` lists configuration d's zones in the order they were stored,
+    and the frontier queues each stored zone itself, with its clock index.
     The zones of a configuration are compared clock by clock, in the member
     order that `_canonical` picked for it."""
 
     def __init__(self, merge: bool):
-        self.zones: dict[DState, dict[bytes, np.ndarray]] = {}
+        self.zones: dict[DState, list[np.ndarray]] = {}
         self.merge = merge
         self.merges = 0
 
-    def get(self, d: DState, b: bytes):
-        return self.zones.get(d, {}).get(b)
-
-    def insert(self, d: DState, mat: np.ndarray) -> bytes | None:
-        """Store a zone; returns its key when it must be (re)explored."""
-        zs = self.zones.setdefault(d, {})
-        b = mat.tobytes()
-        if b in zs:
-            return None
-        if any(zone_includes(om, mat) for om in zs.values()):
+    def insert(self, d: DState, mat: np.ndarray) -> np.ndarray | None:
+        """Store a zone; returns the zone stored (mat or a hull holding it)
+        when it must be (re)explored, None when a stored zone covers mat."""
+        zs = self.zones.setdefault(d, [])
+        if any(zone_includes(om, mat) for om in zs):
             return None
         while True:
-            for ob in [ob for ob, om in zs.items() if zone_includes(mat, om)]:
-                del zs[ob]
+            zs[:] = [om for om in zs if not zone_includes(mat, om)]
             h = self._merge_one(zs, mat) if self.merge else None
             if h is None:
                 break
             mat = h
-        b = mat.tobytes()
-        zs[b] = mat
-        return b
+        zs.append(mat)
+        return mat
 
-    def _merge_one(self, zs: dict, mat: np.ndarray):
+    def _merge_one(self, zs: list, mat: np.ndarray):
         """Hull of mat and one stored zone, else of a completion family with
         mat, after taking the merged zones out of zs; None if none merges."""
-        for ob, om in zs.items():
+        for k, om in enumerate(zs):
             h = np.maximum(mat, om)
             if _hull_is_union(h, mat, om):
-                del zs[ob]
+                del zs[k]
                 self.merges += 1
                 return h
-        keys = list(zs)
-        got = _family_hull([zs[k] for k in keys] + [mat]) if keys else None
-        if got is None or len(keys) not in got[1]:
-            return None  # incoming zone must join, or there is no new key
+        got = _family_hull(zs + [mat]) if zs else None
+        if got is None or len(zs) not in got[1]:
+            return None  # the incoming zone must join, or nothing is stored anew
         h, members = got
         self.merges += len(members) - 1
-        for i in members:
-            if i < len(keys):
-                del zs[keys[i]]
+        zs[:] = [om for k, om in enumerate(zs) if k not in members]
         return h
 
     def total(self) -> int:
@@ -560,26 +535,21 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
     overflow = False
 
     d0 = DState((0,) * len(model.generators), (), net.compiled.idle)
-    lay0 = _layout(net, d0)
-    z0 = new_zero(len(lay0) + 1)
+    idx0 = _index(_layout(net, d0))
+    z0 = new_zero(len(idx0) + 1)
     elapse(z0)
-    if not _invariants(net, d0, _index(lay0), z0):
+    if not _invariants(net, d0, idx0, z0):
         raise ValueError("initial state violates its own invariants")
-    frontier: deque = deque()
-    b0 = store.insert(d0, z0)
-    frontier.append((d0, b0))
+    frontier = deque([(d0, store.insert(d0, z0), idx0)])
     explored = mirrored = 0
 
     while frontier:
-        d, b = frontier.popleft()
-        mat = store.get(d, b)
-        if mat is None:
+        d, mat, idx = frontier.popleft()
+        if not any(z is mat for z in store.zones[d]):
             continue  # superseded by a merge or a wider zone
         explored += 1
         if explored > opts.state_cap:
             raise SearchCapExceeded(f"more than {opts.state_cap} configurations")
-        lay = _layout(net, d)
-        idx = _index(lay)
 
         # task completions, canonical order, skipping mirror images of
         # completions already expanded in this state
@@ -655,8 +625,9 @@ def _push(net, store, frontier, d2, zg, old_idx, resets):
     # invariants are single-clock upper bounds, so checking them before the
     # delay as well would give the same zone: (Z & I)^ & I == Z^ & I
     elapse(z2)
-    if not _invariants(net, d2, _index(lay2), z2):
+    idx2 = _index(lay2)
+    if not _invariants(net, d2, idx2, z2):
         return
-    b2 = store.insert(d2, z2)
-    if b2 is not None:
-        frontier.append((d2, b2))
+    stored = store.insert(d2, z2)
+    if stored is not None:
+        frontier.append((d2, stored, idx2))

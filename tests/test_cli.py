@@ -157,6 +157,44 @@ def test_times_past_the_zone_encoding_are_a_config_error(tmp_path, capsys, verb,
     assert "TimeOutOfRange{model}" in capsys.readouterr().err
 
 
+def _bus_watts(watts):
+    def edit(data):
+        data["platform"]["interconnects"] = [{"name": "bus", "rate": "1", "power": watts}]
+    return edit
+
+
+def _pe_watts(watts):
+    def edit(data):
+        data["platform"]["processors"][0]["power"]["1"] = watts
+    return edit
+
+
+# (edit, what the error names); json.dumps writes a float NaN or inf as the
+# bare literal NaN or Infinity, which Python's json also reads
+WATTS_CASES = {
+    "string nan": (_pe_watts(["nan", 0.9]), "NonFiniteWatts{PE0}"),
+    "string infinity": (_pe_watts([0.1, "Infinity"]), "NonFiniteWatts{PE0}"),
+    "literal nan": (_pe_watts([float("nan"), 0.9]), "NonFiniteWatts{PE0}"),
+    "literal -infinity": (_pe_watts([0.1, float("-inf")]), "NonFiniteWatts{PE0}"),
+    "interconnect": (_bus_watts([0.1, float("inf")]), "NonFiniteWatts{bus}"),
+    "boolean": (_pe_watts([True, False]), "watts must be numbers, not true or false"),
+    "huge integer": (_pe_watts([10 ** 400, 0.9]), "watts must be numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WATTS_CASES))
+@pytest.mark.parametrize("verb", [["check"], ["simulate", "--runs", "2", "--seed", "1"],
+                                  ["sweep", "--axis", "period=100,200", "--runs", "2", "--seed", "1"]])
+def test_watts_that_are_no_finite_number_are_a_config_error(tmp_path, capsys, verb, case):
+    """NaN or infinite watts would make every energy figure NaN or
+    infinite, and true/false are no watts, so each verb exits 2 and writes
+    nothing."""
+    edit, named = WATTS_CASES[case]
+    assert _run(verb, _chain2_with(tmp_path, edit), tmp_path) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_a_horizon_past_the_time_range(tmp_path, capsys):
     assert cli.main(["simulate", CHAIN2, "--runs", "1", "--seed", "1",
                      "--horizon", "1e400", "--out", str(tmp_path)]) == 2

@@ -17,9 +17,16 @@ under strict_priority_local with equal priorities per position.
 Over all three families, no verb exits with an internal error (property a),
 merging changes no bound (property c) and no layout outgrows the clock count
 checked before the search.
+
+REACH_DIGESTS pins every search result over the three families: for each
+option set, the sha256 of the `ReachResult` reprs of `every_family()` in
+order, so every bound, `instance_latency` and counter of 777 searches is
+compared.  A change that simplifies or speeds up the zone search must leave
+them as they are; one that changes them must say why, as with `DIGESTS`.
 """
 
 import contextlib
+import hashlib
 import io
 from fractions import Fraction
 
@@ -295,6 +302,23 @@ def test_merge_changes_no_bound():
     for n, m in enumerate(every_family()):
         want = bounds(reach_bounds(m))
         assert bounds(reach_bounds(m, ReachOptions(merge=False))) == want, n
+
+
+REACH_DIGESTS = {
+    "default": "379eac4937c1160904de824c287919e8a4af7fe2bce9c0325cf0bb3d94dcfe9f",
+    "symmetry=False": "0e6b75be01445e38c74e2a97d674c94eb07d8886507bfd9747fe558a76cafc6c",
+    "merge=False": "92377516d27f05fdbaf2dc99af977e113b72c20f73ac77fa2a5da0d642b65c71",
+}
+REACH_OPTIONS = {"default": ReachOptions(), "symmetry=False": ReachOptions(symmetry=False),
+                 "merge=False": ReachOptions(merge=False)}
+
+
+@pytest.mark.parametrize("name", sorted(REACH_DIGESTS))
+def test_every_search_result_of_the_families_is_pinned(name):
+    h = hashlib.sha256()
+    for m in every_family():
+        h.update(repr(reach_bounds(m, REACH_OPTIONS[name])).encode())
+    assert h.hexdigest() == REACH_DIGESTS[name]
 
 
 def test_layouts_of_random_models_fit_the_clock_count(monkeypatch):

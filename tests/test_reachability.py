@@ -39,7 +39,7 @@ from taskdse.reachability import (
     SearchCapExceeded,
     _index,
     _layout,
-    _Renaming,
+    _renamed,
     reach_bounds,
 )
 from taskdse.schedulers import DONE, SchedulerState, strict_view
@@ -328,7 +328,7 @@ def test_equal_statuses_with_unequal_run_clocks_do_not_mirror(monkeypatch):
     monkeypatch.setattr(reachability, "_mirrors", recorded)
     reach_bounds(fixtures.mapping_stream())
     unequal = [got for net, d, idx, mat, o, r, got in calls
-               if _Renaming(net, ((o, r), (r, o))).live(d.live) == d.live
+               if permuted(net, ((o, r), (r, o)), d).live == d.live
                and clock_window(mat, run_clock(idx, d, o)) != clock_window(mat, run_clock(idx, d, r))]
     assert unequal and not any(unequal)
     assert any(got for *_args, got in calls)
@@ -353,21 +353,22 @@ def test_local_queues_in_another_order_do_not_mirror(monkeypatch):
 
 
 def class_permutations(net: Network) -> list:
-    """Every permutation of each class's members, the identity included."""
-    return [_Renaming(net, [(src, dst) for cls, image in zip(net.orbits, combo)
-                       for src, dst in zip(cls, image) if src != dst])
+    """Every permutation of each class's members, the identity included, as
+    a list of (src, dst) moves of processor slots."""
+    return [[(src, dst) for cls, image in zip(net.orbits, combo)
+             for src, dst in zip(cls, image) if src != dst]
             for combo in itertools.product(*(itertools.permutations(cls) for cls in net.orbits))]
 
 
-def permuted(perm: _Renaming, d: DState) -> DState:
-    sched = SchedulerState(perm.queues(d.sched.queues), perm.running(d.sched.running))
-    return DState(d.arrivals, perm.live(d.live), sched)
+def permuted(net: Network, moves, d: DState) -> DState:
+    return _renamed(net, d, moves)[0]
 
 
-def renamed_zone(perm: _Renaming, idx: dict, mat):
+def renamed_zone(net: Network, moves, idx: dict, mat):
     """The zone of a renamed state, laid out by `idx`: each run clock
     follows its task code, through one relayout."""
-    src_of = {(p if p[0] != RUN else (RUN, p[1], perm.code_map.get(p[2], p[2]))): i
+    code_map = {c: e for src, dst in moves for c, e in zip(net.codes[src], net.codes[dst])}
+    src_of = {(p if p[0] != RUN else (RUN, p[1], code_map.get(p[2], p[2]))): i
               for p, i in idx.items()}
     return relayout(mat, [0] + [src_of[p] for p in sorted(src_of)])
 
@@ -388,7 +389,7 @@ def test_local_queue_order_stays_in_the_canonical_key(monkeypatch):
     perms = class_permutations(net)
     assert len(perms) == 24
     for state in (d, reversed_one):
-        images = {permuted(perm, state) for perm in perms}
+        images = {permuted(net, moves, state) for moves in perms}
         assert len(images) == (1 if state is d else 4)
         forms = {reachability._canonical(net, image)[0] for image in images}
         assert len(forms) == 1
@@ -396,12 +397,10 @@ def test_local_queue_order_stays_in_the_canonical_key(monkeypatch):
 
 def renamed_mirrors(net: Network, d: DState, idx: dict, mat, o, r) -> bool:
     """The mirror check `_mirrors` replaced, kept as its reference: apply
-    the swap of o and r as a `_Renaming` and compare every part of the
+    the swap of o and r through `_renamed` and compare every part of the
     state, the zone through one relayout."""
-    swap = _Renaming(net, ((o, r), (r, o)))
-    return (swap.live(d.live) == d.live and swap.running(d.sched.running) == d.sched.running
-            and swap.queues(d.sched.queues) == d.sched.queues
-            and np.array_equal(renamed_zone(swap, idx, mat), mat))
+    swap = ((o, r), (r, o))
+    return permuted(net, swap, d) == d and np.array_equal(renamed_zone(net, swap, idx, mat), mat)
 
 
 @pytest.mark.parametrize("name, m", [("band16(4)", fixtures.band16(4)),
@@ -437,8 +436,11 @@ def test_mirror_check_agrees_with_the_renamed_swap(name, m, monkeypatch):
 def test_one_relayout_per_successor(m, monkeypatch):
     """Each successor's zone is carried from the firing zone into its
     canonical layout by a single relayout: band16(12) pushes 174
-    successors, mapping_stream 270 and blockwise(4) 671, each with one."""
-    counts = {"relayout": 0, "_push": 0}
+    successors, mapping_stream 270 and blockwise(4) 671, each with one.
+    Each layout is built once, for the initial state and for each pushed
+    successor; the frontier keeps its clock index, so a popped state is
+    not laid out again."""
+    counts = {"relayout": 0, "_push": 0, "_layout": 0}
     for name in counts:
         def counted(*args, _fn=getattr(reachability, name), _name=name):
             counts[_name] += 1
@@ -446,6 +448,7 @@ def test_one_relayout_per_successor(m, monkeypatch):
         monkeypatch.setattr(reachability, name, counted)
     reach_bounds(m)
     assert counts["relayout"] == counts["_push"] > 0
+    assert counts["_layout"] == counts["_push"] + 1
 
 
 def test_search_leaves_every_stored_state_frozen(monkeypatch):
@@ -539,7 +542,7 @@ def test_skipping_mirrors_changes_no_result(name, monkeypatch):
 def stabiliser(net: Network, d: DState) -> list:
     """Every permutation of each class's members that maps d onto itself,
     the identity included, found by listing all of them."""
-    return [perm for perm in class_permutations(net) if permuted(perm, d) == d]
+    return [moves for moves in class_permutations(net) if permuted(net, moves, d) == d]
 
 
 def final_stores(monkeypatch) -> list:
@@ -562,9 +565,9 @@ def check_no_permuted_covers(net: Network, store) -> int:
     pairs = 0
     for d, zs in store.zones.items():
         idx, perms = _index(_layout(net, d)), stabiliser(net, d)
-        for a, b in itertools.permutations(zs.values(), 2):
+        for a, b in itertools.permutations(zs, 2):
             pairs += 1
-            assert not any(zone_includes(b, renamed_zone(perm, idx, a)) for perm in perms), d
+            assert not any(zone_includes(b, renamed_zone(net, moves, idx, a)) for moves in perms), d
     return pairs
 
 
@@ -621,21 +624,20 @@ def check_layouts(monkeypatch) -> list:
 
 
 def check_antichains(monkeypatch):
-    """From here on, after every insert no stored zone of the configuration
-    includes another one, and every key is its zone's bytes.  Inserts are
-    the store's only writes, so only pairs with the stored zone can break
-    the antichain."""
+    """From here on, after every insert the zone it returns is stored
+    exactly once and no stored zone of the configuration includes another
+    one.  Inserts are the store's only writes, so only pairs with the
+    stored zone can break the antichain."""
     insert = reachability._Store.insert
 
     def checked(store, d, mat):
-        b = insert(store, d, mat)
+        new = insert(store, d, mat)
         zs = store.zones[d]
-        assert all(k == z.tobytes() for k, z in zs.items())
-        if b is not None:
-            new = zs[b]
+        if new is not None:
+            assert sum(z is new for z in zs) == 1, d
             assert not any(zone_includes(new, z) or zone_includes(z, new)
-                           for k, z in zs.items() if k != b), d
-        return b
+                           for z in zs if z is not new), d
+        return new
 
     monkeypatch.setattr(reachability._Store, "insert", checked)
 
