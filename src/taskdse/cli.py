@@ -370,10 +370,13 @@ def _cmd_sweep(args) -> int:
         payloads.append((data, assignment, args.runs,
                          derive_seed(args.seed, i), os.path.join(out, label)))
 
-    if args.workers == 1:
+    # a pool starts every worker it is given at once, so it gets no more
+    # workers than points
+    workers = min(args.workers, len(payloads))
+    if workers == 1:
         rows = [_run_point(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_point, payloads))
 
     buf = io.StringIO()

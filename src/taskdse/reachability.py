@@ -41,6 +41,11 @@ makespan anchor (reset at the first arrival), one response clock per admitted
 incomplete instance, one clock per running task, and the generator's own
 clocks (inter-arrival or sliding-window banks).  Clocks of finished tasks,
 completed instances and exhausted generators are projected away.
+
+`_successors` is the successor relation on symbolic states (Bengtsson & Yi,
+"Timed Automata: Semantics, Algorithms and Tools", 2004) and `reach_bounds`
+its driver.  Labels: task ends (END, slot, ref), or (MIRROR, slot, ref) for
+mirror images; arrivals (ARRIVE, gidx), or (OVERFLOW, gidx) past capacity.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ from .zones import (
 # clock tags are (group, ...) tuples; the groups number the canonical layout
 # order, so a sorted list of tags is the layout
 T, M, RESP, RUN, GEN = range(5)
+END, MIRROR, ARRIVE, OVERFLOW = range(4)
 
 
 class BudgetExceeded(RuntimeError):
@@ -183,7 +189,7 @@ class Network:
 
     def __init__(self, model: SystemModel, options: ReachOptions | None = None):
         self.model = model
-        self.options = options or ReachOptions()
+        options = options or ReachOptions()
         self.compiled = CompiledModel(model)
         graphs = self.compiled.graphs
         # rules[gidx][a]: rule of arrival a + 1; instance_bound caps the count
@@ -199,13 +205,13 @@ class Network:
         gen_clocks = sum(own_clocks(g) for g in model.generators)
         concurrent = min(len(self.inst_graph), model.deployment.queue_capacity)
         self.clocks = 2 + concurrent + len(self.compiled.resources) + gen_clocks
-        if self.clocks > self.options.clock_budget:
+        if self.clocks > options.clock_budget:
             raise BudgetExceeded(
-                f"model may need {self.clocks} clocks (budget {self.options.clock_budget})"
+                f"model may need {self.clocks} clocks (budget {options.clock_budget})"
             )
 
         self.orbits, self.codes = (_processor_classes(self.compiled, model.deployment.policy)
-                                   if self.options.symmetry else ([], {}))
+                                   if options.symmetry else ([], {}))
         self.class_of = {r: k for k, cls in enumerate(self.orbits) for r in cls}
 
 
@@ -267,7 +273,7 @@ def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
 
 
 def _after_arrival(net: Network, d: DState, gidx: int):
-    """Admit arrival k of generator gidx; returns (d2, resets)."""
+    """Admit arrival k of generator gidx; returns (d2, resets, None) like `_after_end`."""
     k = d.arrivals[gidx] + 1
     arrivals = tuple(a + 1 if i == gidx else a for i, a in enumerate(d.arrivals))
     inst = net.inst_of[(gidx, k)]
@@ -281,7 +287,7 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     live = {i: list(st) for i, st in d.live}
     work = thaw(d.sched)
     d2, more = _settle(net, arrivals, live, work, admit(net.inst_graph[inst], live, inst))
-    return d2, resets + more
+    return d2, resets + more, None
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +525,37 @@ def _widen(cur: TimeInterval | None, lo: int, hi: int | None) -> TimeInterval:
 # search
 
 
+def _successors(net: Network, d: DState, mat, idx: dict):
+    """Yield (label, zg, step) per transition out of (d, mat): ends, in
+    ascending (ref, slot), then arrivals, in generator order.  zg is mat
+    copied under the guard and step what `_after_end` or `_after_arrival`
+    returns; a MIRROR label has neither, an OVERFLOW label no step."""
+    expanded: dict[int, list[int]] = {}
+    for ref, r in sorted((ref, r) for r, ref in enumerate(d.sched.running) if ref is not None):
+        if r in net.class_of:
+            seen = expanded.setdefault(net.class_of[r], [])
+            if any(_mirrors(net, d, idx, mat, o, r) for o in seen):
+                yield (MIRROR, r, ref), None, None
+                continue
+            seen.append(r)
+        lo, _hi = net.compiled.window(ref.code, r)
+        zg = mat.copy()
+        if constrain_one(zg, 0, idx[(RUN, ref.instance, ref.code)], enc(-lo)):
+            yield (END, r, ref), zg, _after_end(net, d, r, ref)
+    for gidx, (a, rules) in enumerate(zip(d.arrivals, net.rules)):
+        if a == len(rules):
+            continue
+        zg = mat.copy()
+        gd = rules[a].guard
+        if gd is not None and not constrain_one(
+                zg, 0, idx[_clock(gidx, gd.clock)], enc(-gd.ticks, strict=gd.strict)):
+            continue
+        if len(d.live) >= net.model.deployment.queue_capacity:
+            yield (OVERFLOW, gidx), zg, None
+        else:
+            yield (ARRIVE, gidx), zg, _after_arrival(net, d, gidx)
+
+
 def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> ReachResult:
     """Exact bounds on makespan and per-instance response times.
 
@@ -530,7 +567,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
     opts = options or ReachOptions()
     net = Network(model, opts)
     store = _Store(opts.merge)
-    makespan = None
+    makespan = latency = None
     per_inst: dict[int, TimeInterval] = {}
     overflow = False
 
@@ -551,49 +588,22 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
         if explored > opts.state_cap:
             raise SearchCapExceeded(f"more than {opts.state_cap} configurations")
 
-        # task completions, canonical order, skipping mirror images of
-        # completions already expanded in this state
-        expanded: dict[int, list[int]] = {}
-        for ref, r in sorted((ref, r) for r, ref in enumerate(d.sched.running) if ref is not None):
-            if r in net.class_of:
-                seen = expanded.setdefault(net.class_of[r], [])
-                if any(_mirrors(net, d, idx, mat, o, r) for o in seen):
-                    mirrored += 1
-                    continue
-                seen.append(r)
-            lo, _hi = net.compiled.window(ref.code, r)
-            zg = mat.copy()
-            if not constrain_one(zg, 0, idx[(RUN, ref.instance, ref.code)], enc(-lo)):
-                continue
-            d2, resets, completed = _after_end(net, d, r, ref)
-            if completed is not None:
-                rlo, rhi = clock_window(zg, idx[(RESP, completed)])
-                per_inst[completed] = _widen(per_inst.get(completed), rlo, rhi)
-            if _terminal(net, d2):
-                mlo, mhi = clock_window(zg, idx[(M,)])
-                makespan = _widen(makespan, mlo, mhi)
-                continue
-            _push(net, store, frontier, d2, zg, idx, resets)
+        for label, zg, step in _successors(net, d, mat, idx):
+            if label[0] == MIRROR:
+                mirrored += 1
+            elif label[0] == OVERFLOW:
+                overflow = True  # absorbing: the run is flagged, not continued
+            else:
+                d2, resets, completed = step
+                if completed is not None:
+                    rlo, rhi = clock_window(zg, idx[(RESP, completed)])
+                    per_inst[completed] = _widen(per_inst.get(completed), rlo, rhi)
+                    latency = _widen(latency, rlo, rhi)
+                if _terminal(net, d2):
+                    makespan = _widen(makespan, *clock_window(zg, idx[(M,)]))
+                else:
+                    _push(net, store, frontier, d2, zg, idx, resets)
 
-        # arrivals, generator order
-        for gidx, rules in enumerate(net.rules):
-            a = d.arrivals[gidx]
-            if a == len(rules):
-                continue
-            zg = mat.copy()
-            gd = rules[a].guard
-            if gd is not None and not constrain_one(
-                    zg, 0, idx[_clock(gidx, gd.clock)], enc(-gd.ticks, strict=gd.strict)):
-                continue
-            if len(d.live) >= net.model.deployment.queue_capacity:
-                overflow = True
-                continue  # absorbing: the run is flagged, not continued
-            d2, resets = _after_arrival(net, d, gidx)
-            _push(net, store, frontier, d2, zg, idx, resets)
-
-    latency = None
-    for iv in per_inst.values():
-        latency = _widen(latency, iv.lo, iv.hi)
     return ReachResult(
         makespan=makespan,
         latency=latency,

@@ -444,6 +444,33 @@ def test_sweep_worker_count_invariant(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def test_sweep_pool_gets_no_more_workers_than_points(tmp_path, monkeypatch):
+    """`--workers 8` over 2 points asks the pool for 2 workers, and over 1
+    point builds no pool.  The fake pool maps in-process and starts none."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    argv = ["sweep", CHAIN2, "--runs", "1", "--seed", "1", "--workers", "8"]
+    assert cli.main(argv + ["--axis", "period=100,200", "--out", str(tmp_path / "two")]) == 0
+    assert sizes == [2]
+    assert cli.main(argv + ["--axis", "period=100", "--out", str(tmp_path / "one")]) == 0
+    assert sizes == [2]
+    assert (tmp_path / "one" / "period=100" / "report.json").exists()
+
+
 def test_sweep_rejects_unknown_axis(tmp_path, capsys):
     assert cli.main(["sweep", CHAIN2, "--axis", "voltage=1,2",
                      "--runs", "1", "--seed", "1", "--out", str(tmp_path)]) == 2

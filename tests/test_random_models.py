@@ -51,11 +51,27 @@ from taskdse.model import (
     WorkInterval,
     validate_model,
 )
-from taskdse.reachability import Network, ReachOptions, reach_bounds
+from taskdse.reachability import (
+    ARRIVE,
+    END,
+    MIRROR,
+    OVERFLOW,
+    Network,
+    ReachOptions,
+    SearchCapExceeded,
+    reach_bounds,
+)
 from taskdse.rng import SplitMix64
 from taskdse.simulator import CompiledModel, simulate
 from taskdse.timebase import to_ticks
-from test_reachability import check_antichains, check_layouts, check_no_permuted_covers, final_stores
+from test_parity import BUNDLED, CONFIGS, two_jobs
+from test_reachability import (
+    check_antichains,
+    check_layouts,
+    check_no_permuted_covers,
+    final_stores,
+    recorded_steps,
+)
 
 SEED = 20240611
 BUS_SEED = 7
@@ -347,3 +363,32 @@ def test_store_of_random_symmetric_models_holds_no_permuted_covers(monkeypatch):
                 reach_bounds(m, ReachOptions(merge=merge))
                 pairs += check_no_permuted_covers(net, stores[-1])
     assert pairs
+
+
+def test_successors_yield_ends_then_arrivals_in_order(monkeypatch):
+    """Every `_successors` call yields its END and MIRROR labels first, in
+    ascending (ref, slot), then its ARRIVE and OVERFLOW labels, in
+    ascending generator order: on the bundled configs, on every family and,
+    for two generators, on two_jobs under each policy, all under the
+    defaults.  power_sweep stops at 300 configurations, since its full
+    search expands 65,540."""
+    calls = recorded_steps(monkeypatch)
+    for name in BUNDLED:
+        try:
+            reach_bounds(config.load(str(CONFIGS / f"{name}.json")), ReachOptions(state_cap=300))
+        except SearchCapExceeded:
+            assert name == "power_sweep"
+    for m in every_family() + [two_jobs(policy) for policy in POLICIES]:
+        reach_bounds(m)
+    kinds, most_arrivals = set(), 0
+    for call in calls:
+        labels = [label for label, _zg, _step in call]
+        kinds.update(label[0] for label in labels)
+        arriving = [label[0] in (ARRIVE, OVERFLOW) for label in labels]
+        assert arriving == sorted(arriving), labels
+        ends = [(label[2], label[1]) for label in labels if label[0] in (END, MIRROR)]
+        assert ends == sorted(set(ends)), labels
+        gens = [label[1] for label in labels if label[0] in (ARRIVE, OVERFLOW)]
+        assert gens == sorted(set(gens)), labels
+        most_arrivals = max(most_arrivals, len(gens))
+    assert kinds == {END, MIRROR, ARRIVE, OVERFLOW} and most_arrivals == 2

@@ -31,6 +31,9 @@ from taskdse.model import (
     validate_model,
 )
 from taskdse.reachability import (
+    END,
+    MIRROR,
+    OVERFLOW,
     RUN,
     BudgetExceeded,
     DState,
@@ -479,16 +482,42 @@ def test_search_leaves_every_stored_state_frozen(monkeypatch):
             assert hash(d) == h and repr(d) == text
 
 
-def test_mirrored_completions_are_counted():
-    """band16(12) expands 179 of its 457 completions and skips 278 mirror
-    images; with symmetry off nothing is skipped."""
-    assert reach_bounds(fixtures.band16(12)).mirrored == 278
+def recorded_steps(monkeypatch) -> list:
+    """From here on, every `_successors` call appends the list of the
+    (label, zg, step) triples it yields."""
+    successors, calls = reachability._successors, []
+
+    def recorded(*args):
+        calls.append([])
+        for triple in successors(*args):
+            calls[-1].append(triple)
+            yield triple
+
+    monkeypatch.setattr(reachability, "_successors", recorded)
+    return calls
+
+
+def test_mirrored_completions_are_counted(monkeypatch):
+    """band16(12) expands 174 of the 452 completions its guards allow and
+    skips 278 mirror images: one END label each, and one MIRROR label, with
+    neither zone nor step, per completion `mirrored` counts.  With symmetry
+    off nothing is skipped."""
+    calls = recorded_steps(monkeypatch)
+    r = reach_bounds(fixtures.band16(12))
+    steps = [t for call in calls for t in call]
+    ends = [t for t in steps if t[0][0] == END]
+    mirrors = [t for t in steps if t[0][0] == MIRROR]
+    assert (len(ends), len(mirrors)) == (174, r.mirrored) == (174, 278)
+    assert all(zg is None and step is None for _label, zg, step in mirrors)
+    assert all(zg is not None and step is not None for _label, zg, step in ends)
+    calls.clear()
     assert reach_bounds(fixtures.band16(12), ReachOptions(symmetry=False)).mirrored == 0
+    assert calls and not any(label[0] == MIRROR for call in calls for label, _zg, _step in call)
 
 
 def test_band16_12_expands_at_most_200_completions(monkeypatch):
-    """Mirror images never reach `_after_end`: 179 completions do, of the
-    457 the search builds without the skip."""
+    """Mirror images never reach `_after_end`: 174 completions do, of the
+    452 the search builds without the skip."""
     calls = 0
     after_end = reachability._after_end
 
@@ -665,8 +694,11 @@ def test_store_stays_an_antichain(name, monkeypatch):
         reach_bounds(mirror_cases()[name], ReachOptions(clock_budget=40, merge=merge))
 
 
-def test_overflow_reachable_flagged():
-    # capacity 1 with two forced-simultaneous arrivals: second one must drop
+def test_overflow_reachable_flagged(monkeypatch):
+    """An arrival into a full backlog yields an OVERFLOW label without a
+    step, and the result flags overflow exactly when one is yielded: at
+    capacity 1, on mapping_stream with two arrivals one time unit apart and
+    on stream_chain, but not on stream_chain at its default capacity."""
     m = fixtures.mapping_stream(period=4000)
     m.deployment.queue_capacity = 1
     m.instance_bound = 2
@@ -674,8 +706,15 @@ def test_overflow_reachable_flagged():
         g.count = 2
         g.jitter = 0
         g.period = U(1)
-    r = reach_bounds(m)
-    assert r.overflow_reachable
+    chain, full = fixtures.stream_chain(), fixtures.stream_chain()
+    full.deployment.queue_capacity = 1
+    calls = recorded_steps(monkeypatch)
+    for model, flagged in ((m, True), (full, True), (chain, False)):
+        calls.clear()
+        r = reach_bounds(model)
+        overflows = [step for call in calls for label, _zg, step in call if label[0] == OVERFLOW]
+        assert all(step is None for step in overflows)
+        assert r.overflow_reachable == bool(overflows) == flagged
 
 
 def test_instance_latency_matches_single_instance():
