@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
+from .config import ConfigError
 from .model import Platform, SystemModel
 from .timebase import SCALE
 
@@ -268,13 +269,24 @@ def histogram_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summarize(values, bins: int = 20) -> Report:
-    """Sample statistics; std is the n-1 sample deviation, p95 nearest-rank."""
+def summarize(values, bins: int = 20, metric: str = "sample") -> Report:
+    """Sample statistics; std is the n-1 sample deviation, p95 nearest-rank.
+
+    Samples that floats cannot summarize, a NaN or infinite one or finite
+    ones whose sum leaves the float range, raise a ConfigError that names
+    `metric`: the model's figures (watts, say) are too large."""
     vals = sorted(float(v) for v in values)
     n = len(vals)
     if n == 0:
         return Report(0, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, [])
-    mean = statistics.fmean(vals)
+    try:
+        total = math.fsum(vals)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ConfigError(metric, f"the samples sum to {total!r}: one is not finite or the sum "
+                          "leaves the float range; the model's watts or times are too large")
+    mean = total / n  # statistics.fmean
     std = statistics.stdev(vals) if n >= 2 else 0.0
     p95 = vals[max(math.ceil(0.95 * n) - 1, 0)]
     lo, hi = vals[0], vals[-1]

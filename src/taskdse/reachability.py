@@ -159,7 +159,7 @@ def _processor_classes(compiled: CompiledModel, policy: str) -> tuple[list[tuple
                 ns = [g.first + n for n in ns]
                 outside.update(n for n in ns if n not in own)
                 ends.append(tuple(sorted((0, own[n]) if n in own else (1, n) for n in ns)))
-            sig.append((g.name, compiled.window(c, r), compiled.priority[c], compiled.pinned[c],
+            sig.append((g.name, compiled.durations[c][r], compiled.priority[c], compiled.pinned[c],
                         tuple(ends)))
         if codes and all(compiled.tasks[n].kind != COMMUNICATION for n in outside):
             cands[r] = (codes, tuple(sig), outside)
@@ -301,7 +301,7 @@ def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
     for r, ref in enumerate(d.sched.running):
         if ref is not None:
             clocks.append(idx[(RUN, ref.instance, ref.code)])
-            bounds.append(enc(net.compiled.window(ref.code, r)[1]))
+            bounds.append(enc(net.compiled.durations[ref.code][r][1]))
     for gidx, rules in enumerate(net.rules):
         a = d.arrivals[gidx]
         dl = rules[a].deadline if a < len(rules) else None
@@ -538,7 +538,7 @@ def _successors(net: Network, d: DState, mat, idx: dict):
                 yield (MIRROR, r, ref), None, None
                 continue
             seen.append(r)
-        lo, _hi = net.compiled.window(ref.code, r)
+        lo, _hi = net.compiled.durations[ref.code][r]
         zg = mat.copy()
         if constrain_one(zg, 0, idx[(RUN, ref.instance, ref.code)], enc(-lo)):
             yield (END, r, ref), zg, _after_end(net, d, r, ref)

@@ -59,11 +59,6 @@ class TaskRef(NamedTuple):
     code: int
 
 
-def ready_order(refs: list[TaskRef]) -> list[TaskRef]:
-    """Canonical enqueue order for simultaneously enabled tasks."""
-    return sorted(refs)
-
-
 SHARED, LOCAL, LINK = 0, 1, 2  # queue kinds, in service order
 
 
@@ -94,7 +89,8 @@ class TaskGraph:
     `tasks` is sorted by id and task i has code `first + i`; `preds`,
     `succs`, `sources` and `on_pe` (computation tasks mapped to each
     processor, keyed by its slot in `slots`) hold positions i, which also
-    index an instance's statuses.
+    index an instance's statuses.  `succs` and `sources` are in position
+    order, so the tasks one event enables come out in code order.
     """
 
     def __init__(self, job: JobType, dep: Deployment, first: int, slots: dict[str, int]):
@@ -104,7 +100,7 @@ class TaskGraph:
         index = {t.id: i for i, t in enumerate(self.tasks)}
         preds, succs = job.preds(), job.succs()
         self.preds = [[index[p] for p in preds[t.id]] for t in self.tasks]
-        self.succs = [[index[s] for s in succs[t.id]] for t in self.tasks]
+        self.succs = [sorted(index[s] for s in succs[t.id]) for t in self.tasks]
         self.sources = [i for i, p in enumerate(self.preds) if not p]
         self.on_pe: dict[int, list[int]] = {}
         for i, t in enumerate(self.tasks):
@@ -114,22 +110,23 @@ class TaskGraph:
 
 
 def admit(graph: TaskGraph, live: dict, instance: int) -> list[TaskRef]:
-    """Enter `instance` into the backlog `live`; returns its queued sources in ready order."""
+    """Enter `instance` into the backlog `live`; returns its queued sources in code order."""
     st = live[instance] = [PENDING] * len(graph.tasks)
     for i in graph.sources:
         st[i] = QUEUED
-    return ready_order([_new(TaskRef, (instance, graph.first + i)) for i in graph.sources])
+    return [_new(TaskRef, (instance, graph.first + i)) for i in graph.sources]
 
 
 def finish(graph: TaskGraph, live: dict, ref: TaskRef) -> list[TaskRef]:
     """Mark `ref` DONE in the backlog `live`; returns the successors it
-    enables, now QUEUED and in ready order.  When that completes the
+    enables, now QUEUED and in code order.  When that completes the
     instance, it leaves `live` and nothing is enabled."""
-    st = live[ref.instance]
-    i = ref.code - graph.first
+    inst, code = ref
+    st = live[inst]
+    i = code - graph.first
     st[i] = DONE
     if min(st) == DONE:  # DONE is the largest status
-        del live[ref.instance]
+        del live[inst]
         return []
     newly = []
     for k in graph.succs[i]:
@@ -139,10 +136,9 @@ def finish(graph: TaskGraph, live: dict, ref: TaskRef) -> list[TaskRef]:
             if st[p] != DONE:
                 break
         else:
-            newly.append(k)
-    for k in newly:
-        st[k] = QUEUED
-    return ready_order([_new(TaskRef, (ref.instance, graph.first + k)) for k in newly])
+            st[k] = QUEUED
+            newly.append(_new(TaskRef, (inst, graph.first + k)))
+    return newly
 
 
 def strict_view(live: dict, graphs, r: int) -> list[tuple[TaskRef, bool]]:

@@ -138,8 +138,9 @@ class CompiledModel:
     `pinned` (frequency or None).  Queue slots number the distinct queue keys
     in service order; `serves[r]` lists those processor slot r serves, and
     `links` pairs each link queue with its interconnect's slot.  `idle` is
-    the empty scheduler state.  Duration windows are filled in per (code,
-    resource slot) on first dispatch.
+    the empty scheduler state.  `durations[code][r]` is the (lo, hi) window
+    of task `code` on resource slot r: every processor slot for a
+    computation task, every slot for a transfer.
     """
 
     def __init__(self, model: SystemModel):
@@ -165,24 +166,24 @@ class CompiledModel:
         self.priority = [dep.priorities.get(t.id, 0) for t in self.tasks]
         self.pinned = [dep.task_frequency.get(t.id) for t in self.tasks]
         self.strict = dep.policy == "strict_priority_local"
-        self.windows: dict[tuple[int, int], tuple[int, int]] = {}
+        self.durations = []
+        for code, task in enumerate(self.tasks):
+            if task.kind == COMMUNICATION:
+                freqs = [None] * len(self.resources)
+            else:
+                freqs = [self.frequency(code, lowest) for lowest in self.lowest]
+            windows = {}  # one task_duration call per distinct frequency
+            for f in freqs:
+                if f not in windows:
+                    d = task_duration(task, f)
+                    windows[f] = (d.lo, d.hi)
+            self.durations.append([windows[f] for f in freqs])
 
     def frequency(self, code: int, lowest):
         """A computation task's frequency on a processor whose lowest is
         `lowest`: its pinned one, else the lowest."""
         f = self.pinned[code]
         return lowest if f is None else f
-
-    def window(self, code: int, r: int) -> tuple[int, int]:
-        """Duration window of task `code` on resource slot `r`."""
-        key = (code, r)
-        w = self.windows.get(key)
-        if w is None:
-            task = self.tasks[code]
-            f = None if task.kind == COMMUNICATION else self.frequency(code, self.lowest[r])
-            d = task_duration(task, f)
-            w = self.windows[key] = (d.lo, d.hi)
-        return w
 
 
 def simulate(model: SystemModel, seed: int, run_index: int = 0,
@@ -198,7 +199,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     rng = stream_for(seed, run_index)
     capacity = model.deployment.queue_capacity
     cm = CompiledModel(model) if compiled is None else compiled
-    graphs, names, queue, resources = cm.graphs, cm.names, cm.queue, cm.resources
+    graphs, names, queue, resources, durations = cm.graphs, cm.names, cm.queue, cm.resources, cm.durations
 
     # arrivals are drawn up front, generator declaration order, then numbered
     # globally by (time, generator, index) so instance ids are canonical
@@ -217,11 +218,14 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     overflow_count = 0
     # the metric facts in their final shape: a resource enters `busy` at its
     # first end and `start_freqs` at its first start, the order trace_facts
-    # gives; `started` holds the start time of each resource slot's task
+    # gives.  Per resource slot, `busy_of` and `freqs_of` hold its lists in
+    # those dicts once it has them, and `started` its task's start time
     arrivals: dict[int, tuple[str, int]] = {}
     last_ends: dict[int, int] = {}
     busy: dict[str, list[tuple[int, int]]] = {}
     start_freqs: dict[str, list] = {}
+    busy_of: list = [None] * len(resources)
+    freqs_of: list = [None] * len(resources)
     started = [0] * len(resources)
 
     def cascade(now: int, refs: list):
@@ -233,7 +237,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             apply_dispatch(sched, d)
             inst, code = ref
             live[inst][code - inst_graph[inst].first] = RUNNING
-            lo, hi = cm.window(code, r)
+            lo, hi = durations[code][r]
             dur = lo if lo == hi else rng.uniform_ticks(lo, hi)
             res = resources[r]
             if freq is not None:
@@ -245,7 +249,10 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             job, task = names[code]
             log.append((now, "start", inst, job, task, res, freq, -1))
             started[r] = now
-            start_freqs.setdefault(res, []).append(freq)
+            freqs = freqs_of[r]
+            if freqs is None:
+                freqs = freqs_of[r] = start_freqs[res] = []
+            freqs.append(freq)
             heapq.heappush(heap, (now + dur, END, ref, r))
 
     # heap entries: (time, rank, key, resource slot); the key, (generator,
@@ -270,7 +277,10 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             res = resources[r]
             log.append((now, "end", inst, job, task, res, None, -1))
             last_ends[inst] = now
-            busy.setdefault(res, []).append((started[r], now))
+            iv = busy_of[r]
+            if iv is None:
+                iv = busy_of[r] = busy[res] = []
+            iv.append((started[r], now))
             cascade(now, finish(inst_graph[inst], live, ref))
 
     # events stay in processing order: non-decreasing time, ends handled
@@ -340,6 +350,6 @@ def run_campaign(model: SystemModel, runs: int, seed: int,
         flat = [v for samples in per_run[s.label] for _k, v in samples]
         if s.kind in TIME_KINDS:
             flat = [v / SCALE for v in flat]
-        reports[s.label] = summarize(flat)
+        reports[s.label] = summarize(flat, metric=s.label)
     return CampaignResult(runs, seed, per_run, reports, horizons,
                           overflow_runs, overflow_total, traces)

@@ -89,6 +89,22 @@ def test_no_powered_processor_is_a_config_error(tmp_path, capsys):
     assert "NoPoweredProcessor{platform}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", [["simulate", "--runs", "2", "--seed", "1"],
+                                  ["sweep", "--axis", "period=10,20", "--runs", "2", "--seed", "1"]])
+def test_huge_finite_watts_are_a_config_error(tmp_path, capsys, verb):
+    """1e308 W passes check, but every run's energy overflows to inf: the
+    campaign verbs exit 2 naming the metric, and write nothing."""
+    data = json.loads(pathlib.Path(CHAIN2).read_text())
+    data["platform"]["processors"][0]["power"] = {"1": [1e308, 0.9]}
+    p = tmp_path / "huge_watts.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["check", str(p)]) == 0
+    out = tmp_path / "out"
+    assert cli.main(verb[:1] + [str(p)] + verb[1:] + ["--out", str(out)]) == 2
+    assert "error: energy: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _split_chain_without_interconnect(tmp_path) -> str:
     # a->b carries data across two processors, but nothing can move it
     m = fixtures.chain2()

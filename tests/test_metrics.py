@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from taskdse.config import ConfigError
 from taskdse.metrics import (
     MetricSpec,
     MissingPowerEntry,
@@ -177,6 +178,14 @@ def test_summarize_small_sample():
 def test_summarize_empty():
     r = summarize([])
     assert r.count == 0 and math.isnan(r.mean)
+
+
+@pytest.mark.parametrize("values", [[1.0, math.inf], [math.nan, 2.0], [1e308, 1e308]])
+def test_summarize_rejects_samples_it_cannot_sum(values):
+    """A non-finite sample, or finite ones whose sum overflows, is a
+    configuration error naming the metric, not a crash in statistics."""
+    with pytest.raises(ConfigError, match="^energy: "):
+        summarize(values, metric="energy")
 
 
 def test_histogram_csv_two_columns():

@@ -793,7 +793,7 @@ def test_every_generator_variant_bounds_chain2(variant):
 
 def test_a_search_compiles_its_model_once(monkeypatch):
     """reach_bounds builds the simulator's CompiledModel once: one graph per
-    job type, and each (task, resource) window at most once."""
+    job type, and each (task, frequency) window at most once."""
     calls = {"expand_comm_tasks": 0, "task_duration": 0}
 
     def counted(name):

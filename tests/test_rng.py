@@ -1,6 +1,17 @@
 """Random stream determinism and uniform tick draws."""
 
-from taskdse.rng import MASK64, SplitMix64, derive_seed, mix64, stream_for
+from taskdse.rng import GOLDEN, MASK64, SplitMix64, derive_seed, mix64, stream_for
+
+
+def _word(seed: int, k: int) -> int:
+    """Word k (from 1) of the stream seeded with `seed`, in the scalar form
+    splitmix64 defines, independent of how SplitMix64 computes it."""
+    return mix64((seed + k * GOLDEN) % 2**64)
+
+
+def _ticks(word: int, lo: int, hi: int) -> int:
+    """The tick in [lo, hi] that `word` draws: lo + int(uniform * span)."""
+    return min(lo + int((word >> 11) * 2.0**-53 * (hi - lo + 1)), hi)
 
 
 def test_known_first_output():
@@ -68,12 +79,57 @@ def test_derive_seed_distinct_and_stable():
 
 
 def test_uniform_ticks_matches_the_reference_composition():
-    """uniform_ticks inlines the splitmix64 step; 120k draws over several
-    windows equal lo + int(uniform() * span) drawn from a twin stream."""
+    """120k draws over several windows equal lo + int(uniform * span), with
+    uniform taken from word k of the scalar recurrence."""
     windows = [(0, 1), (3, 6), (0, 999), (150, 2100), (82000, 118000), (5, 2**40)]
-    fast, ref = SplitMix64(31337), SplitMix64(31337)
+    fast = SplitMix64(31337)
     for n in range(120_000):
         lo, hi = windows[n % len(windows)]
-        expect = lo + int(ref.uniform() * (hi - lo + 1))
-        assert fast.uniform_ticks(lo, hi) == min(expect, hi), (n, lo, hi)
-    assert fast.next_u64() == ref.next_u64()
+        assert fast.uniform_ticks(lo, hi) == _ticks(_word(31337, n + 1), lo, hi), (n, lo, hi)
+    assert fast.next_u64() == _word(31337, 120_001)
+
+
+def test_a_counter_wrapping_inside_a_block_keeps_the_scalar_words():
+    """The counter passes 2**64 in the first block; 8,200 words cross the
+    block edges after 32, 96, 224, ..., 4,064 and 8,160 words."""
+    s = SplitMix64(MASK64 - 5)
+    assert [s.next_u64() for _ in range(8200)] == [_word(MASK64 - 5, k) for k in range(1, 8201)]
+
+
+try:
+    from hypothesis import given, settings, strategies as hs
+except ImportError:  # the scalar comparisons above still run
+    given = None
+
+if given is not None:
+    # one op: (kind, repeat, lo, span); kinds are next_u64, uniform,
+    # uniform_ticks over [lo, lo + span] and a point window [lo, lo]
+    OPS = hs.tuples(hs.sampled_from(["u64", "uniform", "ticks", "point"]),
+                    hs.integers(1, 700), hs.integers(0, 2**40), hs.integers(1, 2**40))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hs.one_of(hs.integers(0, MASK64), hs.integers(2**64 - 2**12, MASK64),
+                     hs.integers(0, 2**12)),
+           hs.lists(OPS, max_size=14))
+    def test_any_mix_of_draws_yields_the_scalar_words_in_order(seed, ops):
+        """Whatever mix of draws a stream serves, word k of its output is
+        mix64(seed + k * GOLDEN) and a point window takes no word.  Every
+        example ends by drawing past word 8,160, so it crosses the block
+        edges after 32, 96 and 224 words and two capped blocks."""
+        s, k = SplitMix64(seed), 0
+        for kind, repeat, lo, span in ops:
+            for _ in range(repeat):
+                if kind == "point":
+                    assert s.uniform_ticks(lo, lo) == lo
+                    continue
+                k += 1
+                word = _word(seed, k)
+                if kind == "u64":
+                    assert s.next_u64() == word, k
+                elif kind == "uniform":
+                    assert s.uniform() == (word >> 11) * 2.0**-53, k
+                else:
+                    assert s.uniform_ticks(lo, lo + span) == _ticks(word, lo, lo + span), k
+        while k < 8200:
+            k += 1
+            assert s.next_u64() == _word(seed, k), k

@@ -10,6 +10,7 @@ from taskdse import reachability, schedulers, simulator
 
 from taskdse.model import (
     COMMUNICATION,
+    DataEdge,
     Deployment,
     Interconnect,
     JobType,
@@ -26,12 +27,13 @@ from taskdse.schedulers import (
     Dispatch,
     SchedulerState,
     TaskRef,
+    admit,
     apply_dispatch,
     enqueue,
+    finish,
     freeze,
     next_dispatch,
     queue_key,
-    ready_order,
     release,
     thaw,
 )
@@ -63,11 +65,29 @@ def _enqueue(work, ref, cm):
     enqueue(work, ref, cm.queue[ref.code])
 
 
-def test_ready_order_is_instance_then_job_then_task():
-    cm, ref = _compile(_platform(1), Deployment(), {"b": ["y"], "a": ["z", "x"]})
-    assert cm.names == [("a", "x"), ("a", "z"), ("b", "y")]
-    refs = [ref(1, "a", "x"), ref(0, "b", "y"), ref(0, "a", "z")]
-    assert ready_order(refs) == [ref(0, "a", "z"), ref(0, "b", "y"), ref(1, "a", "x")]
+def test_admit_and_finish_return_refs_in_instance_then_code_order():
+    """The tasks one event enables come out in (instance, code) order, which
+    the engines enqueue as they are, even when the job declares its tasks
+    and edges out of that order."""
+    tasks = [_task(t) for t in ("e", "f", "a", "c", "b", "d")]
+    edges = [DataEdge("a", "e"), DataEdge("a", "c"), DataEdge("a", "b"),
+             DataEdge("c", "d"), DataEdge("b", "d")]
+    model = SystemModel([JobType("j", tasks, edges)], _platform(1), [], Deployment())
+    cm = CompiledModel(model)
+    graph = cm.graphs["j"]
+    code = {task: c for c, (_job, task) in enumerate(cm.names)}
+    assert [task for _job, task in cm.names] == ["a", "b", "c", "d", "e", "f"]
+
+    live: dict = {}
+    assert admit(graph, live, 3) == [TaskRef(3, code["a"]), TaskRef(3, code["f"])]
+    assert admit(graph, live, 1) == [TaskRef(1, code["a"]), TaskRef(1, code["f"])]
+    assert finish(graph, live, TaskRef(3, code["a"])) == [
+        TaskRef(3, code["b"]), TaskRef(3, code["c"]), TaskRef(3, code["e"])]
+    assert finish(graph, live, TaskRef(3, code["c"])) == []  # d still waits for b
+    assert finish(graph, live, TaskRef(3, code["b"])) == [TaskRef(3, code["d"])]
+    for t in ("d", "e", "f"):
+        assert finish(graph, live, TaskRef(3, code[t])) == []
+    assert list(live) == [1]  # instance 3 completed and left the backlog
 
 
 def test_fifo_global_drains_in_arrival_order_to_lowest_pe():

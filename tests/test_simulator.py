@@ -132,7 +132,7 @@ def test_run_campaign_rejects_zero_runs():
 
 
 def test_campaign_compiles_once_and_reads_each_trace_once(monkeypatch):
-    """Graphs are built once per campaign, each (job, task, resource) window
+    """Graphs are built once per campaign, each (task, frequency) window
     once, and no metric re-reads the events: the loop gathered the facts."""
     calls = {"busy_intervals": 0, "expand_comm_tasks": 0, "task_duration": 0}
 
