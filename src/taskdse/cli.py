@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="formal makespan/latency bounds")
     v.add_argument("file")
     v.add_argument("--k", type=int, default=None, help="instances analyzed per generator")
-    v.add_argument("--clock-budget", type=int, default=25)
+    v.add_argument("--clock-budget", type=int, default=ReachOptions.clock_budget)
     v.add_argument("--out", "-o", default=None)
 
     s = sub.add_parser("simulate", help="Monte-Carlo campaign")

@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # traces are consumed structurally; no runtime import cycle
 
 # metrics whose raw samples are tick counts and whose summaries are in units
 TIME_KINDS = ("job_latency", "makespan", "event_pair")
+BINS = 20  # histogram bins per report
 
 
 class MissingPowerEntry(LookupError):
@@ -159,16 +160,15 @@ class PowerTable:
         return got[1]
 
 
-def energy(trace: TimedTrace, platform: Platform | PowerTable) -> float:
+def energy(trace: TimedTrace, table: PowerTable) -> float:
     """Total energy over the horizon, in watt x time units.
 
     A powered-on processor draws its lowest-frequency static power while idle
     and static+dynamic at the running frequency while busy; interconnects draw
     static power for the whole horizon plus dynamic power while transferring.
-    Work past the horizon is not counted.  A campaign passes one PowerTable
-    for all its runs; a Platform is priced afresh.
+    Work past the horizon is not counted.  `table` prices the platform; a
+    campaign builds one for all its runs.
     """
-    table = platform if isinstance(platform, PowerTable) else PowerTable(platform)
     facts = trace.facts
     horizon = trace.horizon / SCALE
     busy = {res: b / SCALE for res, b in facts.busy_ticks.items()}
@@ -189,12 +189,11 @@ def energy(trace: TimedTrace, platform: Platform | PowerTable) -> float:
     return total
 
 
-def extract(trace: TimedTrace, spec: MetricSpec, platform: Platform | PowerTable | None = None):
+def extract(trace: TimedTrace, spec: MetricSpec, prices: PowerTable | None = None):
     """Samples for one metric from one trace, as (key, value) pairs.
 
     Time values are integer ticks; utilization and energy are floats;
-    overflow_count is an integer.  Energy needs the platform or its
-    PowerTable.
+    overflow_count is an integer.  Energy needs the platform's PowerTable.
     """
     if spec.kind == "job_latency":
         arr, ends = trace.facts.arrivals, trace.facts.last_ends
@@ -217,9 +216,9 @@ def extract(trace: TimedTrace, spec: MetricSpec, platform: Platform | PowerTable
             return [(spec.resource, b / trace.horizon if trace.horizon > 0 else 0.0)]
         return sorted(utilization(trace).items())
     if spec.kind == "energy":
-        if platform is None:
-            raise ValueError("energy metric needs the platform")
-        return [("", energy(trace, platform))]
+        if prices is None:
+            raise ValueError("energy metric needs the platform's PowerTable")
+        return [("", energy(trace, prices))]
     if spec.kind == "overflow_count":
         return [("", trace.overflow_count)]
     if spec.kind == "event_pair":
@@ -269,7 +268,7 @@ def histogram_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summarize(values, bins: int = 20, metric: str = "sample") -> Report:
+def summarize(values, metric: str = "sample") -> Report:
     """Sample statistics; std is the n-1 sample deviation, p95 nearest-rank.
 
     Samples that floats cannot summarize, a NaN or infinite one or finite
@@ -290,12 +289,11 @@ def summarize(values, bins: int = 20, metric: str = "sample") -> Report:
     std = statistics.stdev(vals) if n >= 2 else 0.0
     p95 = vals[max(math.ceil(0.95 * n) - 1, 0)]
     lo, hi = vals[0], vals[-1]
-    hist = []
     if hi > lo:
-        width = (hi - lo) / bins
-        counts = [0] * bins
+        width = (hi - lo) / BINS
+        counts = [0] * BINS
         for v in vals:
-            idx = min(int((v - lo) / width), bins - 1)
+            idx = min(int((v - lo) / width), BINS - 1)
             counts[idx] += 1
         hist = [(lo + i * width, lo + (i + 1) * width, c) for i, c in enumerate(counts)]
     else:

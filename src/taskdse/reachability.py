@@ -53,14 +53,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .generators import GLOBAL, arrival_rule, own_clocks
-from .model import COMMUNICATION, SystemModel, TimeInterval
+from .model import COMMUNICATION, LOCAL_POLICIES, SystemModel, TimeInterval
 from .schedulers import (
-    RUNNING,
     SchedulerState,
     TaskGraph,
     TaskRef,
@@ -69,9 +67,9 @@ from .schedulers import (
     enqueue,
     finish,
     freeze,
+    freeze_backlog,
     next_dispatch,
     release,
-    strict_view,
     thaw,
 )
 from .simulator import CompiledModel
@@ -127,7 +125,7 @@ class ReachResult:
 @dataclass(frozen=True)
 class DState:
     arrivals: tuple  # arrivals so far, per generator
-    live: tuple  # (instance, task status tuple) per admitted, incomplete instance, in order
+    live: tuple  # (instance, task status tuple) per admitted, incomplete instance: freeze_backlog
     sched: object  # SchedulerState
 
 
@@ -144,7 +142,7 @@ def _processor_classes(compiled: CompiledModel, policy: str) -> tuple[list[tuple
     by code).  A task next to a transfer never qualifies, because link
     queues are shared and ordered by code.
     """
-    if policy not in ("fifo_local", "strict_priority_local"):
+    if policy not in LOCAL_POLICIES:
         return [], {}
     cands = {}  # slot -> (codes, signature, codes of outside neighbours)
     for r, lowest in enumerate(compiled.lowest):
@@ -247,19 +245,16 @@ def _terminal(net: Network, d: DState) -> bool:
 
 def _settle(net: Network, arrivals: tuple, live: dict, work, refs: list):
     """Queue `refs`, fire every start the policy allows on the working state
-    `work` and the backlog map `live`, and freeze the successor with `live`
-    in instance order; returns (d2, run clocks created)."""
+    `work` and the backlog map `live`, and freeze the successor; returns
+    (d2, run clocks created)."""
     compiled, graphs = net.compiled, net.inst_graph
     for ref in refs:
         enqueue(work, ref, compiled.queue[ref.code])
     resets = []
-    view = partial(strict_view, live, graphs)
-    while (disp := next_dispatch(work, compiled, view)) is not None:
-        ref = disp.ref
-        apply_dispatch(work, disp)
-        live[ref.instance][ref.code - graphs[ref.instance].first] = RUNNING
-        resets.append((RUN, ref.instance, ref.code))
-    return DState(arrivals, tuple((i, tuple(live[i])) for i in sorted(live)), freeze(work)), resets
+    while (disp := next_dispatch(work, compiled, live, graphs)) is not None:
+        apply_dispatch(work, disp, live, graphs)
+        resets.append((RUN, *disp.ref))
+    return DState(arrivals, freeze_backlog(live, compiled), freeze(work)), resets
 
 
 def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
@@ -273,10 +268,15 @@ def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
 
 
 def _after_arrival(net: Network, d: DState, gidx: int):
-    """Admit arrival k of generator gidx; returns (d2, resets, None) like `_after_end`."""
+    """Admit arrival k of generator gidx; returns (d2, resets, None) like
+    `_after_end`, or None when the backlog is full and the arrival overflows."""
     k = d.arrivals[gidx] + 1
-    arrivals = tuple(a + 1 if i == gidx else a for i, a in enumerate(d.arrivals))
     inst = net.inst_of[(gidx, k)]
+    live = {i: list(st) for i, st in d.live}
+    refs = admit(net.inst_graph[inst], live, inst, net.model.deployment.queue_capacity)
+    if refs is None:
+        return None
+    arrivals = tuple(a + 1 if i == gidx else a for i, a in enumerate(d.arrivals))
     resets = []
     reset = net.rules[gidx][k - 1].reset
     if reset is not None:
@@ -284,9 +284,7 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     if sum(d.arrivals) == 0:
         resets.append((M,))
 
-    live = {i: list(st) for i, st in d.live}
-    work = thaw(d.sched)
-    d2, more = _settle(net, arrivals, live, work, admit(net.inst_graph[inst], live, inst))
+    d2, more = _settle(net, arrivals, live, thaw(d.sched), refs)
     return d2, resets + more, None
 
 
@@ -550,10 +548,8 @@ def _successors(net: Network, d: DState, mat, idx: dict):
         if gd is not None and not constrain_one(
                 zg, 0, idx[_clock(gidx, gd.clock)], enc(-gd.ticks, strict=gd.strict)):
             continue
-        if len(d.live) >= net.model.deployment.queue_capacity:
-            yield (OVERFLOW, gidx), zg, None
-        else:
-            yield (ARRIVE, gidx), zg, _after_arrival(net, d, gidx)
+        step = _after_arrival(net, d, gidx)
+        yield ((OVERFLOW, gidx) if step is None else (ARRIVE, gidx)), zg, step
 
 
 def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> ReachResult:

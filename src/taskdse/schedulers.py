@@ -7,8 +7,8 @@ running tasks, and `enqueue`, `apply_dispatch` and `release` change it in
 place.  `thaw` opens a frozen state and `freeze` closes a working one: the
 simulator thaws the idle state once per run and never freezes, and the formal
 engine thaws a configuration's state, applies one transition and freezes the
-successor's.  `next_dispatch` only reads queue heads and running tasks, so it
-serves both forms, and both engines run the exact same decision code.
+successor's.  `next_dispatch` only reads queue heads, running tasks and the
+backlog, so it serves both forms and both engines run the same decision code.
 
 Tasks are addressed by integer codes that a compiled model assigns in (job
 name, task id) order.  Tie-breaks are total: tasks that become ready at the
@@ -16,18 +16,21 @@ same instant enqueue in (instance index, task code) order, which is (instance
 index, job name, task id) order, and free processors are considered in
 ascending id order.
 
-The enabling rules live here too: both engines keep the backlog as one map
-from each admitted, incomplete instance to its PENDING/QUEUED/RUNNING/DONE task
-statuses over one TaskGraph.  `admit` fills it, `finish` empties it, and with
-`strict_view` they decide which task instances become ready.
+The backlog rules live here too: both engines keep the backlog as one map,
+in admission order, from each admitted, incomplete instance to its
+PENDING/QUEUED/RUNNING/DONE task statuses over one TaskGraph.  Only `admit`
+(up to the queue capacity), `apply_dispatch` and `finish` write it; the
+hold-back scan `strict_view` reads it in that order, and `freeze_backlog`
+keeps that order where the scan reads it.
 
 Policies for computation tasks:
 
   fifo_global            one central queue, any free processor
   fifo_priority_global   one queue per priority level, higher level first
   fifo_local             one queue per processor via the fixed mapping
-  strict_priority_local  a processor runs its highest-priority incomplete
-                         task or idles until that task is enabled (hold-back)
+  strict_priority_local  a processor runs the highest-priority incomplete
+                         task of the oldest instance with one on it, or idles
+                         until that task is enabled (hold-back)
 
 Communication tasks always queue FIFO on their annotated interconnect,
 whatever the policy.  `queue_key` resolves the policy once per task into the
@@ -109,8 +112,11 @@ class TaskGraph:
                 self.on_pe.setdefault(r, []).append(i)
 
 
-def admit(graph: TaskGraph, live: dict, instance: int) -> list[TaskRef]:
-    """Enter `instance` into the backlog `live`; returns its queued sources in code order."""
+def admit(graph: TaskGraph, live: dict, instance: int, capacity: int) -> list[TaskRef] | None:
+    """Enter `instance` into the backlog `live` unless `capacity` instances fill
+    it; returns its queued sources in code order, or None on overflow."""
+    if len(live) >= capacity:
+        return None
     st = live[instance] = [PENDING] * len(graph.tasks)
     for i in graph.sources:
         st[i] = QUEUED
@@ -142,23 +148,24 @@ def finish(graph: TaskGraph, live: dict, ref: TaskRef) -> list[TaskRef]:
 
 
 def strict_view(live: dict, graphs, r: int) -> list[tuple[TaskRef, bool]]:
-    """Incomplete task instances mapped to processor slot `r` as (ref,
-    enabled) pairs.
-
-    `live` is the backlog that `admit` fills and `finish` empties: it maps
-    each admitted, incomplete instance i to its status list, and `graphs[i]`
-    is its TaskGraph; strict_priority_local picks among these pairs.  The
-    scan is as long as the backlog, not the campaign.
-    """
-    out = []
+    """The waiting tasks on processor slot `r` of the oldest instance in the
+    backlog `live` that has any, as (ref, enabled) pairs in code order.
+    `live` maps each admitted, incomplete instance i, in admission order, to
+    its statuses, and `graphs[i]` is its TaskGraph; the scan stops there."""
     for i, st in live.items():
         graph = graphs[i]
-        for k in graph.on_pe.get(r, ()):
-            if st[k] in (RUNNING, DONE):
-                continue
-            enabled = all(st[p] == DONE for p in graph.preds[k])
-            out.append((_new(TaskRef, (i, graph.first + k)), enabled))
-    return out
+        out = [(_new(TaskRef, (i, graph.first + k)), all(st[p] == DONE for p in graph.preds[k]))
+               for k in graph.on_pe.get(r, ()) if st[k] < RUNNING]
+        if out:
+            return out
+    return []
+
+
+def freeze_backlog(live: dict, compiled) -> tuple:
+    """`live` as (instance, status tuple) pairs: in admission order where the
+    hold-back scan reads it, else in instance order, so that it splits no state."""
+    items = live.items() if compiled.strict else sorted(live.items())
+    return tuple((i, tuple(st)) for i, st in items)
 
 
 class Dispatch(NamedTuple):
@@ -194,7 +201,7 @@ def enqueue(work: Work, ref: TaskRef, slot: int | None) -> None:
         work[0][slot].append(ref)
 
 
-def next_dispatch(state, compiled, strict_view=None) -> Dispatch | None:
+def next_dispatch(state, compiled, live: dict, graphs) -> Dispatch | None:
     """First dispatch the policy fires in `state`, frozen or working, or
     None if none does.
 
@@ -202,10 +209,10 @@ def next_dispatch(state, compiled, strict_view=None) -> Dispatch | None:
     with their lowest frequencies and served queue slots, its link queues,
     per-code priorities and frequency rule.  Engines call this repeatedly
     (applying each dispatch) until it returns None; that exhausts every
-    work-conserving start without letting time pass.  `strict_view(r)` is
-    required by strict_priority_local: it returns processor slot r's
-    incomplete mapped task instances as (ref, enabled) pairs.  Both engines
-    pass the module's strict_view bound to their live instances.
+    work-conserving start without letting time pass.  Under
+    strict_priority_local a free processor r takes the top-priority task of
+    `strict_view(live, graphs, r)`, the lowest code among equals, or idles
+    until that task is enabled.
     """
     queues, running = state
     strict = compiled.strict
@@ -213,11 +220,9 @@ def next_dispatch(state, compiled, strict_view=None) -> Dispatch | None:
         if running[r] is not None:
             continue
         if strict:
-            pending = strict_view(r)
+            pending = strict_view(live, graphs, r)
             if pending:
-                # priority is primary within an instance, instance index outer
-                prio = compiled.priority
-                ref, enabled = min(pending, key=lambda p: (p[0].instance, -prio[p[0].code], p[0]))
+                ref, enabled = min(pending, key=lambda p: -compiled.priority[p[0].code])
                 if enabled:
                     return _new(Dispatch, (ref, r, compiled.frequency(ref.code, lowest), None))
                 # hold: this processor waits for its top task
@@ -234,12 +239,15 @@ def next_dispatch(state, compiled, strict_view=None) -> Dispatch | None:
     return None
 
 
-def apply_dispatch(work: Work, d: Dispatch) -> None:
-    """Pop the dispatched task off its queue and mark the resource busy."""
+def apply_dispatch(work: Work, d: Dispatch, live: dict, graphs) -> None:
+    """Pop the dispatched task off its queue, mark the resource busy and the
+    task RUNNING in the backlog `live`."""
     ref, r, _freq, s = d
     if s is not None:
         del work[0][s][0]
     work[1][r] = ref
+    inst, code = ref
+    live[inst][code - graphs[inst].first] = RUNNING
 
 
 def release(work: Work, resource: int) -> None:

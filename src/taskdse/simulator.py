@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 from .generators import sample_arrivals
@@ -44,7 +44,6 @@ from .rng import stream_for
 from .schedulers import (
     LINK,
     LOCAL,
-    RUNNING,
     SHARED,
     SchedulerState,
     TaskGraph,
@@ -55,7 +54,6 @@ from .schedulers import (
     next_dispatch,
     queue_key,
     release,
-    strict_view,
     thaw,
 )
 from .timebase import SCALE, format_ticks_fixed
@@ -197,7 +195,6 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     a plain tuple and fills the metric-fact dicts directly, so after the run
     only the horizon clip and the busy sums remain."""
     rng = stream_for(seed, run_index)
-    capacity = model.deployment.queue_capacity
     cm = CompiledModel(model) if compiled is None else compiled
     graphs, names, queue, resources, durations = cm.graphs, cm.names, cm.queue, cm.resources, cm.durations
 
@@ -214,7 +211,6 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
     sched = thaw(cm.idle)  # the scheduler's working state, changed in place
     last_freq: list = [None] * len(cm.lowest)  # per processor slot
     log: list[tuple] = []  # events in Event field order
-    view = partial(strict_view, live, inst_graph)
     overflow_count = 0
     # the metric facts in their final shape: a resource enters `busy` at its
     # first end and `start_freqs` at its first start, the order trace_facts
@@ -232,11 +228,10 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
         """Queue the tasks the event enabled, then fire every start allowed."""
         for ref in refs:
             enqueue(sched, ref, queue[ref.code])
-        while (d := next_dispatch(sched, cm, view)) is not None:
+        while (d := next_dispatch(sched, cm, live, inst_graph)) is not None:
             ref, r, freq, _queue = d
-            apply_dispatch(sched, d)
+            apply_dispatch(sched, d, live, inst_graph)
             inst, code = ref
-            live[inst][code - inst_graph[inst].first] = RUNNING
             lo, hi = durations[code][r]
             dur = lo if lo == hi else rng.uniform_ticks(lo, hi)
             res = resources[r]
@@ -262,13 +257,14 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
         if rank == ARRIVAL:
             gidx, inst = key
             graph = inst_graph[inst]
-            if len(live) >= capacity:
+            refs = admit(graph, live, inst, model.deployment.queue_capacity)
+            if refs is None:
                 overflow_count += 1
                 log.append((now, "overflow", inst, graph.name, "", "", None, gidx))
                 continue
             log.append((now, "arrival", inst, graph.name, "", "", None, gidx))
             arrivals[inst] = (graph.name, now)
-            cascade(now, admit(graph, live, inst))
+            cascade(now, refs)
         else:  # end
             ref = key
             inst, code = ref

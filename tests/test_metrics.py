@@ -9,6 +9,7 @@ from taskdse.config import ConfigError
 from taskdse.metrics import (
     MetricSpec,
     MissingPowerEntry,
+    PowerTable,
     busy_intervals,
     default_metrics,
     energy,
@@ -68,7 +69,7 @@ def test_energy_single_processor_hand_computed():
     # busy 2 of 4 units -> 2*(0.1+0.9) + 2*0.1 = 2.2
     plat = Platform([Processor("PE0", [F1], {F1: (0.1, 0.9)})])
     ev = _exec(0, "a", "PE0", 0, to_ticks(2))
-    assert energy(_trace(ev, horizon=to_ticks(4)), plat) == pytest.approx(2.2)
+    assert energy(_trace(ev, horizon=to_ticks(4)), PowerTable(plat)) == pytest.approx(2.2)
 
 
 def test_energy_prices_each_interval_at_its_own_frequency():
@@ -77,7 +78,7 @@ def test_energy_prices_each_interval_at_its_own_frequency():
     plat = Platform([proc])
     ev = _exec(0, "a", "PE0", 0, to_ticks(1), f=F1) + _exec(0, "b", "PE0", to_ticks(1), to_ticks(2), f=f2)
     # 1 unit at 0.5 W + 1 unit at 1.7 W + 2 idle units at 0.1 W
-    got = energy(_trace(ev, horizon=to_ticks(4)), plat)
+    got = energy(_trace(ev, horizon=to_ticks(4)), PowerTable(plat))
     assert got == pytest.approx(0.5 + 1.7 + 0.2)
 
 
@@ -87,7 +88,7 @@ def test_energy_off_processor_draws_nothing():
         Processor("PE1", [F1], {F1: (0.1, 0.9)}, initially_on=False),
     ])
     ev = _exec(0, "a", "PE0", 0, to_ticks(1))
-    assert energy(_trace(ev, horizon=to_ticks(2)), plat) == pytest.approx(1.0 + 0.1)
+    assert energy(_trace(ev, horizon=to_ticks(2)), PowerTable(plat)) == pytest.approx(1.0 + 0.1)
 
 
 def test_energy_interconnect_static_over_horizon():
@@ -98,7 +99,7 @@ def test_energy_interconnect_static_over_horizon():
         Event(to_ticks(1), "end", 0, "j", "a->b", "bus"),
     ]
     # bus: 0.2*3 static + 0.8*1 dynamic; PE0 idle static 0
-    assert energy(_trace(ev, horizon=to_ticks(3)), plat) == pytest.approx(0.6 + 0.8)
+    assert energy(_trace(ev, horizon=to_ticks(3)), PowerTable(plat)) == pytest.approx(0.6 + 0.8)
 
 
 def test_energy_missing_power_entry():
@@ -106,7 +107,7 @@ def test_energy_missing_power_entry():
     plat = Platform([Processor("PE0", [F1], {F1: (0.1, 0.9)})])
     ev = _exec(0, "a", "PE0", 0, to_ticks(1), f=f2)
     with pytest.raises(MissingPowerEntry):
-        energy(_trace(ev), plat)
+        energy(_trace(ev), PowerTable(plat))
 
 
 def _job_trace():

@@ -171,7 +171,7 @@ TWO_JOB_DIGESTS = {
     'simulate-fifo_local': '8b4eea8bc6e9d0527fabe0aef173e706b8f9c85fc1399ad368c1e098d0d564c1',
     'simulate-strict_priority_local': '77d8cb25f1b30b424e494866c9cd8db2f9db668e030feebf9e18f714aa721e48',
     'verify-fifo_local': '112f67de99ec1237dc73dcc9ec7791828fed5e19d275b5308d37ba32246cf74a',
-    'verify-strict_priority_local': 'e815be3ac44cca411b8a268a99b282bb4bebf7881b3a787d4e02611d09a303cb',
+    'verify-strict_priority_local': '1c19eb5cbc773a012824f9f521edbfb2eec32650b5e8597674a26a4eca97f779',
 }
 
 
@@ -193,13 +193,7 @@ def test_two_job_types_keep_their_outputs(policy, tmp_path):
     assert "job=beta task=dma.z.y on=bus" in trace and "job=alpha" in trace
 
 
-@pytest.mark.parametrize("policy", [
-    "fifo_local",
-    pytest.param("strict_priority_local", marks=pytest.mark.xfail(strict=True, reason=(
-        "known defect: with two generators the formal engine numbers instances generator "
-        "by generator and the simulator by arrival time, and strict_priority_local serves "
-        "the lower instance number first, so the engines schedule differently"))),
-])
+@pytest.mark.parametrize("policy", ["fifo_local", "strict_priority_local"])
 def test_two_job_samples_inside_formal_bounds(policy):
     assert_samples_inside_formal_bounds(policy, two_jobs(policy))
 

@@ -16,7 +16,9 @@ drawn per position) between a source and a sink on PE0, under fifo_local or
 under strict_priority_local with equal priorities per position.
 Over all three families, no verb exits with an internal error (property a),
 merging changes no bound (property c) and no layout outgrows the clock count
-checked before the search.
+checked before the search.  `random_two_generator_model` draws a fourth
+family, checked for sampled containment only: two job types, each with its
+own generator, so that instance numbers and arrival order differ.
 
 REACH_DIGESTS pins every search result over the three families: for each
 option set, the sha256 of the `ReachResult` reprs of `every_family()` in
@@ -77,6 +79,8 @@ SEED = 20240611
 BUS_SEED = 7
 SYMMETRIC_SEED = 11
 SYMMETRIC_MODELS = 40
+TWO_GENERATOR_SEED = 9
+TWO_GENERATOR_MODELS = 120
 MODELS = 150
 RUNS = 50
 SWEEP_EVERY = 4  # property (a) sweeps every fourth model to stay within seconds
@@ -88,12 +92,13 @@ def _pick(rng: SplitMix64, lo: int, hi: int) -> int:
     return rng.uniform_ticks(lo, hi)
 
 
-def _random_tasks(rng: SplitMix64, n_tasks: int) -> tuple[list[TaskSpec], list[DataEdge]]:
+def _random_tasks(rng: SplitMix64, n_tasks: int,
+                  prefix: str = "t") -> tuple[list[TaskSpec], list[DataEdge]]:
     tasks = []
     for i in range(n_tasks):
         lo = _pick(rng, 0, 3)
-        tasks.append(TaskSpec(f"t{i}", WorkInterval.of(lo, lo + _pick(rng, 0, 3))))
-    edges = [DataEdge(f"t{i}", f"t{j}", _pick(rng, 0, 2))
+        tasks.append(TaskSpec(f"{prefix}{i}", WorkInterval.of(lo, lo + _pick(rng, 0, 3))))
+    edges = [DataEdge(f"{prefix}{i}", f"{prefix}{j}", _pick(rng, 0, 2))
              for j in range(n_tasks) for i in range(j) if _pick(rng, 0, 1)]
     return tasks, edges
 
@@ -181,6 +186,35 @@ def random_symmetric_model(rng: SplitMix64) -> SystemModel:
                        dep, instance_bound=count)
 
 
+def random_two_generator_model(rng: SplitMix64) -> SystemModel:
+    """Job types a and b of 1-3 tasks each (a0.., b0..), each with its own
+    generator of `count` arrivals, on 1-3 processors and sometimes a bus,
+    under any policy with distinct priorities across all tasks."""
+    n_pes = _pick(rng, 1, 3)
+    jobs, gens = [], []
+    count = _pick(rng, 1, 2)
+    for name in ("a", "b"):
+        tasks, edges = _random_tasks(rng, _pick(rng, 1, 3), prefix=name)
+        jobs.append(JobType(name, tasks, edges))
+        period = _pick(rng, 1, 8)
+        gens.append(Generator(name, VARIANTS[_pick(rng, 0, 2)], period=to_ticks(period),
+                              jitter=to_ticks(_pick(rng, 0, min(3, period - 1))), count=count))
+    ics = [Interconnect("bus", Fraction(1), init_latency=to_ticks(1))] if _pick(rng, 0, 1) else []
+    ids = [t.id for jt in jobs for t in jt.tasks]
+    levels = list(range(1, len(ids) + 1))
+    for i in range(len(levels) - 1, 0, -1):  # Fisher-Yates
+        j = _pick(rng, 0, i)
+        levels[i], levels[j] = levels[j], levels[i]
+    dep = Deployment(
+        policy=POLICIES[_pick(rng, 0, 3)],
+        mapping={tid: f"PE{_pick(rng, 0, n_pes - 1)}" for tid in ids},
+        priorities=dict(zip(ids, levels)),
+        queue_capacity=_pick(rng, 2, 4),
+    )
+    return SystemModel(jobs, Platform(_processors(n_pes), interconnects=ics), gens, dep,
+                       instance_bound=count)
+
+
 FAMILIES = {"one_bus": (SEED, random_model), "two_buses": (BUS_SEED, random_bus_model)}
 
 
@@ -259,6 +293,29 @@ def test_random_model_samples_lie_inside_the_formal_bounds(family):
     checked = sum(samples_inside(m, reach_bounds(m), seed, n)
                   for n, m in enumerate(accepted_models(family)))
     assert checked >= 40 * RUNS
+
+
+def two_generator_models() -> list[SystemModel]:
+    rng = SplitMix64(TWO_GENERATOR_SEED)
+    models = [random_two_generator_model(rng) for _ in range(TWO_GENERATOR_MODELS)]
+    return [m for m in models if not validate_model(m)]
+
+
+def test_two_generator_model_samples_lie_inside_the_formal_bounds():
+    """With two generators the formal engine numbers instances generator by
+    generator and the simulator by arrival time, so a later-numbered
+    instance can be admitted first.  Sampled runs still lie inside the
+    bounds under every policy, the hold-back scan's included: it serves
+    instances in admission order in both engines."""
+    models = two_generator_models()
+    assert len(models) >= 80
+    assert {m.deployment.policy for m in models} == set(POLICIES)
+    checked = strict = 0
+    for n, m in enumerate(models):
+        runs = samples_inside(m, reach_bounds(m), TWO_GENERATOR_SEED, n)
+        checked += runs
+        strict += bool(runs) and m.deployment.policy == "strict_priority_local"
+    assert strict >= 15 and checked >= 80 * RUNS
 
 
 def test_symmetry_reduction_keeps_random_symmetric_models_exact():

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from taskdse import fixtures, reachability, simulator
+from taskdse import fixtures, reachability, schedulers, simulator
 from taskdse.generators import Generator
 from taskdse.model import (
     DataEdge,
@@ -815,36 +815,57 @@ def test_a_search_compiles_its_model_once(monkeypatch):
 
 
 def backlog_cases() -> dict:
-    """Models whose backlog fills and drains: stream_chain at capacity 1,
-    where overflow is reachable, mapping_stream at period 4500 with K=2, and
-    two generators under the strict scan."""
+    """Models whose backlog fills: stream_chain at capacity 1, where
+    overflow is reachable, mapping_stream at period 4500 with K=2, and two
+    generators under fifo_local and under the strict scan."""
     chain = fixtures.stream_chain()
     chain.deployment.queue_capacity = 1
     stream = fixtures.mapping_stream(period=4500)
     stream.instance_bound = 2
     return {"stream_chain capacity 1": chain, "mapping_stream 4500 K=2": stream,
+            "two_jobs fifo_local": two_jobs("fifo_local"),
             "two_jobs strict": two_jobs("strict_priority_local")}
 
 
 @pytest.mark.parametrize("name", sorted(backlog_cases()))
 def test_stored_states_hold_only_the_live_backlog(name, monkeypatch):
-    """Every stored configuration keeps its admitted, incomplete instances
-    in instance order, none of them all DONE, and at most queue_capacity."""
+    """Every stored configuration keeps its admitted, incomplete instances,
+    none of them all DONE, and at most queue_capacity.  Each step keeps
+    them in admission order under strict_priority_local, whose hold-back
+    scan reads that order, and in instance order otherwise."""
     m = backlog_cases()[name]
-    seen = []
+    strict = m.deployment.policy == "strict_priority_local"
+    seen, orders = [], []
     insert = reachability._Store.insert
 
     def recorded(store, d, mat):
         seen.append(d)
         return insert(store, d, mat)
 
+    def ordered(step):
+        def wrapped(net, d, *args):
+            out = step(net, d, *args)
+            if out is not None:
+                before, after = ([i for i, _st in x.live] for x in (d, out[0]))
+                orders.append((before, after))
+            return out
+        return wrapped
+
     monkeypatch.setattr(reachability._Store, "insert", recorded)
+    for step in ("_after_end", "_after_arrival"):
+        monkeypatch.setattr(reachability, step, ordered(getattr(reachability, step)))
     r = reach_bounds(m)
-    assert r.terminal_reached
-    assert any(d.live for d in seen) and any(not d.live for d in seen[1:])
+    assert r.terminal_reached and any(d.live for d in seen)
+    # served in admission order, two_jobs keeps a backlog from its first
+    # arrival to its last, as its simulated runs do; the others drain it
+    assert any(not d.live for d in seen[1:]) == (name != "two_jobs strict")
+    for before, after in orders:
+        admitted = [i for i in before if i in after] + [i for i in after if i not in before]
+        assert after == (admitted if strict else sorted(after)), (before, after)
+    # two generators: a later-numbered instance is admitted first somewhere
+    assert any(after != sorted(after) for _before, after in orders) == (name == "two_jobs strict")
     for d in seen:
-        order = [i for i, _st in d.live]
-        assert order == sorted(set(order)), d
+        assert len({i for i, _st in d.live}) == len(d.live), d
         assert all(min(st) != DONE for _i, st in d.live), d
         assert len(d.live) <= m.deployment.queue_capacity, d
 
@@ -860,7 +881,7 @@ def test_formal_strict_scan_never_visits_a_completed_instance(monkeypatch):
         visited.update(live)
         return strict_view(live, graphs, r)
 
-    monkeypatch.setattr(reachability, "strict_view", checked)
+    monkeypatch.setattr(schedulers, "strict_view", checked)
     m = two_jobs("strict_priority_local")
     r = reach_bounds(m)
     assert r.terminal_reached and sorted(r.instance_latency) == list(range(6))

@@ -3,6 +3,7 @@ the in-place kernel against a functional reference."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,7 @@ from taskdse.model import (
 from taskdse.schedulers import (
     LINK,
     LOCAL,
+    PENDING,
     SHARED,
     Dispatch,
     SchedulerState,
@@ -65,6 +67,13 @@ def _enqueue(work, ref, cm):
     enqueue(work, ref, cm.queue[ref.code])
 
 
+def _backlog(cm, instances=4):
+    """A backlog of `instances` instances with every task PENDING, over one
+    graph that positions each task at its code, and the graphs per instance."""
+    codes = SimpleNamespace(first=0)
+    return {i: [PENDING] * len(cm.tasks) for i in range(instances)}, [codes] * instances
+
+
 def test_admit_and_finish_return_refs_in_instance_then_code_order():
     """The tasks one event enables come out in (instance, code) order, which
     the engines enqueue as they are, even when the job declares its tasks
@@ -79,8 +88,9 @@ def test_admit_and_finish_return_refs_in_instance_then_code_order():
     assert [task for _job, task in cm.names] == ["a", "b", "c", "d", "e", "f"]
 
     live: dict = {}
-    assert admit(graph, live, 3) == [TaskRef(3, code["a"]), TaskRef(3, code["f"])]
-    assert admit(graph, live, 1) == [TaskRef(1, code["a"]), TaskRef(1, code["f"])]
+    assert admit(graph, live, 3, 2) == [TaskRef(3, code["a"]), TaskRef(3, code["f"])]
+    assert admit(graph, live, 1, 2) == [TaskRef(1, code["a"]), TaskRef(1, code["f"])]
+    assert admit(graph, live, 2, 2) is None and list(live) == [3, 1]  # full: overflow
     assert finish(graph, live, TaskRef(3, code["a"])) == [
         TaskRef(3, code["b"]), TaskRef(3, code["c"]), TaskRef(3, code["e"])]
     assert finish(graph, live, TaskRef(3, code["c"])) == []  # d still waits for b
@@ -96,21 +106,21 @@ def test_fifo_global_drains_in_arrival_order_to_lowest_pe():
     cm, ref = _compile(plat, dep, {"j": ["a", "b", "c"]})
     assert cm.resources == ["PE0", "PE1"]
     assert cm.queue == [0, 0, 0]  # the one shared queue
-    st = thaw(cm.idle)
+    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
     r1, r2, r3 = ref(0, "j", "a"), ref(0, "j", "b"), ref(0, "j", "c")
     for r in (r1, r2, r3):
         _enqueue(st, r, cm)
 
-    d1 = next_dispatch(st, cm)
+    d1 = next_dispatch(st, cm, live, graphs)
     assert d1 == Dispatch(r1, 0, Fraction(1), 0)  # PE0
-    apply_dispatch(st, d1)
-    d2 = next_dispatch(st, cm)
+    apply_dispatch(st, d1, live, graphs)
+    d2 = next_dispatch(st, cm, live, graphs)
     assert d2 == Dispatch(r2, 1, Fraction(1), 0)  # PE1
-    apply_dispatch(st, d2)
-    assert next_dispatch(st, cm) is None  # both PEs busy
+    apply_dispatch(st, d2, live, graphs)
+    assert next_dispatch(st, cm, live, graphs) is None  # both PEs busy
 
     release(st, 0)
-    d3 = next_dispatch(st, cm)
+    d3 = next_dispatch(st, cm, live, graphs)
     assert d3 == Dispatch(r3, 0, Fraction(1), 0)
 
 
@@ -119,14 +129,14 @@ def test_fifo_local_respects_mapping():
     dep = Deployment(policy="fifo_local", mapping={"a": "PE1", "b": "PE0"})
     cm, ref = _compile(plat, dep, {"j": ["a", "b"]})
     assert cm.queue == [1, 0] and cm.serves == [(0,), (1,)]  # each PE its own slot
-    st = thaw(cm.idle)
+    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
     ra, rb = ref(0, "j", "a"), ref(0, "j", "b")
     _enqueue(st, ra, cm)
     _enqueue(st, rb, cm)
-    d1 = next_dispatch(st, cm)
+    d1 = next_dispatch(st, cm, live, graphs)
     assert cm.resources[d1.resource] == "PE0" and d1.ref == rb  # PE0 considered first
-    apply_dispatch(st, d1)
-    d2 = next_dispatch(st, cm)
+    apply_dispatch(st, d1, live, graphs)
+    d2 = next_dispatch(st, cm, live, graphs)
     assert cm.resources[d2.resource] == "PE1" and d2.ref == ra
 
 
@@ -134,10 +144,10 @@ def test_priority_global_serves_higher_level_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"hi": 2, "lo": 1})
     cm, ref = _compile(plat, dep, {"j": ["lo", "hi"]})
-    st = thaw(cm.idle)
+    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
     _enqueue(st, ref(0, "j", "lo"), cm)
     _enqueue(st, ref(0, "j", "hi"), cm)
-    d = next_dispatch(st, cm)
+    d = next_dispatch(st, cm, live, graphs)
     assert d.ref == ref(0, "j", "hi")
 
 
@@ -145,7 +155,7 @@ def test_one_map_serves_three_levels_highest_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"lo": 1, "mid": 5, "hi": 9})
     cm, ref = _compile(plat, dep, {"j": ["mid", "lo", "hi", "mid2"]})
-    st = thaw(cm.idle)
+    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
     for tid in ("mid", "lo", "hi", "mid2"):  # mid2 has no level: 0, below lo
         _enqueue(st, ref(0, "j", tid), cm)
     # one slot per level, numbered from the highest level down: service order
@@ -154,9 +164,9 @@ def test_one_map_serves_three_levels_highest_first():
     assert freeze(st).queues == ((ref(0, "j", "hi"),), (ref(0, "j", "mid"),),
                                  (ref(0, "j", "lo"),), (ref(0, "j", "mid2"),))
     served = []
-    while (d := next_dispatch(st, cm)) is not None:
+    while (d := next_dispatch(st, cm, live, graphs)) is not None:
         served.append(cm.names[d.ref.code][1])
-        apply_dispatch(st, d)
+        apply_dispatch(st, d, live, graphs)
         release(st, d.resource)
     assert served == ["hi", "mid", "lo", "mid2"]
     assert freeze(st) == cm.idle  # drained queues leave the idle state
@@ -180,31 +190,40 @@ def test_unknown_policy_fails_when_the_model_is_compiled():
 
 
 def test_strict_priority_local_holds_back():
-    plat = _platform(1)
-    dep = Deployment(policy="strict_priority_local", mapping={"top": "PE0", "low": "PE0"},
+    dep = Deployment(policy="strict_priority_local",
+                     mapping={"pre": "PE1", "top": "PE0", "low": "PE0"},
                      priorities={"top": 2, "low": 1})
-    cm, ref = _compile(plat, dep, {"j": ["top", "low"]})
-    assert cm.queue == [None, None] and cm.idle.queues == ()
-    st = thaw(cm.idle)
+    job = JobType("j", [_task(t) for t in ("pre", "top", "low")], [DataEdge("pre", "top")])
+    cm = CompiledModel(SystemModel([job], _platform(2), [], dep))
+    assert cm.queue == [None, None, None] and cm.idle.queues == ()
+    graph = cm.graphs["j"]
+    low, pre, top = (TaskRef(0, code) for code in range(3))
+    st, live, graphs = thaw(cm.idle), {}, [graph]
+    admit(graph, live, 0, 1)
 
-    # top not yet enabled: the PE must idle rather than run low
-    pending = {0: [(ref(0, "j", "top"), False), (ref(0, "j", "low"), True)]}
-    d = next_dispatch(st, cm, strict_view=lambda r: pending[r])
-    assert d is None
+    # top not yet enabled: PE0 must idle rather than run low; PE1 runs pre
+    d = next_dispatch(st, cm, live, graphs)
+    assert d == Dispatch(pre, 1, Fraction(1), None)
+    apply_dispatch(st, d, live, graphs)
+    assert next_dispatch(st, cm, live, graphs) is None
 
-    pending = {0: [(ref(0, "j", "top"), True), (ref(0, "j", "low"), True)]}
-    d = next_dispatch(st, cm, strict_view=lambda r: pending[r])
-    assert d == Dispatch(ref(0, "j", "top"), 0, Fraction(1), None)
+    release(st, 1)
+    assert finish(graph, live, pre) == [top]
+    d = next_dispatch(st, cm, live, graphs)
+    assert d == Dispatch(top, 0, Fraction(1), None)
 
 
 def test_strict_priority_local_finishes_instance_before_next():
+    """The scan serves the instance admitted first, whatever its index."""
     plat = _platform(1)
     dep = Deployment(policy="strict_priority_local", mapping={"t": "PE0"}, priorities={"t": 1})
     cm, ref = _compile(plat, dep, {"j": ["t"]})
-    st = thaw(cm.idle)
-    pending = {0: [(ref(1, "j", "t"), True), (ref(0, "j", "t"), True)]}
-    d = next_dispatch(st, cm, strict_view=lambda r: pending[r])
-    assert d.ref.instance == 0
+    graph = cm.graphs["j"]
+    st, live, graphs = thaw(cm.idle), {}, [graph, graph]
+    admit(graph, live, 1, 2)
+    admit(graph, live, 0, 2)
+    d = next_dispatch(st, cm, live, graphs)
+    assert d.ref == ref(1, "j", "t")
 
 
 def test_communication_tasks_queue_on_interconnect():
@@ -214,14 +233,14 @@ def test_communication_tasks_queue_on_interconnect():
     comm = _task("a->b", kind=COMMUNICATION, ic="bus")
     cm, ref = _compile(plat, dep, {"j": [comm]})
     assert cm.resources == ["PE0", "bus"] and cm.links == ((0, 1),)
-    st = thaw(cm.idle)
+    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
     _enqueue(st, ref(0, "j", "a->b"), cm)
 
-    d = next_dispatch(st, cm)
+    d = next_dispatch(st, cm, live, graphs)
     assert d == Dispatch(ref(0, "j", "a->b"), 1, None, 0)
     assert cm.resources[d.resource] == "bus"
-    apply_dispatch(st, d)
-    assert next_dispatch(st, cm) is None
+    apply_dispatch(st, d, live, graphs)
+    assert next_dispatch(st, cm, live, graphs) is None
     release(st, d.resource)
     assert freeze(st) == cm.idle
 
@@ -249,9 +268,9 @@ def test_off_processors_never_dispatch():
     dep = Deployment(policy="fifo_global")
     cm, ref = _compile(plat, dep, {"j": ["a"]})
     assert cm.resources == ["PE1"]
-    st = thaw(cm.idle)
+    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
     _enqueue(st, ref(0, "j", "a"), cm)
-    d = next_dispatch(st, cm)
+    d = next_dispatch(st, cm, live, graphs)
     assert cm.resources[d.resource] == "PE1"
 
 
@@ -271,7 +290,7 @@ def test_scheduler_state_is_hashable_value():
 
 
 @pytest.mark.parametrize("name", ["next_dispatch", "apply_dispatch", "enqueue", "release",
-                                  "admit", "finish", "strict_view"])
+                                  "admit", "finish"])
 def test_both_engines_call_the_one_kernel(name):
     """The simulator and the formal engine share one copy of the kernel and
     of the rules that fill and empty the backlog."""
@@ -328,6 +347,7 @@ def check_against_reference(cm, ops):
     state and to the reference; the frozen working state must equal the
     reference state after every step, and both forms dispatch alike."""
     work, ref_state = thaw(cm.idle), cm.idle
+    live, graphs = _backlog(cm)
     for kind, arg in ops:
         if kind == 0:
             code = arg % len(cm.tasks)
@@ -335,10 +355,10 @@ def check_against_reference(cm, ops):
             enqueue(work, task, cm.queue[code])
             ref_state = reference_enqueue(ref_state, task, cm.queue[code])
         elif kind == 1:
-            d = next_dispatch(work, cm)
-            assert d == next_dispatch(ref_state, cm)
+            d = next_dispatch(work, cm, live, graphs)
+            assert d == next_dispatch(ref_state, cm, live, graphs)
             if d is not None:
-                apply_dispatch(work, d)
+                apply_dispatch(work, d, live, graphs)
                 ref_state = reference_apply(ref_state, d)
         else:
             r = arg % len(cm.resources)

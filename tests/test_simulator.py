@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from taskdse import config, fixtures, metrics, simulator
+from taskdse import config, fixtures, metrics, schedulers, simulator
 from taskdse.generators import Generator
 from taskdse.model import (Deployment, JobType, Platform, Processor, SystemModel, TaskSpec,
                            WorkInterval, validate_model)
@@ -197,7 +197,7 @@ def test_strict_scan_never_visits_a_completed_instance(monkeypatch):
         sizes.append(len(live))
         return strict_view(live, graphs, r)
 
-    monkeypatch.setattr(simulator, "strict_view", checked)
+    monkeypatch.setattr(schedulers, "strict_view", checked)
     m = fixtures.mapping_stream(period=4500, policy="strict_priority_local", count=40)
     m.deployment.priorities = {f"blk{i:02d}": 16 - i for i in range(16)}
     assert validate_model(m) == []
