@@ -105,7 +105,9 @@ def _write(path: str, text: str):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Indented JSON with sorted keys; a NaN or infinite float raises
+    ValueError instead of being written as a bare token JSON lacks."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

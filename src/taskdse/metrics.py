@@ -248,16 +248,12 @@ class Report:
     histogram: list = field(default_factory=list)  # (lo, hi, count) rows
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.min,
-            "max": self.max,
-            "median": self.median,
-            "p95": self.p95,
-            "histogram": [list(row) for row in self.histogram],
-        }
+        """The report as JSON values: with no samples every statistic is
+        None, written as null, since JSON has no NaN."""
+        out = {"count": self.count, "histogram": [list(row) for row in self.histogram]}
+        for name in ("mean", "std", "min", "max", "median", "p95"):
+            out[name] = getattr(self, name) if self.count else None
+        return out
 
 
 def histogram_csv(report: Report) -> str:

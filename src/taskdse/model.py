@@ -348,15 +348,17 @@ def validate_model(m: SystemModel) -> list[Violation]:
         if task_id not in all_tasks:
             out.append(Violation("UnknownTaskRef", task_id, "task_frequency"))
             continue
+        # a per-processor policy runs the task on its mapped processor only,
+        # a global queue on any powered one
         pid = dep.mapping.get(task_id)
-        if pid is not None and pid in proc_ids:
-            if freq not in m.platform.processor(pid).frequencies:
-                out.append(Violation("UnknownFrequency", task_id, f"{freq} not offered by {pid}"))
+        if dep.policy in LOCAL_POLICIES and pid in proc_ids:
+            hosts = [m.platform.processor(pid)]
         else:
-            for p in m.platform.active_processors():
-                if freq not in p.frequencies:
-                    out.append(Violation("UnknownFrequency", task_id, f"{freq} not offered by {p.id}"))
-                    break
+            hosts = m.platform.active_processors()
+        for p in hosts:
+            if freq not in p.frequencies:
+                out.append(Violation("UnknownFrequency", task_id, f"{freq} not offered by {p.id}"))
+                break
 
     edge_keys = {e.key for job in m.job_types for e in job.edges}
     mem_ids = {mem.id for mem in m.platform.memories}

@@ -36,11 +36,18 @@ Three ingredients keep the zone count tractable:
     Symmetry", FMSD 1996), and every such permutation fixes the global,
     makespan, response and generator clocks, so every bound stays exact.
 
-Clock layout per configuration, in canonical order: the global clock, the
-makespan anchor (reset at the first arrival), one response clock per admitted
-incomplete instance, one clock per running task, and the generator's own
-clocks (inter-arrival or sliding-window banks).  Clocks of finished tasks,
-completed instances and exhausted generators are projected away.
+Each clock is named by the event that started it and reads the time since
+that event: the global clock (T,) since time 0, the makespan anchor (M,)
+since the first arrival, (RESP, i) since instance i was admitted, (RUN, i, c)
+since task c of instance i started, and (GEN, g, k) since arrival k of
+generator g, the latest arrival to reset that own slot (inter-arrival or
+sliding-window banks); a slot no arrival has reset yet reads (T,).  So no
+clock is ever reset: a successor's clock is zero exactly when its tag is new,
+and every other clock carries over (clock renaming: Daws & Yovine, "Reducing
+the number of clock variables of timed automata", RTSS 1996).  A
+configuration's layout is its sorted tags; clocks of finished tasks,
+completed instances, exhausted generators and overwritten slots are
+projected away.
 
 `_successors` is the successor relation on symbolic states (Bengtsson & Yi,
 "Timed Automata: Semantics, Algorithms and Tools", 2004) and `reach_bounds`
@@ -56,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GLOBAL, arrival_rule, own_clocks
+from .generators import arrival_rule, own_clocks
 from .model import COMMUNICATION, LOCAL_POLICIES, SystemModel, TimeInterval
 from .schedulers import (
     SchedulerState,
@@ -195,10 +202,17 @@ class Network:
                       for g in model.generators]
         self.inst_graph: list[TaskGraph] = []
         self.inst_of: dict[tuple[int, int], int] = {}
+        # born[gidx][a][s]: tag of own slot s after a arrivals; [GLOBAL] is T
+        self.born: list[list[tuple]] = []
         for gidx, g in enumerate(model.generators):
-            for k in range(1, len(self.rules[gidx]) + 1):
+            tags = [(T,)] * (own_clocks(g) + 1)
+            self.born.append([tuple(tags)])
+            for k, rule in enumerate(self.rules[gidx], start=1):
                 self.inst_of[(gidx, k)] = len(self.inst_graph)
                 self.inst_graph.append(graphs[g.job_type])
+                if rule.reset is not None:
+                    tags[rule.reset] = (GEN, gidx, k)
+                self.born[-1].append(tuple(tags))
 
         gen_clocks = sum(own_clocks(g) for g in model.generators)
         concurrent = min(len(self.inst_graph), model.deployment.queue_capacity)
@@ -217,20 +231,13 @@ class Network:
 # discrete-state helpers
 
 
-def _clock(gidx: int, clock: int) -> tuple:
-    """Layout purpose of a generator rule's clock."""
-    return (T,) if clock == GLOBAL else (GEN, gidx, clock)
-
-
 def _layout(net: Network, d: DState) -> tuple:
-    ps = [(T,), (M,)]
+    ps = [(T,), (M,)] if any(d.arrivals) else [(T,)]
     ps.extend((RESP, i) for i, _st in d.live)
-    for ref in d.sched.running:
-        if ref is not None:
-            ps.append((RUN, ref.instance, ref.code))
-    for gidx, g in enumerate(net.model.generators):
-        if d.arrivals[gidx] < len(net.rules[gidx]):
-            ps.extend((GEN, gidx, s) for s in range(own_clocks(g)))
+    ps.extend((RUN, ref.instance, ref.code) for ref in d.sched.running if ref is not None)
+    for born, a, rules in zip(net.born, d.arrivals, net.rules):
+        if a < len(rules):
+            ps.extend(p for p in born[a] if p[0] == GEN)
     ps.sort()
     return tuple(ps)
 
@@ -243,33 +250,32 @@ def _terminal(net: Network, d: DState) -> bool:
     return not d.live and all(a == len(rules) for a, rules in zip(d.arrivals, net.rules))
 
 
-def _settle(net: Network, arrivals: tuple, live: dict, work, refs: list):
+def _settle(net: Network, arrivals: tuple, live: dict, work, refs: list) -> DState:
     """Queue `refs`, fire every start the policy allows on the working state
-    `work` and the backlog map `live`, and freeze the successor; returns
-    (d2, run clocks created)."""
+    `work` and the backlog map `live`, and freeze the successor."""
     compiled, graphs = net.compiled, net.inst_graph
     for ref in refs:
         enqueue(work, ref, compiled.queue[ref.code])
-    resets = []
     while (disp := next_dispatch(work, compiled, live, graphs)) is not None:
         apply_dispatch(work, disp, live, graphs)
-        resets.append((RUN, *disp.ref))
-    return DState(arrivals, freeze_backlog(live, compiled), freeze(work)), resets
+    return DState(arrivals, freeze_backlog(live, compiled), freeze(work))
 
 
 def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
-    """End `ref` on `resource`; returns (d2, resets, the instance it
-    completed or None)."""
+    """End `ref` on `resource`; returns (d2, the instance it completed or
+    None).  The clocks it starts are the run clocks new to d2's layout."""
     live = {i: list(st) for i, st in d.live}
     work = thaw(d.sched)
     release(work, resource)
-    d2, resets = _settle(net, d.arrivals, live, work, finish(net.inst_graph[ref.instance], live, ref))
-    return d2, resets, (None if ref.instance in live else ref.instance)
+    d2 = _settle(net, d.arrivals, live, work, finish(net.inst_graph[ref.instance], live, ref))
+    return d2, (None if ref.instance in live else ref.instance)
 
 
 def _after_arrival(net: Network, d: DState, gidx: int):
-    """Admit arrival k of generator gidx; returns (d2, resets, None) like
-    `_after_end`, or None when the backlog is full and the arrival overflows."""
+    """Admit arrival k of generator gidx; returns (d2, None) like
+    `_after_end`, or None when the backlog is full and the arrival overflows.
+    It starts (RESP, inst), run clocks, (M,) if first, (GEN, gidx, k) if the
+    rule resets an own slot."""
     k = d.arrivals[gidx] + 1
     inst = net.inst_of[(gidx, k)]
     live = {i: list(st) for i, st in d.live}
@@ -277,15 +283,7 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     if refs is None:
         return None
     arrivals = tuple(a + 1 if i == gidx else a for i, a in enumerate(d.arrivals))
-    resets = []
-    reset = net.rules[gidx][k - 1].reset
-    if reset is not None:
-        resets.append((GEN, gidx, reset))
-    if sum(d.arrivals) == 0:
-        resets.append((M,))
-
-    d2, more = _settle(net, arrivals, live, thaw(d.sched), refs)
-    return d2, resets + more, None
+    return _settle(net, arrivals, live, thaw(d.sched), refs), None
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +298,10 @@ def _invariants(net: Network, d: DState, idx: dict, mat) -> bool:
         if ref is not None:
             clocks.append(idx[(RUN, ref.instance, ref.code)])
             bounds.append(enc(net.compiled.durations[ref.code][r][1]))
-    for gidx, rules in enumerate(net.rules):
-        a = d.arrivals[gidx]
+    for born, a, rules in zip(net.born, d.arrivals, net.rules):
         dl = rules[a].deadline if a < len(rules) else None
         if dl is not None:
-            clocks.append(idx[_clock(gidx, dl.clock)])
+            clocks.append(idx[born[a][dl.clock]])
             bounds.append(enc(dl.ticks))
     return constrain_upper(mat, clocks, bounds)
 
@@ -546,7 +543,7 @@ def _successors(net: Network, d: DState, mat, idx: dict):
         zg = mat.copy()
         gd = rules[a].guard
         if gd is not None and not constrain_one(
-                zg, 0, idx[_clock(gidx, gd.clock)], enc(-gd.ticks, strict=gd.strict)):
+                zg, 0, idx[net.born[gidx][a][gd.clock]], enc(-gd.ticks, strict=gd.strict)):
             continue
         step = _after_arrival(net, d, gidx)
         yield ((OVERFLOW, gidx) if step is None else (ARRIVE, gidx)), zg, step
@@ -590,7 +587,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
             elif label[0] == OVERFLOW:
                 overflow = True  # absorbing: the run is flagged, not continued
             else:
-                d2, resets, completed = step
+                d2, completed = step
                 if completed is not None:
                     rlo, rhi = clock_window(zg, idx[(RESP, completed)])
                     per_inst[completed] = _widen(per_inst.get(completed), rlo, rhi)
@@ -598,7 +595,7 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
                 if _terminal(net, d2):
                     makespan = _widen(makespan, *clock_window(zg, idx[(M,)]))
                 else:
-                    _push(net, store, frontier, d2, zg, idx, resets)
+                    _push(net, store, frontier, d2, zg, idx)
 
     return ReachResult(
         makespan=makespan,
@@ -614,19 +611,19 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
     )
 
 
-def _push(net, store, frontier, d2, zg, old_idx, resets):
+def _push(net, store, frontier, d2, zg, old_idx):
     """Store d2 in canonical form, its zone carried from the firing zone zg
-    by one relayout: a renamed run clock reads its source's clock."""
+    by one relayout: a clock carries over, read from its source's clock if
+    renamed, unless its tag is new to `old_idx`, which starts it at 0."""
     back = {}
     if net.orbits:
         d2, back = _canonical(net, d2)
     lay2 = _layout(net, d2)
-    rs = set(resets)
     srcs = [0]
     for p in lay2:
         if p[0] == RUN and p[2] in back:
             p = (RUN, p[1], back[p[2]])
-        srcs.append(0 if p in rs else old_idx.get(p, 0))
+        srcs.append(old_idx.get(p, 0))
     z2 = relayout(zg, srcs)
     # invariants are single-clock upper bounds, so checking them before the
     # delay as well would give the same zone: (Z & I)^ & I == Z^ & I

@@ -108,9 +108,10 @@ def elapse(mat: np.ndarray) -> None:
 def relayout(mat: np.ndarray, srcs: list[int]) -> np.ndarray:
     """Project/permute/extend a canonical zone onto a new clock layout.
 
-    srcs[p] is the old index feeding new index p, or 0 for a freshly created
-    clock; borrowing row/column 0 makes the new clock exactly zero, which is
-    the reset-on-creation semantics the engines rely on.
+    srcs[p] is the old index feeding new index p, or 0 for a clock born in
+    this step; borrowing row/column 0 makes it exactly zero.  A clock starts
+    when it is created and is never reset, so this is the only way a zone
+    gains a zero clock.
     """
     idx = np.asarray(srcs, dtype=np.intp)
     # two takes build the same fresh array as mat[np.ix_(idx, idx)].copy()

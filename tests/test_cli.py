@@ -390,6 +390,34 @@ def test_simulate_writes_samples_and_report(tmp_path):
     assert not list(out.glob("trace-*.txt"))
 
 
+def test_a_metric_without_samples_is_written_as_null(tmp_path):
+    """At capacity 1 with both periods 1, every alpha arrival of two_jobs
+    overflows, so job_latency[alpha] has no sample.  report.json stays
+    valid JSON: each statistic of that metric is null, not a bare NaN."""
+    m = two_jobs("fifo_local")
+    m.deployment.queue_capacity = 1
+    for g in m.generators:
+        g.period = U(1)
+    path = tmp_path / "full.json"
+    path.write_text(config.dumps(m))
+    out = tmp_path / "s"
+    assert cli.main(["simulate", str(path), "--runs", "3", "--seed", "1", "--out", str(out)]) == 0
+
+    def no_constant(name):
+        raise AssertionError(f"report.json holds {name}")
+
+    rep = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+    alpha = rep["metrics"]["job_latency[alpha]"]
+    assert alpha == {"count": 0, "histogram": [], "max": None, "mean": None, "median": None,
+                     "min": None, "p95": None, "std": None}
+    assert rep["metrics"]["job_latency[beta]"]["count"] == 3
+
+
+def test_json_text_refuses_a_float_json_lacks():
+    with pytest.raises(ValueError):
+        cli._json_text({"mean": float("nan")})
+
+
 @pytest.mark.parametrize("horizon", ["0", "-5", "abc", "0.0000001", "1/0"])
 def test_simulate_rejects_bad_horizon(tmp_path, capsys, horizon):
     assert cli.main(["simulate", CHAIN2, "--runs", "1", "--seed", "1",
@@ -522,6 +550,31 @@ def test_sweep_checks_every_point_before_running_any(tmp_path, capsys, workers):
                      "--axis", "policy=fifo_local,strict_priority_local",
                      "--runs", "3", "--seed", "5", "--workers", workers, "--out", str(out)]) == 2
     assert "period=50,policy=strict_priority_local: MissingPriority" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pinned_frequency_under_a_global_queue_needs_every_processor(tmp_path, capsys):
+    """two_jobs pins z to 2, which only PE0 offers.  A global queue may run
+    z on PE1, so under fifo_global `check` exits 2 naming PE1; under
+    fifo_local z runs on PE0 only and the model passes."""
+    path = tmp_path / "global.json"
+    path.write_text(config.dumps(two_jobs("fifo_global")))
+    assert cli.main(["check", str(path)]) == 2
+    assert "UnknownFrequency{z}: 2 not offered by PE1" in capsys.readouterr().err
+    path.write_text(config.dumps(two_jobs("fifo_local")))
+    assert cli.main(["check", str(path)]) == 0
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_to_a_global_queue_checks_pinned_frequencies(tmp_path, capsys, workers):
+    """Swept to fifo_global, two_jobs could time z at 2 on PE1: the sweep
+    exits 2 before any point runs."""
+    path = tmp_path / "two_jobs.json"
+    path.write_text(config.dumps(two_jobs("fifo_local")))
+    out = tmp_path / "w"
+    assert cli.main(["sweep", str(path), "--axis", "policy=fifo_local,fifo_global",
+                     "--runs", "2", "--seed", "1", "--workers", workers, "--out", str(out)]) == 2
+    assert "policy=fifo_global: UnknownFrequency{z}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -19,6 +19,12 @@ merging changes no bound (property c) and no layout outgrows the clock count
 checked before the search.  `random_two_generator_model` draws a fourth
 family, checked for sampled containment only: two job types, each with its
 own generator, so that instance numbers and arrival order differ.
+`random_window_model` draws a fifth: 1-3 tasks on 1-3 processors, sometimes
+with a bus, under any policy, fed by a bounded_var or bibounded_var
+generator whose 1-3 explicit arrivals are drawn inside its windows, so the
+zone engine sets and reads the slots of a sliding window.  It is checked
+for sampled containment and for bounds that symmetry and merging leave
+alone, and kept out of `every_family()`.
 
 REACH_DIGESTS pins every search result over the three families: for each
 option set, the sha256 of the `ReachResult` reprs of `every_family()` in
@@ -35,11 +41,12 @@ from fractions import Fraction
 import pytest
 
 from taskdse import cli, config
-from taskdse.generators import Generator
+from taskdse.generators import Generator, _windows
 from taskdse.metrics import MetricSpec, extract
 from taskdse.model import (
     COMMUNICATION,
     LOCAL,
+    LOCAL_POLICIES,
     OFFCHIP,
     DataEdge,
     Deployment,
@@ -81,6 +88,8 @@ SYMMETRIC_SEED = 11
 SYMMETRIC_MODELS = 40
 TWO_GENERATOR_SEED = 9
 TWO_GENERATOR_MODELS = 120
+WINDOW_SEED = 13
+WINDOW_MODELS = 100
 MODELS = 150
 RUNS = 50
 SWEEP_EVERY = 4  # property (a) sweeps every fourth model to stay within seconds
@@ -215,6 +224,38 @@ def random_two_generator_model(rng: SplitMix64) -> SystemModel:
                        instance_bound=count)
 
 
+def random_window_model(rng: SplitMix64) -> SystemModel:
+    """1-3 tasks on 1-3 processors, sometimes with a bus, under any policy,
+    fed by a bounded_var or bibounded_var generator: window 1-6, at most 1-3
+    events per window, and `count` 1-3 explicit arrivals, each drawn in
+    whole time units inside the window its predecessors leave it.  The
+    backlog holds all `count` instances, so no run overflows."""
+    n_tasks, n_pes = _pick(rng, 1, 3), _pick(rng, 1, 3)
+    tasks, edges = _random_tasks(rng, n_tasks)
+    ics = [Interconnect("bus", Fraction(1), init_latency=to_ticks(1))] if _pick(rng, 0, 1) else []
+    on = [f"PE{i}" for i in range(n_pes)]
+    count = _pick(rng, 1, 3)
+    dep = Deployment(
+        policy=POLICIES[_pick(rng, 0, 3)],
+        mapping={t.id: on[_pick(rng, 0, n_pes - 1)] for t in tasks},
+        priorities={t.id: _pick(rng, 1, 4) for t in tasks},
+        queue_capacity=_pick(rng, count, 3),
+    )
+    window, most = _pick(rng, 1, 6), _pick(rng, 1, 3)
+    gen = Generator("job", ("bounded_var", "bibounded_var")[_pick(rng, 0, 1)],
+                    window=to_ticks(window), max_events=most,
+                    min_events=_pick(rng, 1, most), count=count)
+    times: list[int] = []
+    unit = to_ticks(1)
+    for lo, hi in _windows(gen, times):
+        lo = max([lo] + times[-1:])  # explicit arrivals come in order
+        first = -(-lo // unit)
+        times.append(to_ticks(_pick(rng, first, max(first, min(hi, lo + to_ticks(window)) // unit))))
+    gen.arrivals = times
+    return SystemModel([JobType("job", tasks, edges)], Platform(_processors(n_pes), interconnects=ics),
+                       [gen], dep, instance_bound=count)
+
+
 FAMILIES = {"one_bus": (SEED, random_model), "two_buses": (BUS_SEED, random_bus_model)}
 
 
@@ -318,6 +359,41 @@ def test_two_generator_model_samples_lie_inside_the_formal_bounds():
     assert strict >= 15 and checked >= 80 * RUNS
 
 
+def window_models() -> list[SystemModel]:
+    rng = SplitMix64(WINDOW_SEED)
+    models = [random_window_model(rng) for _ in range(WINDOW_MODELS)]
+    return [m for m in models if not validate_model(m)]
+
+
+def test_window_generator_models_are_exact_and_contain_their_samples():
+    """On the window family, unreduced and unmerged searches give the
+    bounds of the default one, no overflow is reachable, and every sampled
+    run lies inside the bounds.  The family reaches guards on a reused slot
+    (more arrivals than events per window) and several slots set in one
+    run."""
+    def bounds(r):
+        return r.makespan, r.latency, r.instance_latency, r.overflow_reachable, r.terminal_reached
+
+    models = window_models()
+    assert len(models) >= 60
+    assert {m.deployment.policy for m in models} == set(POLICIES)
+    assert any(m.platform.interconnects for m in models)
+    gens = [m.generators[0] for m in models]
+    assert {g.variant for g in gens} == {"bounded_var", "bibounded_var"}
+    assert any(g.count > g.max_events for g in gens)
+    assert any(g.count >= 2 and g.max_events >= 2 for g in gens)
+    checked = 0
+    for n, m in enumerate(models):
+        r = reach_bounds(m)
+        assert r.terminal_reached and not r.overflow_reachable, n
+        for opts in (ReachOptions(symmetry=False), ReachOptions(merge=False)):
+            assert bounds(reach_bounds(m, opts)) == bounds(r), (n, opts)
+        runs = samples_inside(m, r, WINDOW_SEED, n)
+        assert runs == RUNS, n
+        checked += runs
+    assert checked == len(models) * RUNS
+
+
 def test_symmetry_reduction_keeps_random_symmetric_models_exact():
     """Reduced and full searches give the same bounds on the symmetric
     family, the reduced one expands no more configurations, and sampled runs
@@ -395,10 +471,10 @@ def test_every_search_result_of_the_families_is_pinned(name):
 
 
 def test_layouts_of_random_models_fit_the_clock_count(monkeypatch):
-    widths = check_layouts(monkeypatch)
+    seen = check_layouts(monkeypatch)
     for m in every_family():
         reach_bounds(m)
-    assert widths
+    assert seen
 
 
 def test_store_of_random_symmetric_models_stays_an_antichain(monkeypatch):
@@ -426,7 +502,8 @@ def test_successors_yield_ends_then_arrivals_in_order(monkeypatch):
     """Every `_successors` call yields its END and MIRROR labels first, in
     ascending (ref, slot), then its ARRIVE and OVERFLOW labels, in
     ascending generator order: on the bundled configs, on every family and,
-    for two generators, on two_jobs under each policy, all under the
+    for two generators, on two_jobs under each policy (unpinned under the
+    global queues, where PE1 lacks z's pinned frequency), all under the
     defaults.  power_sweep stops at 300 configurations, since its full
     search expands 65,540."""
     calls = recorded_steps(monkeypatch)
@@ -435,7 +512,12 @@ def test_successors_yield_ends_then_arrivals_in_order(monkeypatch):
             reach_bounds(config.load(str(CONFIGS / f"{name}.json")), ReachOptions(state_cap=300))
         except SearchCapExceeded:
             assert name == "power_sweep"
-    for m in every_family() + [two_jobs(policy) for policy in POLICIES]:
+    two = [two_jobs(policy) for policy in POLICIES]
+    for m in two:
+        if m.deployment.policy not in LOCAL_POLICIES:
+            m.deployment.task_frequency = {}
+        assert not validate_model(m), m.deployment.policy
+    for m in every_family() + two:
         reach_bounds(m)
     kinds, most_arrivals = set(), 0
     for call in calls:

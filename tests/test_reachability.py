@@ -32,9 +32,13 @@ from taskdse.model import (
 )
 from taskdse.reachability import (
     END,
+    GEN,
     MIRROR,
     OVERFLOW,
+    RESP,
     RUN,
+    M,
+    T,
     BudgetExceeded,
     DState,
     Network,
@@ -46,7 +50,7 @@ from taskdse.reachability import (
     reach_bounds,
 )
 from taskdse.schedulers import DONE, SchedulerState, strict_view
-from taskdse.zones import clock_window, relayout, zone_includes
+from taskdse.zones import LE_ZERO, clock_window, relayout, zone_includes
 from test_parity import priority_variants, two_jobs
 from taskdse.simulator import run_campaign
 from taskdse.timebase import to_ticks
@@ -639,17 +643,18 @@ def test_clock_need_formula_on_chain2():
 
 def check_layouts(monkeypatch) -> list:
     """From here on, every layout a search builds must fit the clock count
-    its Network checked against the budget; returns the widths seen."""
-    layout, widths = reachability._layout, []
+    its Network checked against the budget; returns the (configuration,
+    layout) pairs seen, in the order they were built."""
+    layout, seen = reachability._layout, []
 
     def checked(net, d):
         lay = layout(net, d)
         assert len(lay) <= net.clocks, (d, lay, net.clocks)
-        widths.append(len(lay))
+        seen.append((d, lay))
         return lay
 
     monkeypatch.setattr(reachability, "_layout", checked)
-    return widths
+    return seen
 
 
 def check_antichains(monkeypatch):
@@ -682,9 +687,9 @@ def layout_cases() -> dict:
 def test_layouts_fit_the_clock_count(name, monkeypatch):
     """The budget is checked once, before the search; no layout reached
     holds more clocks than that count."""
-    widths = check_layouts(monkeypatch)
+    seen = check_layouts(monkeypatch)
     r = reach_bounds(layout_cases()[name], ReachOptions(clock_budget=40))
-    assert widths and r.overflow_reachable == (name == "stream_chain capacity 1")
+    assert seen and r.overflow_reachable == (name == "stream_chain capacity 1")
 
 
 @pytest.mark.parametrize("name", sorted(mirror_cases()))
@@ -789,6 +794,69 @@ def test_every_generator_variant_bounds_chain2(variant):
         assert r.makespan.lo <= v <= r.makespan.hi, f"makespan {v} outside"
     for v in c.values("job_latency[chain]"):
         assert r.latency.lo <= v <= r.latency.hi, f"latency {v} outside"
+
+
+def chain2_bibounded() -> SystemModel:
+    """chain2 fed four instances by bibounded_var(10, 1, 4), all analysed:
+    each arrival k sets slot k - 1 of four, so slots wait unset until then."""
+    m = fixtures.chain2()
+    m.generators = [Generator("chain", "bibounded_var", window=U(10), min_events=1,
+                              max_events=4, count=4)]
+    m.instance_bound = 4
+    return m
+
+
+def test_clocks_are_named_by_the_event_that_starts_them(monkeypatch):
+    """No clock is ever reset: a tag names the event that started its clock,
+    and a layout holds one clock per such event still read.  The initial
+    layout is (T,) alone, since (M,) starts at the first arrival.  Under
+    uncertain(3, 2), arrival k starts (GEN, 0, k), the one generator clock
+    until the next arrival; after the last, none is read.  Under
+    bibounded_var(10, 1, 4) with K = 4, a slot no arrival has set yet reads
+    T and takes no clock of its own: the search keeps 114 configurations,
+    114 zones and 24 merges, while the clocks summed over its layouts fall
+    from 946, when each such slot was a copy of T, to 875, and the widest
+    layout from 10 clocks to 9."""
+    seen = check_layouts(monkeypatch)
+    m = chain2_stream(VARIANT_BOUNDS["uncertain"][0])
+    reach_bounds(m)
+    assert seen[0] == (DState((0,), (), Network(m).compiled.idle), ((T,),))
+    for d, lay in seen:
+        (a,) = d.arrivals
+        assert [p for p in lay if p[0] == GEN] == ([(GEN, 0, a)] if 0 < a < 3 else []), d
+        assert ((M,) in lay) == (a > 0), d
+    assert {d.arrivals for d, _lay in seen} == {(0,), (1,), (2,), (3,)}
+
+    seen.clear()
+    r = reach_bounds(chain2_bibounded())
+    assert (r.states, r.zones, r.merges) == (114, 114, 24)
+    assert sum(len(lay) for _d, lay in seen) == 875
+    assert max(len(lay) for _d, lay in seen) == 9
+
+
+@pytest.mark.parametrize("name", ["chain2 bibounded", "stream_chain", "two_jobs strict"])
+def test_a_clock_started_later_never_reads_more(name, monkeypatch):
+    """Each clock reads the time since the event that started it, so in
+    every stored zone T >= M >= (RESP, i) >= (RUN, i, c), and M >= every
+    generator clock: no slot reads T once the first arrival has come."""
+    m = {"chain2 bibounded": chain2_bibounded, "stream_chain": fixtures.stream_chain,
+         "two_jobs strict": lambda: two_jobs("strict_priority_local")}[name]()
+    stores = final_stores(monkeypatch)
+    reach_bounds(m)
+    net, pairs = Network(m), 0
+    for d, zs in stores[0].zones.items():
+        idx = _index(_layout(net, d))
+        order = [((M,), (T,))] if (M,) in idx else []
+        for p in idx:
+            if p[0] in (RESP, GEN):
+                order.append((p, (M,)))
+            elif p[0] == RUN:
+                order.append((p, (RESP, p[1])))
+        for mat in zs:
+            for later, earlier in order:
+                assert mat[idx[later], idx[earlier]] <= LE_ZERO, (d, later, earlier)
+                pairs += 1
+    assert pairs
 
 
 def test_a_search_compiles_its_model_once(monkeypatch):
