@@ -214,7 +214,8 @@ def _write_point(outdir: str, h: str, specs, campaign):
         _write(os.path.join(outdir, f"hist-{label}.csv"), histogram_csv(rep))
     if campaign.traces is not None:
         for i, t in enumerate(campaign.traces):
-            _write(os.path.join(outdir, f"trace-{i:04d}.txt"), t.text())
+            head = f"# seed {campaign.seed}\n# run {i}\n# model {h}\n# rng splitmix64\n"
+            _write(os.path.join(outdir, f"trace-{i:04d}.txt"), head + t.text())
 
 
 def _cmd_simulate(args) -> int:
@@ -226,7 +227,7 @@ def _cmd_simulate(args) -> int:
         raise config.ConfigError("--horizon", f"horizon must be positive and below {MAX_TICKS} ticks")
     specs = default_metrics(model)
     campaign = run_campaign(model, args.runs, args.seed, specs,
-                            horizon=horizon, keep_traces=args.traces, model_hash=h)
+                            horizon=horizon, keep_traces=args.traces)
     out = _outdir(args.out)
     _write_point(out, h, specs, campaign)
     for label, rep in campaign.reports.items():
@@ -325,7 +326,7 @@ def _run_point(payload) -> dict:
         apply_axis(model, name, value)
     h = config.model_hash(model)
     specs = default_metrics(model)
-    campaign = run_campaign(model, runs, point_seed, specs, model_hash=h)
+    campaign = run_campaign(model, runs, point_seed, specs)
     _write_point(outdir, h, specs, campaign)
 
     latencies = [v / SCALE for s in specs if s.kind == "job_latency"

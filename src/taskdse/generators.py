@@ -11,9 +11,9 @@ Five variants:
 
 `arrival_rule` states each variant as clock guards, deadlines and resets; the
 sampler, the zone engine and the explicit-arrival check all read it.  The
-first three have uniform sampling semantics; the last two are pure
-constraints (usable by the formal engine and as trace validators) and refuse
-to sample.
+first three are sampled, one `draws.uniform_ticks(lo, hi)` call per arrival;
+the last two are pure constraints (usable by the formal engine and as trace
+validators) and refuse to sample.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import Violation
-from .rng import SplitMix64
 
 PERIODIC = "periodic"
 JITTER = "jitter"
@@ -76,6 +75,9 @@ def generator_violations(g: Generator) -> list[Violation]:
             out.append(Violation("BadEventBound", sub, str(g.max_events)))
         if g.variant == BIBOUNDED_VAR and not (0 < g.min_events <= g.max_events):
             out.append(Violation("BadEventBound", sub, f"min {g.min_events}, max {g.max_events}"))
+        elif g.variant == BIBOUNDED_VAR and g.min_events == g.max_events < g.count:
+            # arrival max+1 must come both more than and at most a window after arrival 1
+            out.append(Violation("EmptyStream", sub, f"min = max = {g.max_events} < count {g.count}"))
 
     if g.arrivals is not None:
         times = g.arrivals
@@ -144,8 +146,8 @@ def _windows(g: Generator, times: list[int]):
             last[reset] = times[k - 1]
 
 
-def sample_arrivals(g: Generator, rng: SplitMix64) -> list[int]:
-    """Draw one concrete arrival list (uniform within each window)."""
+def sample_arrivals(g: Generator, draws) -> list[int]:
+    """One arrival list: the explicit one, else one draw per arrival window."""
     if g.arrivals is not None:
         return list(g.arrivals)
     if g.variant not in SAMPLABLE:
@@ -154,7 +156,7 @@ def sample_arrivals(g: Generator, rng: SplitMix64) -> list[int]:
         )
     times: list[int] = []
     for lo, hi in _windows(g, times):
-        times.append(rng.uniform_ticks(lo, hi))
+        times.append(draws.uniform_ticks(lo, hi))
     return times
 
 

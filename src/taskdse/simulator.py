@@ -1,11 +1,12 @@
 """Monte-Carlo discrete-event simulation of one system model.
 
-Each run draws arrival times and task durations uniformly from the model's
-windows and replays the deployment's scheduling policy exactly as the formal
-engine encodes it (same task graph, enabling rules and policy kernel, same
-tick arithmetic).  The formal bounds cover the first K instances of each
-generator in runs without overflow, and only their completion times are
-claimed to fall inside them (ROADMAP item 1 plans to cover the rest).
+Each run takes arrival times and task durations from its draw source (run i
+of a campaign: `rng.stream_for(seed, i)`) and replays the deployment's
+scheduling policy exactly as the formal engine encodes it (same task graph,
+enabling rules and policy kernel, same tick arithmetic).  The formal bounds
+cover the first K instances of each generator in runs without overflow, and
+only their completion times are claimed to fall inside them (ROADMAP item 1
+plans to cover the rest).
 
 Event processing is strictly sequential and fully deterministic: the heap
 holds only ends and arrivals, ordered (time, rank, tiebreak) with ends first
@@ -97,9 +98,6 @@ class TimedTrace:
     log: list
     horizon: int = 0
     overflow_count: int = 0
-    seed: int | None = None
-    run_index: int = 0
-    model_hash: str = ""
     gathered: TraceFacts | None = None
 
     @cached_property
@@ -112,18 +110,8 @@ class TimedTrace:
         shared by every metric."""
         return trace_facts(self) if self.gathered is None else self.gathered
 
-    def lines(self) -> list[str]:
-        head = []
-        if self.seed is not None:
-            head.append(f"# seed {self.seed}")
-            head.append(f"# run {self.run_index}")
-        if self.model_hash:
-            head.append(f"# model {self.model_hash}")
-        head.append("# rng splitmix64")
-        return head + [e.line() for e in self.events]
-
     def text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
+        return "".join(e.line() + "\n" for e in self.events)
 
 
 class CompiledModel:
@@ -184,24 +172,24 @@ class CompiledModel:
         return lowest if f is None else f
 
 
-def simulate(model: SystemModel, seed: int, run_index: int = 0,
-             horizon: int | None = None, model_hash: str = "",
+def simulate(model: SystemModel, draws, horizon: int | None = None,
              compiled: CompiledModel | None = None) -> TimedTrace:
-    """Run `run_index` of the campaign seeded with `seed`; `compiled` is the
-    model's CompiledModel, built here when not given.
+    """One run of `model` on `draws`, any object whose `uniform_ticks(lo, hi)`
+    returns a tick in [lo, hi]: one call per sampled arrival, up front in
+    generator order, then one per task start, point windows included.
+    `compiled` is the model's CompiledModel, built here when not given.
 
     The scheduler's idle state is thawed once into a working state that the
     kernel changes in place, and never frozen.  The loop logs each event as
     a plain tuple and fills the metric-fact dicts directly, so after the run
     only the horizon clip and the busy sums remain."""
-    rng = stream_for(seed, run_index)
     cm = CompiledModel(model) if compiled is None else compiled
     graphs, names, queue, resources, durations = cm.graphs, cm.names, cm.queue, cm.resources, cm.durations
 
     # arrivals are drawn up front, generator declaration order, then numbered
     # globally by (time, generator, index) so instance ids are canonical
     raw = sorted((t, gidx, k) for gidx, g in enumerate(model.generators)
-                 for k, t in enumerate(sample_arrivals(g, rng)))
+                 for k, t in enumerate(sample_arrivals(g, draws)))
     inst_graph: list[TaskGraph] = [graphs[model.generators[gidx].job_type] for _t, gidx, _k in raw]
     # strictly increasing, so already the heap one push per arrival builds
     heap: list = [(t, ARRIVAL, (gidx, inst), None) for inst, (t, gidx, _k) in enumerate(raw)]
@@ -233,7 +221,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             apply_dispatch(sched, d, live, inst_graph)
             inst, code = ref
             lo, hi = durations[code][r]
-            dur = lo if lo == hi else rng.uniform_ticks(lo, hi)
+            dur = draws.uniform_ticks(lo, hi)
             res = resources[r]
             if freq is not None:
                 last = last_freq[r]
@@ -291,8 +279,7 @@ def simulate(model: SystemModel, seed: int, run_index: int = 0,
             busy[res] = [(min(st, h), min(en, h)) for st, en in iv]
     busy_ticks = {res: sum(en - st for st, en in iv) for res, iv in busy.items()}
     facts = TraceFacts(arrivals, last_ends, busy, busy_ticks, start_freqs)
-    return TimedTrace(log, h, overflow_count, seed=seed, run_index=run_index,
-                      model_hash=model_hash, gathered=facts)
+    return TimedTrace(log, h, overflow_count, gathered=facts)
 
 
 @dataclass
@@ -318,8 +305,7 @@ class CampaignResult:
 
 def run_campaign(model: SystemModel, runs: int, seed: int,
                  metrics: list[MetricSpec] | None = None,
-                 horizon: int | None = None, keep_traces: bool = False,
-                 model_hash: str = "") -> CampaignResult:
+                 horizon: int | None = None, keep_traces: bool = False) -> CampaignResult:
     """Independent runs; run i uses the rng stream (seed, i), so campaigns are
     reproducible and insensitive to how runs are distributed over workers."""
     if runs < 1:
@@ -333,7 +319,7 @@ def run_campaign(model: SystemModel, runs: int, seed: int,
     compiled = CompiledModel(model)
     prices = PowerTable(model.platform)
     for i in range(runs):
-        t = simulate(model, seed, i, horizon, model_hash, compiled)
+        t = simulate(model, stream_for(seed, i), horizon, compiled)
         horizons.append(t.horizon)
         overflow_total += t.overflow_count
         overflow_runs += 1 if t.overflow_count else 0

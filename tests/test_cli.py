@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from taskdse import cli, config, fixtures
+from taskdse.generators import Generator
 from taskdse.model import DataEdge, Deployment, TaskSpec, WorkInterval, time_horizon, validate_model
 from taskdse.reachability import reach_bounds
 from taskdse.timebase import MAX_TICKS, format_ticks, to_ticks as U
@@ -18,6 +19,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CHAIN2 = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "chain2.json")
 BAND16 = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "band16.json")
 MAPPING = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "mapping_stream.json")
+POWER = str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "power_sweep.json")
 
 
 def test_check_ok(capsys):
@@ -251,6 +253,26 @@ def test_explicit_arrivals_off_the_period_are_a_config_error(tmp_path, capsys, v
         argv += ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "BadExplicitArrivals{chain}: arrival 2 breaks the periodic rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("low, high, count, ok", [
+    (2, 2, 3, False), (1, 1, 2, False), (3, 3, 4, False), (1, 2, 3, True), (2, 2, 2, True)])
+def test_bibounded_stream_must_exist(tmp_path, capsys, low, high, count, ok):
+    """With min_events = max_events < count, arrival max+1 must come both
+    more than a window and at most a window after arrival 1: `check` exits
+    2.  The other models reach a terminal state at K = count."""
+    m = fixtures.chain2()
+    m.generators = [Generator("chain", "bibounded_var", window=U(5), min_events=low,
+                              max_events=high, count=count)]
+    m.instance_bound = count
+    path = tmp_path / "bibounded.json"
+    path.write_text(config.dumps(m))
+    if ok:
+        assert cli.main(["check", str(path)]) == 0
+        assert reach_bounds(m).terminal_reached
+    else:
+        assert cli.main(["check", str(path)]) == 2
+        assert f"EmptyStream{{chain}}: min = max = {high} < count {count}" in capsys.readouterr().err
 
 
 def _strict_deadlocks() -> dict:
@@ -575,6 +597,35 @@ def test_sweep_to_a_global_queue_checks_pinned_frequencies(tmp_path, capsys, wor
     assert cli.main(["sweep", str(path), "--axis", "policy=fifo_local,fifo_global",
                      "--runs", "2", "--seed", "1", "--workers", workers, "--out", str(out)]) == 2
     assert "policy=fifo_global: UnknownFrequency{z}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", CHAIN2, "--k", "0"], "--k: instance bound must be >= 1"),
+    (["simulate", CHAIN2, "--runs", "0", "--seed", "1"], "--runs: need at least one run"),
+    (["sweep", CHAIN2, "--axis", "period=100", "--runs", "0", "--seed", "1"],
+     "--runs: need at least one run"),
+    (["sweep", CHAIN2, "--axis", "period=100", "--runs", "1", "--seed", "1", "--workers", "0"],
+     "--workers must be >= 1"),
+    (["sweep", CHAIN2, "--axis", "policy", "--runs", "1", "--seed", "1"],
+     "--axis wants name=v1,v2,..., got 'policy'"),
+    (["sweep", CHAIN2, "--axis", "period=0", "--runs", "1", "--seed", "1"],
+     "period must be positive"),
+    (["sweep", CHAIN2, "--axis", "policy=bogus", "--runs", "1", "--seed", "1"],
+     "unknown policy 'bogus'"),
+    (["sweep", POWER, "--axis", "processors=0", "--runs", "1", "--seed", "1"],
+     "processors=0 outside 1..16"),
+    (["sweep", POWER, "--axis", "processors=17", "--runs", "1", "--seed", "1"],
+     "processors=17 outside 1..16"),
+    (["sweep", POWER, "--axis", "frequency=300", "--runs", "1", "--seed", "1"],
+     "frequency=300: FrequencyPowerGap{PE0}: no power entry for 300"),
+], ids=["verify-k0", "simulate-runs0", "sweep-runs0", "sweep-workers0", "axis-no-equals",
+        "period0", "policy-bogus", "processors0", "processors17", "frequency300"])
+def test_bad_argument_is_a_config_error(tmp_path, capsys, argv, message):
+    """Each bad argument exits 2 with its message and writes nothing."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

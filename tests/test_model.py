@@ -9,6 +9,7 @@ from taskdse.model import (
     Deployment,
     Interconnect,
     JobType,
+    Memory,
     Platform,
     Processor,
     SystemModel,
@@ -146,3 +147,78 @@ def test_violation_str_mentions_rule_and_subject():
     v = validate_model(_single_job_model(job))[0]
     s = str(v)
     assert v.rule in s and v.subject in s
+
+
+def _routed_chain2() -> SystemModel:
+    """chain2 with a memory, an interconnect, and both of its edge's routes."""
+    m = fixtures.chain2()
+    m.platform.memories = [Memory("M0")]
+    m.platform.interconnects = [Interconnect("bus", rate=Fraction(1))]
+    m.deployment.data_placement = {("a", "b"): "M0"}
+    m.deployment.edge_interconnect = {("a", "b"): "bus"}
+    return m
+
+
+def _second_job(m):
+    m.job_types.append(JobType("other", [TaskSpec("x", WorkInterval.of(1, 1))]))
+
+
+def _off_processor(m):
+    m.platform.processors.append(_pe("PE1"))
+    m.platform.processors[1].initially_on = False
+    m.deployment.policy = "fifo_local"
+    m.deployment.mapping = {"a": "PE1", "b": "PE0"}
+
+
+def _generator(m, variant, **fields):
+    m.generators[0] = Generator("chain", variant, **fields)
+
+
+# one break per rule, keyed by the rule's name: (change to the model, subject)
+BROKEN = {
+    "DuplicateComponentId": (lambda m: setattr(m.platform.memories[0], "id", "PE0"), "PE0"),
+    "DuplicateJobType": (lambda m: m.job_types.append(m.job_types[0]), "chain"),
+    "NegativeVolume": (lambda m: setattr(m.job_types[0], "edges", [DataEdge("a", "b", -1)]),
+                       "chain.a->b"),
+    "EmptyFrequencySet": (lambda m: setattr(m.platform.processors[0], "frequencies", []), "PE0"),
+    "NonPositiveFrequency": (lambda m: setattr(m.platform.processors[0], "frequencies", [Fraction(0)]),
+                             "PE0"),
+    "FrequencyPowerGap": (lambda m: m.platform.processors[0].frequencies.append(Fraction(2)), "PE0"),
+    "BadLocality": (lambda m: setattr(m.platform.memories[0], "locality", "nearby"), "M0"),
+    "NegativeAccessTime": (lambda m: setattr(m.platform.memories[0], "access_time", -1), "M0"),
+    "NonPositiveRate": (lambda m: setattr(m.platform.interconnects[0], "rate", Fraction(0)), "bus"),
+    "NegativeLatency": (lambda m: setattr(m.platform.interconnects[0], "init_latency", -1), "bus"),
+    "BadQueueCapacity": (lambda m: setattr(m.deployment, "queue_capacity", 0), "0"),
+    "MappedToOffProcessor": (_off_processor, "PE1"),
+    "UnknownTaskRef-mapping": (lambda m: m.deployment.mapping.update(zz="PE0"), "zz"),
+    "UnknownTaskRef-task_frequency": (lambda m: m.deployment.task_frequency.update(zz=Fraction(1)),
+                                      "zz"),
+    "UnknownEdgeRef-placement": (lambda m: m.deployment.data_placement.update({("b", "a"): "M0"}),
+                                 "b->a"),
+    "UnknownEdgeRef-route": (lambda m: m.deployment.edge_interconnect.update({("b", "a"): "bus"}),
+                             "b->a"),
+    "UnknownMemory": (lambda m: m.deployment.data_placement.update({("a", "b"): "M9"}), "M9"),
+    "UnknownInterconnect-route": (lambda m: m.deployment.edge_interconnect.update({("a", "b"): "bus9"}),
+                                  "bus9"),
+    "UnknownJobType": (lambda m: setattr(m.generators[0], "job_type", "zz"), "zz"),
+    "MissingGenerator": (_second_job, "other"),
+    "DuplicateGenerator": (lambda m: m.generators.append(m.generators[0]), "chain"),
+    "BadInstanceBound": (lambda m: setattr(m, "instance_bound", 0), "0"),
+    "BadInstanceCount": (lambda m: setattr(m.generators[0], "count", 0), "chain"),
+    "BadJitter": (lambda m: _generator(m, "jitter", period=10, jitter=-1), "chain"),
+    "BadWindow": (lambda m: _generator(m, "bounded_var", window=0, max_events=1), "chain"),
+    "BadEventBound-max_events": (lambda m: _generator(m, "bounded_var", window=10, max_events=0),
+                                 "chain"),
+    "BadExplicitArrivals-count": (lambda m: _generator(m, "periodic", period=10, count=2, arrivals=[0]),
+                                  "chain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_each_rule_reports_its_break(case):
+    """Each break of a valid model commits the rule it names, on its subject."""
+    m = _routed_chain2()
+    assert validate_model(m) == []
+    brk, subject = BROKEN[case]
+    brk(m)
+    assert (case.partition("-")[0], subject) in {(v.rule, v.subject) for v in validate_model(m)}

@@ -70,7 +70,7 @@ from taskdse.reachability import (
     SearchCapExceeded,
     reach_bounds,
 )
-from taskdse.rng import SplitMix64
+from taskdse.rng import SplitMix64, stream_for
 from taskdse.simulator import CompiledModel, simulate
 from taskdse.timebase import to_ticks
 from test_parity import BUNDLED, CONFIGS, two_jobs
@@ -315,7 +315,7 @@ def samples_inside(m: SystemModel, r, seed: int, n: int) -> int:
     compiled = CompiledModel(m)
     runs = 0
     for i in range(4 * RUNS):
-        t = simulate(m, seed + n, i, compiled=compiled)
+        t = simulate(m, stream_for(seed + n, i), compiled=compiled)
         if t.overflow_count:
             continue  # the bounds cover runs without overflow only
         for spec, bound in ((MetricSpec("makespan"), r.makespan),

@@ -2,20 +2,19 @@
 
 from fractions import Fraction
 
-from taskdse import config, fixtures, metrics, schedulers, simulator
+import pytest
+
+from taskdse import fixtures, metrics, schedulers, simulator
 from taskdse.generators import Generator
 from taskdse.model import (Deployment, JobType, Platform, Processor, SystemModel, TaskSpec,
                            WorkInterval, validate_model)
-from taskdse.metrics import MetricSpec, busy_intervals
+from taskdse.metrics import MetricSpec, busy_intervals, extract
+from taskdse.rng import stream_for
 from taskdse.schedulers import DONE, strict_view
 from taskdse.simulator import CompiledModel, run_campaign, simulate
 from taskdse.timebase import SCALE, to_ticks
 
 CHAIN2_GOLDEN = (
-    "# seed 7\n"
-    "# run 0\n"
-    "# model f924b3b54b20\n"
-    "# rng splitmix64\n"
     "0.000000 arrival gen=0 inst=0 job=chain\n"
     "0.000000 freq_set pe=PE0 f=1\n"
     "0.000000 start inst=0 job=chain task=a on=PE0 f=1\n"
@@ -27,22 +26,55 @@ CHAIN2_GOLDEN = (
 
 def test_chain2_golden_trace():
     m = fixtures.chain2()
-    t = simulate(m, 7, 0, model_hash=config.model_hash(m))
+    t = simulate(m, stream_for(7, 0))
     assert t.text() == CHAIN2_GOLDEN
+
+
+class Scripted:
+    """A draw source that always takes one end of the window and records
+    every window it is asked for."""
+
+    def __init__(self, end: str):
+        self.end = end
+        self.calls = []
+
+    def uniform_ticks(self, lo: int, hi: int) -> int:
+        self.calls.append((lo, hi))
+        return lo if self.end == "lo" else hi
+
+
+@pytest.mark.parametrize("end, makespan", [("lo", 4), ("hi", 6)])
+def test_a_scripted_source_reaches_each_end_of_the_formal_bounds(end, makespan):
+    """chain2's makespan bound is [4, 6]; the run takes one draw for the
+    arrival, then one per task start, a then b, point windows included."""
+    m = fixtures.chain2()
+    draws = Scripted(end)
+    t = simulate(m, draws)
+    assert extract(t, MetricSpec("makespan")) == [("", to_ticks(makespan))]
+    assert draws.calls == [(0, 0), (to_ticks(1), to_ticks(2)), (to_ticks(3), to_ticks(4))]
+
+
+def test_a_point_window_takes_a_draw_too():
+    """band16's read, split, merge and write take no time; each start of
+    them is still one draw, as is the arrival and each of the 16 blocks."""
+    draws = Scripted("hi")
+    simulate(fixtures.band16(1), draws)
+    assert len(draws.calls) == 1 + 20
+    assert draws.calls.count((0, 0)) == 1 + 4
 
 
 def test_trace_is_byte_deterministic():
     m = fixtures.stream_chain()
-    a = simulate(m, 123, 4).text()
-    b = simulate(m, 123, 4).text()
+    a = simulate(m, stream_for(123, 4)).text()
+    b = simulate(m, stream_for(123, 4)).text()
     assert a == b
-    assert simulate(m, 123, 5).text() != a
-    assert simulate(m, 124, 4).text() != a
+    assert simulate(m, stream_for(123, 5)).text() != a
+    assert simulate(m, stream_for(124, 4)).text() != a
 
 
 def test_trace_times_monotone_and_causally_nested():
     m = fixtures.band16(4)
-    t = simulate(m, 5, 0)
+    t = simulate(m, stream_for(5, 0))
     times = [e.time for e in t.events]
     assert times == sorted(times)
     busy_intervals(t)  # raises on broken per-resource nesting
@@ -54,7 +86,7 @@ def test_trace_times_monotone_and_causally_nested():
 def test_durations_stay_inside_declared_work():
     m = fixtures.chain2()
     for i in range(50):
-        t = simulate(m, 99, i)
+        t = simulate(m, stream_for(99, i))
         for res, ivs in busy_intervals(t).items():
             (s1, e1), (s2, e2) = ivs
             assert to_ticks(1) <= e1 - s1 <= to_ticks(2)
@@ -63,7 +95,7 @@ def test_durations_stay_inside_declared_work():
 
 def test_periodic_arrivals_are_exact():
     m = fixtures.stream_chain()  # jitter 2 on period 6
-    t = simulate(m, 1, 0)
+    t = simulate(m, stream_for(1, 0))
     arrivals = [e.time for e in t.events if e.kind == "arrival"]
     assert len(arrivals) == 3
     for k, at in enumerate(arrivals):
@@ -72,15 +104,15 @@ def test_periodic_arrivals_are_exact():
 
 def test_horizon_override():
     m = fixtures.chain2()
-    t = simulate(m, 7, 0, horizon=to_ticks(50))
+    t = simulate(m, stream_for(7, 0), horizon=to_ticks(50))
     assert t.horizon == to_ticks(50)
-    t2 = simulate(m, 7, 0)
+    t2 = simulate(m, stream_for(7, 0))
     assert t2.horizon == t2.events[-1].time
 
 
 def test_overflow_counted_when_queue_saturates():
     m = fixtures.mapping_stream(period=4000)
-    t = simulate(m, 3, 0)
+    t = simulate(m, stream_for(3, 0))
     assert t.overflow_count >= 1
     kinds = {e.kind for e in t.events}
     assert "overflow" in kinds
@@ -88,7 +120,7 @@ def test_overflow_counted_when_queue_saturates():
 
 def test_no_overflow_on_relaxed_period():
     m = fixtures.mapping_stream(period=7000)
-    assert simulate(m, 3, 0).overflow_count == 0
+    assert simulate(m, stream_for(3, 0)).overflow_count == 0
 
 
 def test_campaign_reports_and_values():
@@ -125,8 +157,6 @@ def test_campaign_custom_metrics():
 
 
 def test_run_campaign_rejects_zero_runs():
-    import pytest
-
     with pytest.raises(ValueError):
         run_campaign(fixtures.chain2(), 0, seed=1)
 
@@ -161,7 +191,8 @@ def test_a_shared_compiled_model_gives_the_same_trace():
     m = fixtures.diamond()
     compiled = CompiledModel(m)
     for i in range(5):
-        assert simulate(m, 17, i, compiled=compiled).text() == simulate(m, 17, i).text()
+        shared = simulate(m, stream_for(17, i), compiled=compiled)
+        assert shared.text() == simulate(m, stream_for(17, i)).text()
 
 
 def test_each_processor_runs_a_task_at_its_own_frequency():
@@ -174,7 +205,7 @@ def test_each_processor_runs_a_task_at_its_own_frequency():
     m = SystemModel([job], Platform(pes), [gen], Deployment(policy="fifo_global"))
     starts = {}
     ran = {}
-    for e in simulate(m, 1, 0).events:
+    for e in simulate(m, stream_for(1, 0)).events:
         if e.kind == "start":
             starts[(e.instance, e.task)] = e.time
         elif e.kind == "end":
@@ -201,6 +232,6 @@ def test_strict_scan_never_visits_a_completed_instance(monkeypatch):
     m = fixtures.mapping_stream(period=4500, policy="strict_priority_local", count=40)
     m.deployment.priorities = {f"blk{i:02d}": 16 - i for i in range(16)}
     assert validate_model(m) == []
-    t = simulate(m, 3, 0)
+    t = simulate(m, stream_for(3, 0))
     assert len(t.facts.last_ends) == 40 and not t.overflow_count
     assert sizes and max(sizes) <= m.deployment.queue_capacity

@@ -6,6 +6,7 @@ import pytest
 
 from taskdse import fixtures
 from taskdse.metrics import busy_intervals, trace_facts
+from taskdse.rng import stream_for
 from taskdse.simulator import CompiledModel, simulate
 from taskdse.timebase import to_ticks
 from test_parity import priority_variants, two_jobs
@@ -22,7 +23,7 @@ def assert_facts_match(model, runs: int = RUNS, horizon=None) -> list:
     compiled = CompiledModel(model)
     traces = []
     for i in range(runs):
-        t = simulate(model, 5, i, horizon, compiled=compiled)
+        t = simulate(model, stream_for(5, i), horizon, compiled=compiled)
         assert t.gathered is not None
         assert ordered(t.gathered) == ordered(trace_facts(t))
         traces.append(t)
@@ -67,7 +68,7 @@ def test_gathered_facts_match_the_events_when_arrivals_overflow():
 
 def test_gathered_facts_match_the_events_past_a_short_horizon():
     m = fixtures.mapping_stream(count=6)
-    end = simulate(m, 5, 0).horizon
+    end = simulate(m, stream_for(5, 0)).horizon
     for t in assert_facts_match(m, horizon=end // 2):
         # work runs past the horizon, so the busy intervals are clipped
         assert any(en > t.horizon for iv in busy_intervals(t).values() for _st, en in iv)
