@@ -5,9 +5,10 @@ samples for it and summarize() folds samples from a whole campaign into a
 Report.  Time-valued samples are integer ticks so they can be compared exactly
 against formal bounds; summaries are floats in time units.
 
-Every metric kind but event_pair reads a trace's TraceFacts.  The
-simulator's event loop gathers them while it runs; trace_facts derives the
-same facts from an event list, for traces built by hand.
+Every metric kind but event_pair reads a trace's TraceFacts, which the
+simulator's event loop gathers while it runs.  trace_facts derives the same
+facts from an event list: it is the reference the loop is tested against,
+and builds the facts of traces made by hand.
 """
 
 from __future__ import annotations
@@ -61,20 +62,21 @@ def default_metrics(model: SystemModel) -> list[MetricSpec]:
     return out
 
 
-def busy_intervals(trace: TimedTrace) -> dict[str, list[tuple[int, int]]]:
-    """Start/end pairs per resource; rejects overlapping or dangling pairs."""
-    out: dict[str, list[tuple[int, int]]] = {}
+def busy_intervals(events) -> dict[str, list[tuple]]:
+    """(start, end, frequency) of each task run per resource, the frequency
+    its start event names; rejects overlapping or dangling pairs."""
+    out: dict[str, list[tuple]] = {}
     open_at: dict[str, tuple] = {}
-    for e in trace.events:
+    for e in events:
         if e.kind == "start":
             if e.resource in open_at:
                 raise ValueError(f"{e.resource} starts while busy at {e.time}")
-            open_at[e.resource] = (e.instance, e.task, e.time)
+            open_at[e.resource] = (e.instance, e.task, e.time, e.frequency)
         elif e.kind == "end":
             got = open_at.pop(e.resource, None)
             if got is None or got[:2] != (e.instance, e.task):
                 raise ValueError(f"unmatched end on {e.resource} at {e.time}")
-            out.setdefault(e.resource, []).append((got[2], e.time))
+            out.setdefault(e.resource, []).append((got[2], e.time, got[3]))
     if open_at:
         raise ValueError(f"dangling starts: {sorted(open_at)}")
     return out
@@ -83,39 +85,33 @@ def busy_intervals(trace: TimedTrace) -> dict[str, list[tuple[int, int]]]:
 class TraceFacts(NamedTuple):
     """What the metric kinds read from one trace, gathered once.
 
-    `busy` holds each resource's busy intervals cut off at the horizon and
-    `busy_ticks` their total length; `start_freqs` lists the frequency of
-    each start per resource, in the order of its intervals.
+    `runs` lists each resource's task runs as (start, end, frequency), cut
+    off at the horizon, in the order they end; the frequency is None on an
+    interconnect.  `busy_ticks` is their total length per resource.
     """
 
     arrivals: dict[int, tuple[str, int]]  # instance -> (job, arrival time)
     last_ends: dict[int, int]  # instance -> time of its last end
-    busy: dict[str, list[tuple[int, int]]]
+    runs: dict[str, list[tuple]]
     busy_ticks: dict[str, int]
-    start_freqs: dict[str, list]
 
 
-def trace_facts(trace: TimedTrace) -> TraceFacts:
-    """The facts of a trace built from an event list: one pass over the
-    events plus one busy_intervals call.  The dicts follow the events: a
-    resource enters `busy` at its first end and `start_freqs` at its first
-    start, an instance enters `last_ends` at its first end.  The simulator
-    gathers the same facts in the same order while it runs."""
-    h = trace.horizon
-    busy = {r: [(min(s, h), min(e, h)) for s, e in iv] for r, iv in busy_intervals(trace).items()}
+def trace_facts(events, horizon: int) -> TraceFacts:
+    """The facts of an event list observed up to `horizon`: one pass over
+    the events plus one busy_intervals call.  The dicts follow the events: a
+    resource enters `runs` and an instance `last_ends` at its first end.
+    The simulator gathers the same facts in the same order while it runs."""
+    runs = {r: [(min(s, horizon), min(e, horizon), f) for s, e, f in iv]
+            for r, iv in busy_intervals(events).items()}
     arrivals: dict[int, tuple[str, int]] = {}
     last_ends: dict[int, int] = {}
-    start_freqs: dict[str, list] = {}
-    for e in trace.events:
-        kind = e.kind
-        if kind == "end":
+    for e in events:
+        if e.kind == "end":
             last_ends[e.instance] = max(last_ends.get(e.instance, e.time), e.time)
-        elif kind == "start":
-            start_freqs.setdefault(e.resource, []).append(e.frequency)
-        elif kind == "arrival":
+        elif e.kind == "arrival":
             arrivals[e.instance] = (e.job, e.time)
-    busy_ticks = {r: sum(en - st for st, en in iv) for r, iv in busy.items()}
-    return TraceFacts(arrivals, last_ends, busy, busy_ticks, start_freqs)
+    busy_ticks = {r: sum(en - st for st, en, _f in iv) for r, iv in runs.items()}
+    return TraceFacts(arrivals, last_ends, runs, busy_ticks)
 
 
 def utilization(trace: TimedTrace) -> dict[str, float]:
@@ -174,11 +170,11 @@ def energy(trace: TimedTrace, table: PowerTable) -> float:
     busy = {res: b / SCALE for res, b in facts.busy_ticks.items()}
     total = 0.0
 
-    # active work, priced per interval at the frequency it ran at
-    for res, iv in facts.busy.items():
+    # active work, priced per run at the frequency it ran at
+    for res, runs in facts.runs.items():
         if res in table.link_ids:
             continue
-        for (st, en), f in zip(iv, facts.start_freqs[res]):
+        for st, en, f in runs:
             total += table.watts(res, f) * (en - st) / SCALE
 
     for pid, stat_idle in table.idle:

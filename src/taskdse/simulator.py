@@ -16,8 +16,10 @@ policy allows before the next event is popped.
 
 A run is one pass: the loop logs each event as a plain tuple in Event field
 order and fills the metric facts (metrics.TraceFacts) in their final shape
-as it handles the events, so no metric reads the log again.  Event objects
-are built only when a trace's events are read, for trace files and
+as it handles the events, so no metric reads the log again.  A task's end
+entry on the heap carries its slot, start time and frequency, so each end
+records the whole run, (start, end, frequency), on its resource.  Event
+objects are built only when a trace's events are read, for trace files and
 event_pair metrics.
 """
 
@@ -38,7 +40,6 @@ from .metrics import (
     default_metrics,
     extract,
     summarize,
-    trace_facts,
 )
 from .model import COMMUNICATION, SystemModel, expand_comm_tasks, task_duration
 from .rng import stream_for
@@ -86,29 +87,23 @@ class Event(NamedTuple):
 
 @dataclass
 class TimedTrace:
-    """One run's events, overflow count and observation horizon.
+    """One run's events, observation horizon, overflow count and metric facts.
 
     `log` holds the events in processing order, as Events or as plain tuples
     in Event field order (the form the simulator's loop appends); `events`
-    wraps them into Events on first read.  `gathered` holds the metric facts
-    when the simulator's loop collected them; otherwise `facts` derives them
-    from the events on first use.
+    wraps them into Events on first read.  `facts` holds what every metric
+    but event_pair reads: the arrivals, last ends and task runs, clipped at
+    the horizon, that the loop gathered.
     """
 
     log: list
-    horizon: int = 0
-    overflow_count: int = 0
-    gathered: TraceFacts | None = None
+    horizon: int
+    overflow_count: int
+    facts: TraceFacts
 
     @cached_property
     def events(self) -> list[Event]:
         return [tuple.__new__(Event, e) for e in self.log]
-
-    @cached_property
-    def facts(self) -> TraceFacts:
-        """Arrivals, last ends, clipped busy intervals and start frequencies,
-        shared by every metric."""
-        return trace_facts(self) if self.gathered is None else self.gathered
 
     def text(self) -> str:
         return "".join(e.line() + "\n" for e in self.events)
@@ -192,7 +187,7 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
                  for k, t in enumerate(sample_arrivals(g, draws)))
     inst_graph: list[TaskGraph] = [graphs[model.generators[gidx].job_type] for _t, gidx, _k in raw]
     # strictly increasing, so already the heap one push per arrival builds
-    heap: list = [(t, ARRIVAL, (gidx, inst), None) for inst, (t, gidx, _k) in enumerate(raw)]
+    heap: list = [(t, ARRIVAL, (gidx, inst), -1, 0, None) for inst, (t, gidx, _k) in enumerate(raw)]
 
     # admitted, incomplete instances -> task statuses; its size is the backlog
     live: dict[int, list[int]] = {}
@@ -200,17 +195,13 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
     last_freq: list = [None] * len(cm.lowest)  # per processor slot
     log: list[tuple] = []  # events in Event field order
     overflow_count = 0
-    # the metric facts in their final shape: a resource enters `busy` at its
-    # first end and `start_freqs` at its first start, the order trace_facts
-    # gives.  Per resource slot, `busy_of` and `freqs_of` hold its lists in
-    # those dicts once it has them, and `started` its task's start time
+    # the metric facts in their final shape: a resource enters `runs` at its
+    # first end, the order trace_facts gives, and `runs_of[r]` is slot r's
+    # list in that dict once it has one
     arrivals: dict[int, tuple[str, int]] = {}
     last_ends: dict[int, int] = {}
-    busy: dict[str, list[tuple[int, int]]] = {}
-    start_freqs: dict[str, list] = {}
-    busy_of: list = [None] * len(resources)
-    freqs_of: list = [None] * len(resources)
-    started = [0] * len(resources)
+    runs: dict[str, list[tuple]] = {}
+    runs_of: list = [None] * len(resources)
 
     def cascade(now: int, refs: list):
         """Queue the tasks the event enabled, then fire every start allowed."""
@@ -231,17 +222,13 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
                     log.append((now, "freq_set", -1, "", "", res, freq, -1))
             job, task = names[code]
             log.append((now, "start", inst, job, task, res, freq, -1))
-            started[r] = now
-            freqs = freqs_of[r]
-            if freqs is None:
-                freqs = freqs_of[r] = start_freqs[res] = []
-            freqs.append(freq)
-            heapq.heappush(heap, (now + dur, END, ref, r))
+            heapq.heappush(heap, (now + dur, END, ref, r, now, freq))
 
-    # heap entries: (time, rank, key, resource slot); the key, (generator,
-    # instance) for an arrival and the TaskRef for an end, breaks ties
+    # heap entries: (time, rank, key, resource slot, start, frequency); the
+    # key, (generator, instance) for an arrival and the TaskRef for an end,
+    # breaks every tie, so the run fields an end carries are never compared
     while heap:
-        now, rank, key, r = heapq.heappop(heap)
+        now, rank, key, r, start, freq = heapq.heappop(heap)
         if rank == ARRIVAL:
             gidx, inst = key
             graph = inst_graph[inst]
@@ -261,10 +248,10 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
             res = resources[r]
             log.append((now, "end", inst, job, task, res, None, -1))
             last_ends[inst] = now
-            iv = busy_of[r]
-            if iv is None:
-                iv = busy_of[r] = busy[res] = []
-            iv.append((started[r], now))
+            own = runs_of[r]
+            if own is None:
+                own = runs_of[r] = runs[res] = []
+            own.append((start, now, freq))
             cascade(now, finish(inst_graph[inst], live, ref))
 
     # events stay in processing order: non-decreasing time, ends handled
@@ -275,11 +262,10 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
     end = log[-1][0] if log else 0
     h = end if horizon is None else horizon
     if h < end:
-        for res, iv in busy.items():
-            busy[res] = [(min(st, h), min(en, h)) for st, en in iv]
-    busy_ticks = {res: sum(en - st for st, en in iv) for res, iv in busy.items()}
-    facts = TraceFacts(arrivals, last_ends, busy, busy_ticks, start_freqs)
-    return TimedTrace(log, h, overflow_count, gathered=facts)
+        for res, own in runs.items():
+            runs[res] = [(min(st, h), min(en, h), f) for st, en, f in own]
+    busy_ticks = {res: sum(en - st for st, en, _f in own) for res, own in runs.items()}
+    return TimedTrace(log, h, overflow_count, TraceFacts(arrivals, last_ends, runs, busy_ticks))
 
 
 @dataclass

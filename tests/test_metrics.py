@@ -16,6 +16,7 @@ from taskdse.metrics import (
     extract,
     histogram_csv,
     summarize,
+    trace_facts,
     utilization,
 )
 from taskdse.model import Interconnect, Platform, Processor
@@ -28,7 +29,7 @@ F1 = Fraction(1)
 
 def _trace(events, horizon=None):
     h = horizon if horizon is not None else max((e.time for e in events), default=0)
-    return TimedTrace(list(events), h)
+    return TimedTrace(list(events), h, 0, trace_facts(events, h))
 
 
 def _exec(inst, task, res, t0, t1, f=F1, job="j"):
@@ -40,7 +41,7 @@ def _exec(inst, task, res, t0, t1, f=F1, job="j"):
 
 def test_busy_intervals_pairs_starts_with_ends():
     ev = _exec(0, "a", "PE0", 0, to_ticks(2)) + _exec(0, "b", "PE0", to_ticks(3), to_ticks(4))
-    assert busy_intervals(_trace(ev)) == {"PE0": [(0, to_ticks(2)), (to_ticks(3), to_ticks(4))]}
+    assert busy_intervals(ev) == {"PE0": [(0, to_ticks(2), F1), (to_ticks(3), to_ticks(4), F1)]}
 
 
 def test_busy_intervals_rejects_overlap():
@@ -49,13 +50,13 @@ def test_busy_intervals_rejects_overlap():
         Event(1, "start", 1, "j", "b", "PE0", F1),
     ]
     with pytest.raises(ValueError):
-        busy_intervals(_trace(ev))
+        busy_intervals(ev)
 
 
 def test_busy_intervals_rejects_dangling_start():
     ev = [Event(0, "start", 0, "j", "a", "PE0", F1)]
     with pytest.raises(ValueError):
-        busy_intervals(_trace(ev))
+        busy_intervals(ev)
 
 
 def test_utilization_is_busy_fraction():

@@ -31,6 +31,7 @@ from taskdse.model import (
     validate_model,
 )
 from taskdse.reachability import (
+    ARRIVE,
     END,
     GEN,
     MIRROR,
@@ -533,6 +534,42 @@ def test_band16_12_expands_at_most_200_completions(monkeypatch):
     monkeypatch.setattr(reachability, "_after_end", counted)
     reach_bounds(fixtures.band16(12))
     assert calls <= 200
+
+
+def depth(net: Network, d: DState) -> int:
+    """Events on every path from the initial configuration to d: its
+    arrivals, plus its ended tasks, which are the DONE statuses of the live
+    instances and every task of a completed one."""
+    live = dict(d.live)
+    done = sum(st.count(DONE) for st in live.values())
+    for gidx, a in enumerate(d.arrivals):
+        for k in range(1, a + 1):
+            i = net.inst_of[(gidx, k)]
+            if i not in live:
+                done += len(net.inst_graph[i].tasks)
+    return sum(d.arrivals) + done
+
+
+def test_every_end_and_arrival_goes_one_event_deeper(monkeypatch):
+    """The module docstring's claim that arrivals and completions only move
+    forward: every END and ARRIVE successor `_successors` yields is exactly
+    one event deeper than its source, so the discrete space is acyclic and
+    a breadth-first frontier runs in layers of equal depth."""
+    successors, seen = reachability._successors, {END: 0, ARRIVE: 0}
+
+    def checked(net, d, mat, idx):
+        before = depth(net, d)
+        for label, zg, step in successors(net, d, mat, idx):
+            if label[0] in seen:
+                assert depth(net, step[0]) == before + 1, (label, d, step[0])
+                seen[label[0]] += 1
+            yield label, zg, step
+
+    monkeypatch.setattr(reachability, "_successors", checked)
+    for m in (fixtures.chain2(), fixtures.indep2(), fixtures.diamond(), fixtures.stream_chain(),
+              fixtures.band16(4), fixtures.blockwise(4), fixtures.mapping_stream()):
+        reach_bounds(m)
+    assert seen == {END: 1089, ARRIVE: 15}
 
 
 def two_classes() -> SystemModel:

@@ -77,7 +77,7 @@ def test_trace_times_monotone_and_causally_nested():
     t = simulate(m, stream_for(5, 0))
     times = [e.time for e in t.events]
     assert times == sorted(times)
-    busy_intervals(t)  # raises on broken per-resource nesting
+    busy_intervals(t.events)  # raises on broken per-resource nesting
     # zero-width framing tasks: their start still precedes their end
     order = [(e.kind, e.task) for e in t.events if e.task == "split"]
     assert order == [("start", "split"), ("end", "split")]
@@ -87,8 +87,8 @@ def test_durations_stay_inside_declared_work():
     m = fixtures.chain2()
     for i in range(50):
         t = simulate(m, stream_for(99, i))
-        for res, ivs in busy_intervals(t).items():
-            (s1, e1), (s2, e2) = ivs
+        for res, ivs in busy_intervals(t.events).items():
+            (s1, e1, _f1), (s2, e2, _f2) = ivs
             assert to_ticks(1) <= e1 - s1 <= to_ticks(2)
             assert to_ticks(3) <= e2 - s2 <= to_ticks(4)
 

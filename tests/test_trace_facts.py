@@ -24,8 +24,7 @@ def assert_facts_match(model, runs: int = RUNS, horizon=None) -> list:
     traces = []
     for i in range(runs):
         t = simulate(model, stream_for(5, i), horizon, compiled=compiled)
-        assert t.gathered is not None
-        assert ordered(t.gathered) == ordered(trace_facts(t))
+        assert ordered(t.facts) == ordered(trace_facts(t.events, t.horizon))
         traces.append(t)
     return traces
 
@@ -71,7 +70,7 @@ def test_gathered_facts_match_the_events_past_a_short_horizon():
     end = simulate(m, stream_for(5, 0)).horizon
     for t in assert_facts_match(m, horizon=end // 2):
         # work runs past the horizon, so the busy intervals are clipped
-        assert any(en > t.horizon for iv in busy_intervals(t).values() for _st, en in iv)
+        assert any(en > t.horizon for iv in busy_intervals(t.events).values() for _st, en, _f in iv)
 
 
 def test_gathered_facts_match_the_events_on_the_random_families():
