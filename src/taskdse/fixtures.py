@@ -163,24 +163,13 @@ POWER_SWEEP_AXES = (("processors", ("1", "2", "4", "8", "16")),
 
 
 def power_sweep_model() -> SystemModel:
-    """Band job under global FIFO on a 16-PE platform with three DVFS points.
+    """band16(16)'s job under global FIFO on a 16-PE platform with three
+    DVFS points.
 
     Sweeping active processor count and operating frequency over this model
     yields the power/performance tradeoff table.
     """
-    lo, hi = to_ticks(82), to_ticks(118)
-    tasks = [TaskSpec("read", WorkInterval.of(0, 0)),
-             TaskSpec("split", WorkInterval.of(0, 0))]
-    edges = [DataEdge("read", "split")]
-    for i in range(16):
-        tid = f"blk{i:02d}"
-        tasks.append(TaskSpec(tid, WorkInterval(lo, hi)))
-        edges.append(DataEdge("split", tid))
-        edges.append(DataEdge(tid, "merge"))
-    tasks.append(TaskSpec("merge", WorkInterval.of(0, 0)))
-    tasks.append(TaskSpec("write", WorkInterval.of(0, 0)))
-    edges.append(DataEdge("merge", "write"))
-    gen = Generator("band", "periodic", period=to_ticks(10000))
+    band = band16(16)
     pes = _pes(16, frequencies=[200, 400, 600], power=MHZ_POWER)
-    dep = Deployment(policy="fifo_global")
-    return SystemModel([JobType("band", tasks, edges)], Platform(pes), [gen], dep)
+    return SystemModel(band.job_types, Platform(pes), band.generators,
+                       Deployment(policy="fifo_global"))

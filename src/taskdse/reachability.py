@@ -67,7 +67,6 @@ from .generators import arrival_rule, own_clocks
 from .model import COMMUNICATION, LOCAL_POLICIES, SystemModel, TimeInterval
 from .schedulers import (
     SchedulerState,
-    TaskGraph,
     TaskRef,
     admit,
     apply_dispatch,
@@ -138,34 +137,32 @@ class DState:
 
 def _processor_classes(compiled: CompiledModel, policy: str) -> tuple[list[tuple[int, ...]], dict]:
     """(classes, codes): tuples of two or more interchangeable processor
-    slots, and `codes[r]`, member r's pinned task codes in code order.
+    slots, and `codes[r]`, member r's pinned task codes in code order: the
+    compiled model's `on_pe[r]`.
 
     Only the per-processor policies qualify: each processor then has its own
     queue or hold-back scan.  Two processors are interchangeable when they
     have the same lowest frequency and, position by position, their pinned
     tasks have the same job type, window, priority and pinned frequency and
-    the same neighbours, where a neighbour is either a task of the same
-    processor (compared by position) or a task that no class moves (compared
-    by code).  A task next to a transfer never qualifies, because link
+    the same neighbours in the compiled `preds` and `succs` tables, where a
+    neighbour is either a task of the same processor (compared by position)
+    or a task that no class moves (compared by code).  A task next to a transfer never qualifies, because link
     queues are shared and ordered by code.
     """
     if policy not in LOCAL_POLICIES:
         return [], {}
     cands = {}  # slot -> (codes, signature, codes of outside neighbours)
     for r, lowest in enumerate(compiled.lowest):
-        pinned = [(g, i) for g in compiled.graphs.values() for i in g.on_pe.get(r, ())]
-        codes = tuple(g.first + i for g, i in pinned)
+        codes = tuple(compiled.on_pe[r])
         own = {c: k for k, c in enumerate(codes)}
         sig, outside = [lowest], set()
-        for g, i in pinned:
-            c = g.first + i
+        for c in codes:
             ends = []
-            for ns in (g.preds[i], g.succs[i]):
-                ns = [g.first + n for n in ns]
+            for ns in (compiled.preds[c], compiled.succs[c]):
                 outside.update(n for n in ns if n not in own)
                 ends.append(tuple(sorted((0, own[n]) if n in own else (1, n) for n in ns)))
-            sig.append((g.name, compiled.durations[c][r], compiled.priority[c], compiled.pinned[c],
-                        tuple(ends)))
+            sig.append((compiled.names[c][0], compiled.durations[c][r], compiled.priority[c],
+                        compiled.pinned[c], tuple(ends)))
         if codes and all(compiled.tasks[n].kind != COMMUNICATION for n in outside):
             cands[r] = (codes, tuple(sig), outside)
     # a member next to a task that another member moves could only move with
@@ -189,18 +186,17 @@ class Network:
     (the most any layout holds, checked against the budget here) and the
     processor classes: `orbits`, tuples of slots that `_canonical` sorts
     and `_mirrors` swaps, `class_of` (slot -> class index) and `codes`
-    (slot -> pinned task codes).  A member's status positions and queue are
-    its slot's `on_pe` and `serves` entries in the compiled model."""
+    (slot -> pinned task codes, its `on_pe` entry in the compiled model).
+    A member's statuses are those codes in every live instance's status
+    list, and its queues its slot's `serves` entry."""
 
     def __init__(self, model: SystemModel, options: ReachOptions | None = None):
         self.model = model
         options = options or ReachOptions()
         self.compiled = CompiledModel(model)
-        graphs = self.compiled.graphs
         # rules[gidx][a]: rule of arrival a + 1; instance_bound caps the count
         self.rules = [[arrival_rule(g, k) for k in range(1, min(g.count, model.instance_bound) + 1)]
                       for g in model.generators]
-        self.inst_graph: list[TaskGraph] = []
         self.inst_of: dict[tuple[int, int], int] = {}
         # born[gidx][a][s]: tag of own slot s after a arrivals; [GLOBAL] is T
         self.born: list[list[tuple]] = []
@@ -208,14 +204,13 @@ class Network:
             tags = [(T,)] * (own_clocks(g) + 1)
             self.born.append([tuple(tags)])
             for k, rule in enumerate(self.rules[gidx], start=1):
-                self.inst_of[(gidx, k)] = len(self.inst_graph)
-                self.inst_graph.append(graphs[g.job_type])
+                self.inst_of[(gidx, k)] = len(self.inst_of)
                 if rule.reset is not None:
                     tags[rule.reset] = (GEN, gidx, k)
                 self.born[-1].append(tuple(tags))
 
         gen_clocks = sum(own_clocks(g) for g in model.generators)
-        concurrent = min(len(self.inst_graph), model.deployment.queue_capacity)
+        concurrent = min(len(self.inst_of), model.deployment.queue_capacity)
         self.clocks = 2 + concurrent + len(self.compiled.resources) + gen_clocks
         if self.clocks > options.clock_budget:
             raise BudgetExceeded(
@@ -253,11 +248,11 @@ def _terminal(net: Network, d: DState) -> bool:
 def _settle(net: Network, arrivals: tuple, live: dict, work, refs: list) -> DState:
     """Queue `refs`, fire every start the policy allows on the working state
     `work` and the backlog map `live`, and freeze the successor."""
-    compiled, graphs = net.compiled, net.inst_graph
+    compiled = net.compiled
     for ref in refs:
         enqueue(work, ref, compiled.queue[ref.code])
-    while (disp := next_dispatch(work, compiled, live, graphs)) is not None:
-        apply_dispatch(work, disp, live, graphs)
+    while (disp := next_dispatch(work, compiled, live)) is not None:
+        apply_dispatch(work, disp, live)
     return DState(arrivals, freeze_backlog(live, compiled), freeze(work))
 
 
@@ -267,7 +262,7 @@ def _after_end(net: Network, d: DState, resource: int, ref: TaskRef):
     live = {i: list(st) for i, st in d.live}
     work = thaw(d.sched)
     release(work, resource)
-    d2 = _settle(net, d.arrivals, live, work, finish(net.inst_graph[ref.instance], live, ref))
+    d2 = _settle(net, d.arrivals, live, work, finish(net.compiled, live, ref))
     return d2, (None if ref.instance in live else ref.instance)
 
 
@@ -279,7 +274,8 @@ def _after_arrival(net: Network, d: DState, gidx: int):
     k = d.arrivals[gidx] + 1
     inst = net.inst_of[(gidx, k)]
     live = {i: list(st) for i, st in d.live}
-    refs = admit(net.inst_graph[inst], live, inst, net.model.deployment.queue_capacity)
+    job = net.model.generators[gidx].job_type
+    refs = admit(net.compiled, job, live, inst, net.model.deployment.queue_capacity)
     if refs is None:
         return None
     arrivals = tuple(a + 1 if i == gidx else a for i, a in enumerate(d.arrivals))
@@ -310,8 +306,8 @@ def _member_key(net: Network, d: DState, r: int) -> tuple:
     """Member slot r's statuses across the live instances and its local
     queue (none under the hold-back scan), both read position by position,
     so members with equal keys look alike."""
-    graphs, codes = net.inst_graph, net.codes[r]
-    status = tuple(st[p] for i, st in d.live for p in graphs[i].on_pe.get(r, ()))
+    codes = net.codes[r]
+    status = tuple(st[c] for _i, st in d.live for c in codes)
     queue = tuple((ref.instance, codes.index(ref.code))
                   for s in net.compiled.serves[r] for ref in d.sched.queues[s])
     return status, queue
@@ -350,10 +346,9 @@ def _renamed(net: Network, d: DState, moves) -> tuple[DState, dict]:
 
     live = []
     for i, st in d.live:
-        on_pe, new = net.inst_graph[i].on_pe, list(st)
-        for src, dst in moves:
-            for p, q in zip(on_pe.get(src, ()), on_pe.get(dst, ())):
-                new[q] = st[p]
+        new = list(st)
+        for c, e in code_map.items():
+            new[e] = st[c]
         live.append((i, tuple(new)))
     queues, running, serves = list(d.sched.queues), list(d.sched.running), net.compiled.serves
     for src, dst in moves:

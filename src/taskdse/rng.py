@@ -10,10 +10,10 @@ Word k of a stream seeded with s is mix64((s + k * GOLDEN) mod 2**64), a
 function of the counter alone, so a stream computes its words a block at a
 time with numpy uint64 vector arithmetic, which wraps modulo 2**64 like the
 scalar form.  The first block holds 32 words and each later one twice as
-many, up to 4,096; `next_u64`, `uniform` and `uniform_ticks` all take the
-next word of the current block.  Blocks change only the cost of a draw: a
-stream yields exactly the words of the scalar recurrence, in the same order,
-however its draws are mixed, and a point window still consumes no word.
+many, up to 4,096; `next_u64` and `uniform_ticks` both take the next word
+of the current block.  Blocks change only the cost of a draw: a stream
+yields exactly the words of the scalar recurrence, in the same order, however
+its draws are mixed, and a point window still consumes no word.
 """
 
 from __future__ import annotations
@@ -71,17 +71,14 @@ class SplitMix64:
         except StopIteration:
             return self._refill()
 
-    def uniform(self) -> float:
-        # 53 high bits -> uniform double in [0, 1)
-        return (self.next_u64() >> 11) * (2.0**-53)
-
     def uniform_ticks(self, lo: int, hi: int) -> int:
         """Uniform integer draw from the inclusive tick window [lo, hi]."""
         if hi < lo:
             raise ValueError("empty tick window")
         if hi == lo:
             return lo
-        # next_u64 and uniform inlined: one call per sampled duration
+        # next_u64 inlined, one call per sampled duration; the 53 high bits
+        # make a uniform double in [0, 1)
         try:
             w = self._next()
         except StopIteration:

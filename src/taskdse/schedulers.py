@@ -11,17 +11,19 @@ successor's.  `next_dispatch` only reads queue heads, running tasks and the
 backlog, so it serves both forms and both engines run the same decision code.
 
 Tasks are addressed by integer codes that a compiled model assigns in (job
-name, task id) order.  Tie-breaks are total: tasks that become ready at the
-same instant enqueue in (instance index, task code) order, which is (instance
-index, job name, task id) order, and free processors are considered in
-ascending id order.
+name, task id) order, and every per-task table and status list is indexed by
+them.  Tie-breaks are total: tasks that become ready at the same instant
+enqueue in (instance index, task code) order, which is (instance index, job
+name, task id) order, and free processors are considered in ascending id
+order.
 
 The backlog rules live here too: both engines keep the backlog as one map,
 in admission order, from each admitted, incomplete instance to its
-PENDING/QUEUED/RUNNING/DONE task statuses over one TaskGraph.  Only `admit`
-(up to the queue capacity), `apply_dispatch` and `finish` write it; the
-hold-back scan `strict_view` reads it in that order, and `freeze_backlog`
-keeps that order where the scan reads it.
+PENDING/QUEUED/RUNNING/DONE task statuses, one per task code of the model;
+the codes of other job types read DONE, so nothing needs the instance's job
+to skip them.  Only `admit` (up to the queue capacity), `apply_dispatch` and
+`finish` write it; the hold-back scan `strict_view` reads it in that order,
+and `freeze_backlog` keeps that order where the scan reads it.
 
 Policies for computation tasks:
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import COMMUNICATION, Deployment, JobType, TaskSpec
+from .model import COMMUNICATION, Deployment, TaskSpec
 
 PENDING, QUEUED, RUNNING, DONE = 0, 1, 2, 3
 
@@ -86,76 +88,49 @@ def queue_key(task: TaskSpec, dep: Deployment) -> tuple | None:
     raise ValueError(f"unknown policy {policy}")
 
 
-class TaskGraph:
-    """Static structure of one job type after expand_comm_tasks.
-
-    `tasks` is sorted by id and task i has code `first + i`; `preds`,
-    `succs`, `sources` and `on_pe` (computation tasks mapped to each
-    processor, keyed by its slot in `slots`) hold positions i, which also
-    index an instance's statuses.  `succs` and `sources` are in position
-    order, so the tasks one event enables come out in code order.
-    """
-
-    def __init__(self, job: JobType, dep: Deployment, first: int, slots: dict[str, int]):
-        self.name = job.name
-        self.first = first
-        self.tasks = sorted(job.tasks, key=lambda t: t.id)
-        index = {t.id: i for i, t in enumerate(self.tasks)}
-        preds, succs = job.preds(), job.succs()
-        self.preds = [[index[p] for p in preds[t.id]] for t in self.tasks]
-        self.succs = [sorted(index[s] for s in succs[t.id]) for t in self.tasks]
-        self.sources = [i for i, p in enumerate(self.preds) if not p]
-        self.on_pe: dict[int, list[int]] = {}
-        for i, t in enumerate(self.tasks):
-            r = slots.get(dep.mapping.get(t.id))
-            if t.kind != COMMUNICATION and r is not None:
-                self.on_pe.setdefault(r, []).append(i)
-
-
-def admit(graph: TaskGraph, live: dict, instance: int, capacity: int) -> list[TaskRef] | None:
-    """Enter `instance` into the backlog `live` unless `capacity` instances fill
-    it; returns its queued sources in code order, or None on overflow."""
+def admit(compiled, job: str, live: dict, instance: int, capacity: int) -> list[TaskRef] | None:
+    """Enter `instance`, of job type `job`, into the backlog `live` unless
+    `capacity` instances fill it; returns its queued sources in code order,
+    or None on overflow."""
     if len(live) >= capacity:
         return None
-    st = live[instance] = [PENDING] * len(graph.tasks)
-    for i in graph.sources:
-        st[i] = QUEUED
-    return [_new(TaskRef, (instance, graph.first + i)) for i in graph.sources]
+    live[instance] = list(compiled.fresh[job])
+    return [_new(TaskRef, (instance, c)) for c in compiled.sources[job]]
 
 
-def finish(graph: TaskGraph, live: dict, ref: TaskRef) -> list[TaskRef]:
+def finish(compiled, live: dict, ref: TaskRef) -> list[TaskRef]:
     """Mark `ref` DONE in the backlog `live`; returns the successors it
     enables, now QUEUED and in code order.  When that completes the
     instance, it leaves `live` and nothing is enabled."""
     inst, code = ref
     st = live[inst]
-    i = code - graph.first
-    st[i] = DONE
-    if min(st) == DONE:  # DONE is the largest status
+    st[code] = DONE
+    if min(st) == DONE:  # DONE is the largest status; other jobs' codes read it
         del live[inst]
         return []
+    preds = compiled.preds
     newly = []
-    for k in graph.succs[i]:
+    for k in compiled.succs[code]:
         if st[k] != PENDING:
             continue
-        for p in graph.preds[k]:
+        for p in preds[k]:
             if st[p] != DONE:
                 break
         else:
             st[k] = QUEUED
-            newly.append(_new(TaskRef, (inst, graph.first + k)))
+            newly.append(_new(TaskRef, (inst, k)))
     return newly
 
 
-def strict_view(live: dict, graphs, r: int) -> list[tuple[TaskRef, bool]]:
+def strict_view(live: dict, compiled, r: int) -> list[tuple[TaskRef, bool]]:
     """The waiting tasks on processor slot `r` of the oldest instance in the
     backlog `live` that has any, as (ref, enabled) pairs in code order.
-    `live` maps each admitted, incomplete instance i, in admission order, to
-    its statuses, and `graphs[i]` is its TaskGraph; the scan stops there."""
+    `live` maps each admitted, incomplete instance, in admission order, to
+    its statuses; the scan stops there."""
+    preds, mine = compiled.preds, compiled.on_pe[r]
     for i, st in live.items():
-        graph = graphs[i]
-        out = [(_new(TaskRef, (i, graph.first + k)), all(st[p] == DONE for p in graph.preds[k]))
-               for k in graph.on_pe.get(r, ()) if st[k] < RUNNING]
+        out = [(_new(TaskRef, (i, k)), all(st[p] == DONE for p in preds[k]))
+               for k in mine if st[k] < RUNNING]
         if out:
             return out
     return []
@@ -201,7 +176,7 @@ def enqueue(work: Work, ref: TaskRef, slot: int | None) -> None:
         work[0][slot].append(ref)
 
 
-def next_dispatch(state, compiled, live: dict, graphs) -> Dispatch | None:
+def next_dispatch(state, compiled, live: dict) -> Dispatch | None:
     """First dispatch the policy fires in `state`, frozen or working, or
     None if none does.
 
@@ -211,7 +186,7 @@ def next_dispatch(state, compiled, live: dict, graphs) -> Dispatch | None:
     (applying each dispatch) until it returns None; that exhausts every
     work-conserving start without letting time pass.  Under
     strict_priority_local a free processor r takes the top-priority task of
-    `strict_view(live, graphs, r)`, the lowest code among equals, or idles
+    `strict_view(live, compiled, r)`, the lowest code among equals, or idles
     until that task is enabled.
     """
     queues, running = state
@@ -220,7 +195,7 @@ def next_dispatch(state, compiled, live: dict, graphs) -> Dispatch | None:
         if running[r] is not None:
             continue
         if strict:
-            pending = strict_view(live, graphs, r)
+            pending = strict_view(live, compiled, r)
             if pending:
                 ref, enabled = min(pending, key=lambda p: -compiled.priority[p[0].code])
                 if enabled:
@@ -239,7 +214,7 @@ def next_dispatch(state, compiled, live: dict, graphs) -> Dispatch | None:
     return None
 
 
-def apply_dispatch(work: Work, d: Dispatch, live: dict, graphs) -> None:
+def apply_dispatch(work: Work, d: Dispatch, live: dict) -> None:
     """Pop the dispatched task off its queue, mark the resource busy and the
     task RUNNING in the backlog `live`."""
     ref, r, _freq, s = d
@@ -247,7 +222,7 @@ def apply_dispatch(work: Work, d: Dispatch, live: dict, graphs) -> None:
         del work[0][s][0]
     work[1][r] = ref
     inst, code = ref
-    live[inst][code - graphs[inst].first] = RUNNING
+    live[inst][code] = RUNNING
 
 
 def release(work: Work, resource: int) -> None:

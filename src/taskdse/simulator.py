@@ -2,11 +2,12 @@
 
 Each run takes arrival times and task durations from its draw source (run i
 of a campaign: `rng.stream_for(seed, i)`) and replays the deployment's
-scheduling policy exactly as the formal engine encodes it (same task graph,
-enabling rules and policy kernel, same tick arithmetic).  The formal bounds
-cover the first K instances of each generator in runs without overflow, and
-only their completion times are claimed to fall inside them (ROADMAP item 1
-plans to cover the rest).
+scheduling policy exactly as the formal engine encodes it (same compiled
+model with its code-indexed task tables, same enabling rules and policy
+kernel, same tick arithmetic).  The formal bounds cover the first K
+instances of each generator in runs without overflow, and only their
+completion times are claimed to fall inside them (ROADMAP item 1 plans to
+cover the rest).
 
 Event processing is strictly sequential and fully deterministic: the heap
 holds only ends and arrivals, ordered (time, rank, tiebreak) with ends first
@@ -44,11 +45,13 @@ from .metrics import (
 from .model import COMMUNICATION, SystemModel, expand_comm_tasks, task_duration
 from .rng import stream_for
 from .schedulers import (
+    DONE,
     LINK,
     LOCAL,
+    PENDING,
+    QUEUED,
     SHARED,
     SchedulerState,
-    TaskGraph,
     admit,
     apply_dispatch,
     enqueue,
@@ -115,13 +118,18 @@ class CompiledModel:
     Resource slots are the powered-on processors by id (`lowest`: their
     lowest frequencies), then the interconnects by id; `resources` names
     them for output only.  Task codes run in (job name, task id) order and
-    index `names`, `tasks`, `queue` (queue slot or None), `priority` and
-    `pinned` (frequency or None).  Queue slots number the distinct queue keys
-    in service order; `serves[r]` lists those processor slot r serves, and
-    `links` pairs each link queue with its interconnect's slot.  `idle` is
-    the empty scheduler state.  `durations[code][r]` is the (lo, hi) window
-    of task `code` on resource slot r: every processor slot for a
-    computation task, every slot for a transfer.
+    index `names`, `tasks`, `preds`, `succs` (ascending), `queue` (queue slot
+    or None), `priority` and `pinned` (frequency or None); `on_pe[r]` lists
+    the computation codes mapped to processor slot r, in code order.  Per job
+    type, `sources[job]` lists its source codes and `fresh[job]` is a new
+    instance's status list over every code: QUEUED on its sources, PENDING on
+    its other tasks and DONE on other job types' codes.  Queue slots number
+    the distinct queue keys in service order; `serves[r]` lists those
+    processor slot r serves, and `links` pairs each link queue with its
+    interconnect's slot.  `idle` is the empty scheduler state.
+    `durations[code][r]` is the (lo, hi) window of task `code` on resource
+    slot r: every processor slot for a computation task, every slot for a
+    transfer.
     """
 
     def __init__(self, model: SystemModel):
@@ -130,13 +138,28 @@ class CompiledModel:
         self.resources = [p.id for p in pes] + sorted(ic.id for ic in platform.interconnects)
         self.lowest = [p.min_frequency() for p in pes]
         slots = {name: r for r, name in enumerate(self.resources)}
-        self.graphs: dict[str, TaskGraph] = {}
-        self.tasks = []
+        self.tasks, self.names, self.preds, self.succs = [], [], [], []
+        self.on_pe: list[list[int]] = [[] for _ in pes]
+        self.sources: dict[str, list[int]] = {}
         for jt in sorted(model.job_types, key=lambda jt: jt.name):
-            graph = TaskGraph(expand_comm_tasks(jt, dep, platform), dep, len(self.tasks), slots)
-            self.graphs[jt.name] = graph
-            self.tasks += graph.tasks
-        self.names = [(g.name, t.id) for g in self.graphs.values() for t in g.tasks]
+            job = expand_comm_tasks(jt, dep, platform)
+            tasks = sorted(job.tasks, key=lambda t: t.id)
+            code = {t.id: c for c, t in enumerate(tasks, len(self.tasks))}
+            preds, succs = job.preds(), job.succs()
+            for t in tasks:
+                self.preds.append([code[p] for p in preds[t.id]])
+                self.succs.append(sorted(code[s] for s in succs[t.id]))
+                r = slots.get(dep.mapping.get(t.id))
+                if t.kind != COMMUNICATION and r is not None and r < len(pes):  # a processor
+                    self.on_pe[r].append(code[t.id])
+            self.tasks += tasks
+            self.names += [(job.name, t.id) for t in tasks]
+            self.sources[job.name] = [code[t.id] for t in tasks if not preds[t.id]]
+        self.fresh: dict[str, list[int]] = {}
+        for job, sources in self.sources.items():
+            st = self.fresh[job] = [PENDING if name == job else DONE for name, _t in self.names]
+            for c in sources:
+                st[c] = QUEUED
         keys = [queue_key(t, dep) for t in self.tasks]
         order = sorted({k for k in keys if k is not None})
         self.queue = [None if k is None else order.index(k) for k in keys]
@@ -179,13 +202,13 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
     a plain tuple and fills the metric-fact dicts directly, so after the run
     only the horizon clip and the busy sums remain."""
     cm = CompiledModel(model) if compiled is None else compiled
-    graphs, names, queue, resources, durations = cm.graphs, cm.names, cm.queue, cm.resources, cm.durations
+    names, queue, resources, durations = cm.names, cm.queue, cm.resources, cm.durations
+    jobs = [g.job_type for g in model.generators]
 
     # arrivals are drawn up front, generator declaration order, then numbered
     # globally by (time, generator, index) so instance ids are canonical
     raw = sorted((t, gidx, k) for gidx, g in enumerate(model.generators)
                  for k, t in enumerate(sample_arrivals(g, draws)))
-    inst_graph: list[TaskGraph] = [graphs[model.generators[gidx].job_type] for _t, gidx, _k in raw]
     # strictly increasing, so already the heap one push per arrival builds
     heap: list = [(t, ARRIVAL, (gidx, inst), -1, 0, None) for inst, (t, gidx, _k) in enumerate(raw)]
 
@@ -207,9 +230,9 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
         """Queue the tasks the event enabled, then fire every start allowed."""
         for ref in refs:
             enqueue(sched, ref, queue[ref.code])
-        while (d := next_dispatch(sched, cm, live, inst_graph)) is not None:
+        while (d := next_dispatch(sched, cm, live)) is not None:
             ref, r, freq, _queue = d
-            apply_dispatch(sched, d, live, inst_graph)
+            apply_dispatch(sched, d, live)
             inst, code = ref
             lo, hi = durations[code][r]
             dur = draws.uniform_ticks(lo, hi)
@@ -231,14 +254,14 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
         now, rank, key, r, start, freq = heapq.heappop(heap)
         if rank == ARRIVAL:
             gidx, inst = key
-            graph = inst_graph[inst]
-            refs = admit(graph, live, inst, model.deployment.queue_capacity)
+            job = jobs[gidx]
+            refs = admit(cm, job, live, inst, model.deployment.queue_capacity)
             if refs is None:
                 overflow_count += 1
-                log.append((now, "overflow", inst, graph.name, "", "", None, gidx))
+                log.append((now, "overflow", inst, job, "", "", None, gidx))
                 continue
-            log.append((now, "arrival", inst, graph.name, "", "", None, gidx))
-            arrivals[inst] = (graph.name, now)
+            log.append((now, "arrival", inst, job, "", "", None, gidx))
+            arrivals[inst] = (job, now)
             cascade(now, refs)
         else:  # end
             ref = key
@@ -252,7 +275,7 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
             if own is None:
                 own = runs_of[r] = runs[res] = []
             own.append((start, now, freq))
-            cascade(now, finish(inst_graph[inst], live, ref))
+            cascade(now, finish(cm, live, ref))
 
     # events stay in processing order: non-decreasing time, ends handled
     # before arrivals before starts at each instant, and each dispatch

@@ -546,7 +546,8 @@ def depth(net: Network, d: DState) -> int:
         for k in range(1, a + 1):
             i = net.inst_of[(gidx, k)]
             if i not in live:
-                done += len(net.inst_graph[i].tasks)
+                job = net.model.generators[gidx].job_type
+                done += sum(name == job for name, _task in net.compiled.names)
     return sum(d.arrivals) + done
 
 
@@ -897,7 +898,7 @@ def test_a_clock_started_later_never_reads_more(name, monkeypatch):
 
 
 def test_a_search_compiles_its_model_once(monkeypatch):
-    """reach_bounds builds the simulator's CompiledModel once: one graph per
+    """reach_bounds builds the simulator's CompiledModel once: one expansion per
     job type, and each (task, frequency) window at most once."""
     calls = {"expand_comm_tasks": 0, "task_duration": 0}
 
@@ -980,11 +981,11 @@ def test_formal_strict_scan_never_visits_a_completed_instance(monkeypatch):
     scan is as long as the backlog, not the analysed prefix."""
     sizes, visited = [], set()
 
-    def checked(live, graphs, r):
+    def checked(live, compiled, r):
         assert all(any(s != DONE for s in st) for st in live.values())
         sizes.append(len(live))
         visited.update(live)
-        return strict_view(live, graphs, r)
+        return strict_view(live, compiled, r)
 
     monkeypatch.setattr(schedulers, "strict_view", checked)
     m = two_jobs("strict_priority_local")

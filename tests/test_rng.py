@@ -48,10 +48,12 @@ def test_streams_independent_of_run_count():
 
 
 def test_uniform_in_unit_interval():
-    s = SplitMix64(1)
+    """uniform_ticks scales a unit draw in [0, 1), the word's 53 high bits
+    over 2**53, so over a 2**53-tick window it reads those bits exactly."""
+    s, words = SplitMix64(1), SplitMix64(1)
     for _ in range(1000):
-        u = s.uniform()
-        assert 0.0 <= u < 1.0
+        v = s.uniform_ticks(0, 2**53 - 1)
+        assert 0 <= v < 2**53 and v == words.next_u64() >> 11
 
 
 def test_uniform_ticks_covers_inclusive_window():
@@ -102,8 +104,9 @@ except ImportError:  # the scalar comparisons above still run
     given = None
 
 if given is not None:
-    # one op: (kind, repeat, lo, span); kinds are next_u64, uniform,
-    # uniform_ticks over [lo, lo + span] and a point window [lo, lo]
+    # one op: (kind, repeat, lo, span); kinds are next_u64, the 53-bit
+    # unit draw (uniform_ticks over [0, 2**53 - 1]), uniform_ticks over
+    # [lo, lo + span] and a point window [lo, lo]
     OPS = hs.tuples(hs.sampled_from(["u64", "uniform", "ticks", "point"]),
                     hs.integers(1, 700), hs.integers(0, 2**40), hs.integers(1, 2**40))
 
@@ -127,7 +130,7 @@ if given is not None:
                 if kind == "u64":
                     assert s.next_u64() == word, k
                 elif kind == "uniform":
-                    assert s.uniform() == (word >> 11) * 2.0**-53, k
+                    assert s.uniform_ticks(0, 2**53 - 1) == word >> 11, k
                 else:
                     assert s.uniform_ticks(lo, lo + span) == _ticks(word, lo, lo + span), k
         while k < 8200:

@@ -3,7 +3,6 @@ the in-place kernel against a functional reference."""
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +21,7 @@ from taskdse.model import (
     WorkInterval,
 )
 from taskdse.schedulers import (
+    DONE,
     LINK,
     LOCAL,
     PENDING,
@@ -37,9 +37,12 @@ from taskdse.schedulers import (
     next_dispatch,
     queue_key,
     release,
+    strict_view,
     thaw,
 )
 from taskdse.simulator import CompiledModel
+
+from test_parity import two_jobs
 
 
 def _platform(n=2, ics=()):
@@ -68,10 +71,8 @@ def _enqueue(work, ref, cm):
 
 
 def _backlog(cm, instances=4):
-    """A backlog of `instances` instances with every task PENDING, over one
-    graph that positions each task at its code, and the graphs per instance."""
-    codes = SimpleNamespace(first=0)
-    return {i: [PENDING] * len(cm.tasks) for i in range(instances)}, [codes] * instances
+    """A backlog of `instances` instances with every task PENDING."""
+    return {i: [PENDING] * len(cm.tasks) for i in range(instances)}
 
 
 def test_admit_and_finish_return_refs_in_instance_then_code_order():
@@ -83,20 +84,19 @@ def test_admit_and_finish_return_refs_in_instance_then_code_order():
              DataEdge("c", "d"), DataEdge("b", "d")]
     model = SystemModel([JobType("j", tasks, edges)], _platform(1), [], Deployment())
     cm = CompiledModel(model)
-    graph = cm.graphs["j"]
     code = {task: c for c, (_job, task) in enumerate(cm.names)}
     assert [task for _job, task in cm.names] == ["a", "b", "c", "d", "e", "f"]
 
     live: dict = {}
-    assert admit(graph, live, 3, 2) == [TaskRef(3, code["a"]), TaskRef(3, code["f"])]
-    assert admit(graph, live, 1, 2) == [TaskRef(1, code["a"]), TaskRef(1, code["f"])]
-    assert admit(graph, live, 2, 2) is None and list(live) == [3, 1]  # full: overflow
-    assert finish(graph, live, TaskRef(3, code["a"])) == [
+    assert admit(cm, "j", live, 3, 2) == [TaskRef(3, code["a"]), TaskRef(3, code["f"])]
+    assert admit(cm, "j", live, 1, 2) == [TaskRef(1, code["a"]), TaskRef(1, code["f"])]
+    assert admit(cm, "j", live, 2, 2) is None and list(live) == [3, 1]  # full: overflow
+    assert finish(cm, live, TaskRef(3, code["a"])) == [
         TaskRef(3, code["b"]), TaskRef(3, code["c"]), TaskRef(3, code["e"])]
-    assert finish(graph, live, TaskRef(3, code["c"])) == []  # d still waits for b
-    assert finish(graph, live, TaskRef(3, code["b"])) == [TaskRef(3, code["d"])]
+    assert finish(cm, live, TaskRef(3, code["c"])) == []  # d still waits for b
+    assert finish(cm, live, TaskRef(3, code["b"])) == [TaskRef(3, code["d"])]
     for t in ("d", "e", "f"):
-        assert finish(graph, live, TaskRef(3, code[t])) == []
+        assert finish(cm, live, TaskRef(3, code[t])) == []
     assert list(live) == [1]  # instance 3 completed and left the backlog
 
 
@@ -106,21 +106,21 @@ def test_fifo_global_drains_in_arrival_order_to_lowest_pe():
     cm, ref = _compile(plat, dep, {"j": ["a", "b", "c"]})
     assert cm.resources == ["PE0", "PE1"]
     assert cm.queue == [0, 0, 0]  # the one shared queue
-    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
+    st, live = thaw(cm.idle), _backlog(cm)
     r1, r2, r3 = ref(0, "j", "a"), ref(0, "j", "b"), ref(0, "j", "c")
     for r in (r1, r2, r3):
         _enqueue(st, r, cm)
 
-    d1 = next_dispatch(st, cm, live, graphs)
+    d1 = next_dispatch(st, cm, live)
     assert d1 == Dispatch(r1, 0, Fraction(1), 0)  # PE0
-    apply_dispatch(st, d1, live, graphs)
-    d2 = next_dispatch(st, cm, live, graphs)
+    apply_dispatch(st, d1, live)
+    d2 = next_dispatch(st, cm, live)
     assert d2 == Dispatch(r2, 1, Fraction(1), 0)  # PE1
-    apply_dispatch(st, d2, live, graphs)
-    assert next_dispatch(st, cm, live, graphs) is None  # both PEs busy
+    apply_dispatch(st, d2, live)
+    assert next_dispatch(st, cm, live) is None  # both PEs busy
 
     release(st, 0)
-    d3 = next_dispatch(st, cm, live, graphs)
+    d3 = next_dispatch(st, cm, live)
     assert d3 == Dispatch(r3, 0, Fraction(1), 0)
 
 
@@ -129,14 +129,14 @@ def test_fifo_local_respects_mapping():
     dep = Deployment(policy="fifo_local", mapping={"a": "PE1", "b": "PE0"})
     cm, ref = _compile(plat, dep, {"j": ["a", "b"]})
     assert cm.queue == [1, 0] and cm.serves == [(0,), (1,)]  # each PE its own slot
-    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
+    st, live = thaw(cm.idle), _backlog(cm)
     ra, rb = ref(0, "j", "a"), ref(0, "j", "b")
     _enqueue(st, ra, cm)
     _enqueue(st, rb, cm)
-    d1 = next_dispatch(st, cm, live, graphs)
+    d1 = next_dispatch(st, cm, live)
     assert cm.resources[d1.resource] == "PE0" and d1.ref == rb  # PE0 considered first
-    apply_dispatch(st, d1, live, graphs)
-    d2 = next_dispatch(st, cm, live, graphs)
+    apply_dispatch(st, d1, live)
+    d2 = next_dispatch(st, cm, live)
     assert cm.resources[d2.resource] == "PE1" and d2.ref == ra
 
 
@@ -144,10 +144,10 @@ def test_priority_global_serves_higher_level_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"hi": 2, "lo": 1})
     cm, ref = _compile(plat, dep, {"j": ["lo", "hi"]})
-    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
+    st, live = thaw(cm.idle), _backlog(cm)
     _enqueue(st, ref(0, "j", "lo"), cm)
     _enqueue(st, ref(0, "j", "hi"), cm)
-    d = next_dispatch(st, cm, live, graphs)
+    d = next_dispatch(st, cm, live)
     assert d.ref == ref(0, "j", "hi")
 
 
@@ -155,7 +155,7 @@ def test_one_map_serves_three_levels_highest_first():
     plat = _platform(1)
     dep = Deployment(policy="fifo_priority_global", priorities={"lo": 1, "mid": 5, "hi": 9})
     cm, ref = _compile(plat, dep, {"j": ["mid", "lo", "hi", "mid2"]})
-    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
+    st, live = thaw(cm.idle), _backlog(cm)
     for tid in ("mid", "lo", "hi", "mid2"):  # mid2 has no level: 0, below lo
         _enqueue(st, ref(0, "j", tid), cm)
     # one slot per level, numbered from the highest level down: service order
@@ -164,9 +164,9 @@ def test_one_map_serves_three_levels_highest_first():
     assert freeze(st).queues == ((ref(0, "j", "hi"),), (ref(0, "j", "mid"),),
                                  (ref(0, "j", "lo"),), (ref(0, "j", "mid2"),))
     served = []
-    while (d := next_dispatch(st, cm, live, graphs)) is not None:
+    while (d := next_dispatch(st, cm, live)) is not None:
         served.append(cm.names[d.ref.code][1])
-        apply_dispatch(st, d, live, graphs)
+        apply_dispatch(st, d, live)
         release(st, d.resource)
     assert served == ["hi", "mid", "lo", "mid2"]
     assert freeze(st) == cm.idle  # drained queues leave the idle state
@@ -196,20 +196,19 @@ def test_strict_priority_local_holds_back():
     job = JobType("j", [_task(t) for t in ("pre", "top", "low")], [DataEdge("pre", "top")])
     cm = CompiledModel(SystemModel([job], _platform(2), [], dep))
     assert cm.queue == [None, None, None] and cm.idle.queues == ()
-    graph = cm.graphs["j"]
     low, pre, top = (TaskRef(0, code) for code in range(3))
-    st, live, graphs = thaw(cm.idle), {}, [graph]
-    admit(graph, live, 0, 1)
+    st, live = thaw(cm.idle), {}
+    admit(cm, "j", live, 0, 1)
 
     # top not yet enabled: PE0 must idle rather than run low; PE1 runs pre
-    d = next_dispatch(st, cm, live, graphs)
+    d = next_dispatch(st, cm, live)
     assert d == Dispatch(pre, 1, Fraction(1), None)
-    apply_dispatch(st, d, live, graphs)
-    assert next_dispatch(st, cm, live, graphs) is None
+    apply_dispatch(st, d, live)
+    assert next_dispatch(st, cm, live) is None
 
     release(st, 1)
-    assert finish(graph, live, pre) == [top]
-    d = next_dispatch(st, cm, live, graphs)
+    assert finish(cm, live, pre) == [top]
+    d = next_dispatch(st, cm, live)
     assert d == Dispatch(top, 0, Fraction(1), None)
 
 
@@ -218,12 +217,47 @@ def test_strict_priority_local_finishes_instance_before_next():
     plat = _platform(1)
     dep = Deployment(policy="strict_priority_local", mapping={"t": "PE0"}, priorities={"t": 1})
     cm, ref = _compile(plat, dep, {"j": ["t"]})
-    graph = cm.graphs["j"]
-    st, live, graphs = thaw(cm.idle), {}, [graph, graph]
-    admit(graph, live, 1, 2)
-    admit(graph, live, 0, 2)
-    d = next_dispatch(st, cm, live, graphs)
+    st, live = thaw(cm.idle), {}
+    admit(cm, "j", live, 1, 2)
+    admit(cm, "j", live, 0, 2)
+    d = next_dispatch(st, cm, live)
     assert d.ref == ref(1, "j", "t")
+
+
+@pytest.mark.parametrize("policy", ["fifo_local", "strict_priority_local"])
+def test_the_backlog_is_indexed_by_task_code(policy):
+    """An instance's statuses cover every task code, and the other job
+    type's codes read DONE, so the hold-back scan and the dispatcher never
+    return them and finishing the last own task completes the instance."""
+    cm = CompiledModel(two_jobs(policy))
+    codes = {job: {c for c, (name, _task) in enumerate(cm.names) if name == job}
+             for job in ("alpha", "beta")}
+    own = {0: codes["beta"], 1: codes["alpha"]}
+    st, live = thaw(cm.idle), {}
+    for inst, job in ((0, "beta"), (1, "alpha")):
+        for ref in admit(cm, job, live, inst, 2):
+            _enqueue(st, ref, cm)
+    for inst, statuses in live.items():
+        assert len(statuses) == len(cm.tasks)
+        others = set(range(len(cm.tasks))) - own[inst]
+        assert {c for c, s in enumerate(statuses) if s == DONE} == others
+
+    ended = set()
+    while live:
+        for r in range(len(cm.lowest)):
+            assert all(ref.code in own[ref.instance] for ref, _enabled in strict_view(live, cm, r))
+        while (d := next_dispatch(st, cm, live)) is not None:
+            assert d.ref.code in own[d.ref.instance]
+            apply_dispatch(st, d, live)
+        r, ref = min((r, ref) for r, ref in enumerate(st[1]) if ref is not None)
+        release(st, r)
+        newly = finish(cm, live, ref)
+        ended.add(ref)
+        last = {c for i, c in ended if i == ref.instance} == own[ref.instance]
+        assert (ref.instance not in live) == last and not (last and newly)
+        for n in newly:
+            _enqueue(st, n, cm)
+    assert len(ended) == len(cm.tasks)
 
 
 def test_communication_tasks_queue_on_interconnect():
@@ -233,14 +267,14 @@ def test_communication_tasks_queue_on_interconnect():
     comm = _task("a->b", kind=COMMUNICATION, ic="bus")
     cm, ref = _compile(plat, dep, {"j": [comm]})
     assert cm.resources == ["PE0", "bus"] and cm.links == ((0, 1),)
-    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
+    st, live = thaw(cm.idle), _backlog(cm)
     _enqueue(st, ref(0, "j", "a->b"), cm)
 
-    d = next_dispatch(st, cm, live, graphs)
+    d = next_dispatch(st, cm, live)
     assert d == Dispatch(ref(0, "j", "a->b"), 1, None, 0)
     assert cm.resources[d.resource] == "bus"
-    apply_dispatch(st, d, live, graphs)
-    assert next_dispatch(st, cm, live, graphs) is None
+    apply_dispatch(st, d, live)
+    assert next_dispatch(st, cm, live) is None
     release(st, d.resource)
     assert freeze(st) == cm.idle
 
@@ -268,9 +302,9 @@ def test_off_processors_never_dispatch():
     dep = Deployment(policy="fifo_global")
     cm, ref = _compile(plat, dep, {"j": ["a"]})
     assert cm.resources == ["PE1"]
-    st, (live, graphs) = thaw(cm.idle), _backlog(cm)
+    st, live = thaw(cm.idle), _backlog(cm)
     _enqueue(st, ref(0, "j", "a"), cm)
-    d = next_dispatch(st, cm, live, graphs)
+    d = next_dispatch(st, cm, live)
     assert cm.resources[d.resource] == "PE1"
 
 
@@ -347,7 +381,7 @@ def check_against_reference(cm, ops):
     state and to the reference; the frozen working state must equal the
     reference state after every step, and both forms dispatch alike."""
     work, ref_state = thaw(cm.idle), cm.idle
-    live, graphs = _backlog(cm)
+    live = _backlog(cm)
     for kind, arg in ops:
         if kind == 0:
             code = arg % len(cm.tasks)
@@ -355,10 +389,10 @@ def check_against_reference(cm, ops):
             enqueue(work, task, cm.queue[code])
             ref_state = reference_enqueue(ref_state, task, cm.queue[code])
         elif kind == 1:
-            d = next_dispatch(work, cm, live, graphs)
-            assert d == next_dispatch(ref_state, cm, live, graphs)
+            d = next_dispatch(work, cm, live)
+            assert d == next_dispatch(ref_state, cm, live)
             if d is not None:
-                apply_dispatch(work, d, live, graphs)
+                apply_dispatch(work, d, live)
                 ref_state = reference_apply(ref_state, d)
         else:
             r = arg % len(cm.resources)

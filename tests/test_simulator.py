@@ -223,10 +223,10 @@ def test_strict_scan_never_visits_a_completed_instance(monkeypatch):
     is as long as the backlog, not the campaign."""
     sizes = []
 
-    def checked(live, graphs, r):
+    def checked(live, compiled, r):
         assert all(any(s != DONE for s in st) for st in live.values())
         sizes.append(len(live))
-        return strict_view(live, graphs, r)
+        return strict_view(live, compiled, r)
 
     monkeypatch.setattr(schedulers, "strict_view", checked)
     m = fixtures.mapping_stream(period=4500, policy="strict_priority_local", count=40)
