@@ -99,9 +99,13 @@ def _interval_json(iv) -> dict | None:
 
 
 def _write(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write `text` to `path`; an unwritable path (an --out naming a file) is a ConfigError."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise config.ConfigError(path, f"cannot write ({e})") from None
 
 
 def _json_text(obj) -> str:

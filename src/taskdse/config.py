@@ -101,6 +101,17 @@ def _fraction(v, path: str) -> Fraction:
         raise ConfigError(path, str(e)) from None
 
 
+def _frequencies(items, path: str) -> list[Fraction]:
+    """Frequencies of (value, path) pairs; a repeat in any spelling ("1", "1.0") is an error."""
+    first = {}
+    for v, vpath in items:
+        f = _fraction(v, vpath)
+        if f in first:
+            raise ConfigError(path, f"frequency {json.dumps(v)} repeats {json.dumps(first[f])}")
+        first[f] = v
+    return list(first)
+
+
 def _edge_key(key: str, path: str) -> tuple[str, str]:
     if key.count("->") != 1:
         raise ConfigError(path, "edge keys look like 'src->dst'")
@@ -213,13 +224,13 @@ def _parse_processor(q, path: str) -> Processor:
     fv = _need(q, "frequencies", path)
     if not isinstance(fv, list) or not fv:
         raise ConfigError(f"{path}.frequencies", "expected a non-empty list")
-    freqs = [_fraction(f, f"{path}.frequencies[{i}]") for i, f in enumerate(fv)]
-    power = {}
+    freqs = _frequencies(((f, f"{path}.frequencies[{i}]") for i, f in enumerate(fv)),
+                         f"{path}.frequencies")
     pv = _need(q, "power", path)
     if not isinstance(pv, dict):
         raise ConfigError(f"{path}.power", "expected an object keyed by frequency")
-    for fk, watts in pv.items():
-        power[_fraction(fk, f"{path}.power.{fk}")] = _pair(watts, f"{path}.power.{fk}")
+    keys = _frequencies(((fk, f"{path}.power.{fk}") for fk in pv), f"{path}.power")
+    power = {f: _pair(watts, f"{path}.power.{fk}") for f, (fk, watts) in zip(keys, pv.items())}
     on = q.get("on", True)
     if not isinstance(on, bool):
         raise ConfigError(f"{path}.on", "expected true or false")

@@ -135,10 +135,8 @@ class DState:
     sched: object  # SchedulerState
 
 
-def _processor_classes(compiled: CompiledModel, policy: str) -> tuple[list[tuple[int, ...]], dict]:
-    """(classes, codes): tuples of two or more interchangeable processor
-    slots, and `codes[r]`, member r's pinned task codes in code order: the
-    compiled model's `on_pe[r]`.
+def _processor_classes(compiled: CompiledModel, policy: str) -> list[tuple[int, ...]]:
+    """Tuples of two or more interchangeable processor slots.
 
     Only the per-processor policies qualify: each processor then has its own
     queue or hold-back scan.  Two processors are interchangeable when they
@@ -150,7 +148,7 @@ def _processor_classes(compiled: CompiledModel, policy: str) -> tuple[list[tuple
     queues are shared and ordered by code.
     """
     if policy not in LOCAL_POLICIES:
-        return [], {}
+        return []
     cands = {}  # slot -> (codes, signature, codes of outside neighbours)
     for r, lowest in enumerate(compiled.lowest):
         codes = tuple(compiled.on_pe[r])
@@ -175,7 +173,7 @@ def _processor_classes(compiled: CompiledModel, policy: str) -> tuple[list[tuple
         moved = {c for rs in classes for r in rs for c in cands[r][0]}
         bad = [r for rs in classes for r in rs if cands[r][2] & moved]
         if not bad:
-            return [tuple(rs) for rs in classes], {r: cands[r][0] for rs in classes for r in rs}
+            return [tuple(rs) for rs in classes]
         for r in bad:
             del cands[r]
 
@@ -185,10 +183,10 @@ class Network:
     arrival rules and instance numbering of the first K instances, `clocks`
     (the most any layout holds, checked against the budget here) and the
     processor classes: `orbits`, tuples of slots that `_canonical` sorts
-    and `_mirrors` swaps, `class_of` (slot -> class index) and `codes`
-    (slot -> pinned task codes, its `on_pe` entry in the compiled model).
-    A member's statuses are those codes in every live instance's status
-    list, and its queues its slot's `serves` entry."""
+    and `_mirrors` swaps, and `class_of` (slot -> class index).  A member's
+    statuses are its pinned codes, the compiled `on_pe` entry of its slot,
+    in every live instance's status list, and its queues its slot's
+    `serves` entry."""
 
     def __init__(self, model: SystemModel, options: ReachOptions | None = None):
         self.model = model
@@ -217,8 +215,8 @@ class Network:
                 f"model may need {self.clocks} clocks (budget {options.clock_budget})"
             )
 
-        self.orbits, self.codes = (_processor_classes(self.compiled, model.deployment.policy)
-                                   if options.symmetry else ([], {}))
+        self.orbits = (_processor_classes(self.compiled, model.deployment.policy)
+                       if options.symmetry else [])
         self.class_of = {r: k for k, cls in enumerate(self.orbits) for r in cls}
 
 
@@ -306,7 +304,7 @@ def _member_key(net: Network, d: DState, r: int) -> tuple:
     """Member slot r's statuses across the live instances and its local
     queue (none under the hold-back scan), both read position by position,
     so members with equal keys look alike."""
-    codes = net.codes[r]
+    codes = net.compiled.on_pe[r]
     status = tuple(st[c] for _i, st in d.live for c in codes)
     queue = tuple((ref.instance, codes.index(ref.code))
                   for s in net.compiled.serves[r] for ref in d.sched.queues[s])
@@ -337,9 +335,9 @@ def _renamed(net: Network, d: DState, moves) -> tuple[DState, dict]:
     (each renamed task code -> the code it came from): src's statuses,
     running task and local queue go onto dst, and task codes are renamed
     position by position."""
-    code_map = {}
+    code_map, on_pe = {}, net.compiled.on_pe
     for src, dst in moves:
-        code_map.update(zip(net.codes[src], net.codes[dst]))
+        code_map.update(zip(on_pe[src], on_pe[dst]))
 
     def ref(x):
         return None if x is None else TaskRef(x.instance, code_map.get(x.code, x.code))
@@ -559,13 +557,10 @@ def reach_bounds(model: SystemModel, options: ReachOptions | None = None) -> Rea
     per_inst: dict[int, TimeInterval] = {}
     overflow = False
 
+    frontier = deque()
+    # pushed like a successor, from clock 0 alone: every clock starts at 0
     d0 = DState((0,) * len(model.generators), (), net.compiled.idle)
-    idx0 = _index(_layout(net, d0))
-    z0 = new_zero(len(idx0) + 1)
-    elapse(z0)
-    if not _invariants(net, d0, idx0, z0):
-        raise ValueError("initial state violates its own invariants")
-    frontier = deque([(d0, store.insert(d0, z0), idx0)])
+    _push(net, store, frontier, d0, new_zero(1), {})
     explored = mirrored = 0
 
     while frontier:

@@ -22,8 +22,8 @@ in admission order, from each admitted, incomplete instance to its
 PENDING/QUEUED/RUNNING/DONE task statuses, one per task code of the model;
 the codes of other job types read DONE, so nothing needs the instance's job
 to skip them.  Only `admit` (up to the queue capacity), `apply_dispatch` and
-`finish` write it; the hold-back scan `strict_view` reads it in that order,
-and `freeze_backlog` keeps that order where the scan reads it.
+`finish` write it; the hold-back scan `strict_pick` reads it in that
+order, and `freeze_backlog` keeps that order where the scan reads it.
 
 Policies for computation tasks:
 
@@ -39,7 +39,7 @@ whatever the policy.  `queue_key` resolves the policy once per task into the
 key of the one queue it waits in.  A compiled model numbers those keys and
 the resources as integer slots, so the state is one FIFO per queue slot and
 one running task (or None) per resource slot, and only the hold-back scan
-looks at the policy again.
+looks at the policy again, walking the processor's compiled rank order.
 """
 
 from __future__ import annotations
@@ -122,18 +122,17 @@ def finish(compiled, live: dict, ref: TaskRef) -> list[TaskRef]:
     return newly
 
 
-def strict_view(live: dict, compiled, r: int) -> list[tuple[TaskRef, bool]]:
-    """The waiting tasks on processor slot `r` of the oldest instance in the
-    backlog `live` that has any, as (ref, enabled) pairs in code order.
-    `live` maps each admitted, incomplete instance, in admission order, to
-    its statuses; the scan stops there."""
-    preds, mine = compiled.preds, compiled.on_pe[r]
+def strict_pick(live: dict, compiled, r: int) -> tuple[TaskRef, bool] | None:
+    """(ref, enabled) for the first code of `compiled.rank[r]` still waiting
+    in the oldest instance of the backlog `live` that has one, or None when
+    none has.  `live` maps each admitted, incomplete instance, in admission
+    order, to its statuses; the scan stops at that instance."""
+    rank = compiled.rank[r]
     for i, st in live.items():
-        out = [(_new(TaskRef, (i, k)), all(st[p] == DONE for p in preds[k]))
-               for k in mine if st[k] < RUNNING]
-        if out:
-            return out
-    return []
+        for k in rank:
+            if st[k] < RUNNING:
+                return _new(TaskRef, (i, k)), all(st[p] == DONE for p in compiled.preds[k])
+    return None
 
 
 def freeze_backlog(live: dict, compiled) -> tuple:
@@ -180,32 +179,27 @@ def next_dispatch(state, compiled, live: dict) -> Dispatch | None:
     """First dispatch the policy fires in `state`, frozen or working, or
     None if none does.
 
-    `compiled` is the model's simulator.CompiledModel: its processor slots
-    with their lowest frequencies and served queue slots, its link queues,
-    per-code priorities and frequency rule.  Engines call this repeatedly
-    (applying each dispatch) until it returns None; that exhausts every
-    work-conserving start without letting time pass.  Under
-    strict_priority_local a free processor r takes the top-priority task of
-    `strict_view(live, compiled, r)`, the lowest code among equals, or idles
-    until that task is enabled.
+    `compiled` is the model's simulator.CompiledModel: its per-processor
+    served queue slots, link queues and per-slot frequencies.  Engines call
+    this repeatedly (applying each dispatch) until it returns None; that
+    exhausts every work-conserving start without letting time pass.  Under
+    strict_priority_local a free processor r takes the task
+    `strict_pick(live, compiled, r)` returns, or idles until it is enabled.
     """
     queues, running = state
-    strict = compiled.strict
-    for r, lowest in enumerate(compiled.lowest):
+    strict, freq = compiled.strict, compiled.freq
+    for r, serves in enumerate(compiled.serves):
         if running[r] is not None:
             continue
         if strict:
-            pending = strict_view(live, compiled, r)
-            if pending:
-                ref, enabled = min(pending, key=lambda p: -compiled.priority[p[0].code])
-                if enabled:
-                    return _new(Dispatch, (ref, r, compiled.frequency(ref.code, lowest), None))
-                # hold: this processor waits for its top task
-            continue
-        for s in compiled.serves[r]:
+            pick = strict_pick(live, compiled, r)
+            if pick is not None and pick[1]:
+                return _new(Dispatch, (pick[0], r, freq[pick[0].code][r], None))
+            continue  # nothing waits here, or it holds for its top task
+        for s in serves:
             q = queues[s]
             if q:
-                return _new(Dispatch, (q[0], r, compiled.frequency(q[0].code, lowest), s))
+                return _new(Dispatch, (q[0], r, freq[q[0].code][r], s))
 
     for s, r in compiled.links:
         q = queues[s]

@@ -120,16 +120,19 @@ class CompiledModel:
     them for output only.  Task codes run in (job name, task id) order and
     index `names`, `tasks`, `preds`, `succs` (ascending), `queue` (queue slot
     or None), `priority` and `pinned` (frequency or None); `on_pe[r]` lists
-    the computation codes mapped to processor slot r, in code order.  Per job
-    type, `sources[job]` lists its source codes and `fresh[job]` is a new
-    instance's status list over every code: QUEUED on its sources, PENDING on
-    its other tasks and DONE on other job types' codes.  Queue slots number
-    the distinct queue keys in service order; `serves[r]` lists those
-    processor slot r serves, and `links` pairs each link queue with its
-    interconnect's slot.  `idle` is the empty scheduler state.
-    `durations[code][r]` is the (lo, hi) window of task `code` on resource
-    slot r: every processor slot for a computation task, every slot for a
-    transfer.
+    the computation codes mapped to processor slot r, in code order, and
+    `rank[r]` the same codes by descending priority, code order among
+    equals.  Per job type, `sources[job]` lists its source codes and
+    `fresh[job]` is a new instance's status list over every code: QUEUED on
+    its sources, PENDING on its other tasks and DONE on other job types'
+    codes.  Queue slots number the distinct queue keys in service order;
+    `serves[r]` lists those processor slot r serves, and `links` pairs each
+    link queue with its interconnect's slot.  `idle` is the empty scheduler
+    state.  `freq[code][r]` is computation task `code`'s frequency on
+    processor slot r, pinned or else the slot's lowest, one object per value
+    on a slot; `freq[code]` is None for a transfer.  `durations[code][r]` is
+    the (lo, hi) window of task `code` on resource slot r: every processor
+    slot for a computation task, every slot for a transfer.
     """
 
     def __init__(self, model: SystemModel):
@@ -170,24 +173,19 @@ class CompiledModel:
         self.priority = [dep.priorities.get(t.id, 0) for t in self.tasks]
         self.pinned = [dep.task_frequency.get(t.id) for t in self.tasks]
         self.strict = dep.policy == "strict_priority_local"
-        self.durations = []
-        for code, task in enumerate(self.tasks):
-            if task.kind == COMMUNICATION:
-                freqs = [None] * len(self.resources)
-            else:
-                freqs = [self.frequency(code, lowest) for lowest in self.lowest]
-            windows = {}  # one task_duration call per distinct frequency
-            for f in freqs:
-                if f not in windows:
-                    d = task_duration(task, f)
-                    windows[f] = (d.lo, d.hi)
+        self.rank = [sorted(codes, key=lambda c: -self.priority[c]) for codes in self.on_pe]
+        self.freq, self.durations = [], []
+        interned = [{f: f} for f in self.lowest]  # per processor slot: one object per frequency
+        for task, pin in zip(self.tasks, self.pinned):
+            self.freq.append(None if task.kind == COMMUNICATION else
+                             [lowest if pin is None else own.setdefault(pin, pin)
+                              for lowest, own in zip(self.lowest, interned)])
+            freqs = [None] * len(self.resources) if self.freq[-1] is None else self.freq[-1]
+            windows = dict.fromkeys(freqs)  # one task_duration call per distinct frequency
+            for f in windows:
+                d = task_duration(task, f)
+                windows[f] = (d.lo, d.hi)
             self.durations.append([windows[f] for f in freqs])
-
-    def frequency(self, code: int, lowest):
-        """A computation task's frequency on a processor whose lowest is
-        `lowest`: its pinned one, else the lowest."""
-        f = self.pinned[code]
-        return lowest if f is None else f
 
 
 def simulate(model: SystemModel, draws, horizon: int | None = None,
@@ -237,12 +235,9 @@ def simulate(model: SystemModel, draws, horizon: int | None = None,
             lo, hi = durations[code][r]
             dur = draws.uniform_ticks(lo, hi)
             res = resources[r]
-            if freq is not None:
-                last = last_freq[r]
-                # `is` and the None test spare Fraction.__eq__
-                if last is not freq and (last is None or last != freq):
-                    last_freq[r] = freq
-                    log.append((now, "freq_set", -1, "", "", res, freq, -1))
+            if freq is not None and freq is not last_freq[r]:
+                last_freq[r] = freq
+                log.append((now, "freq_set", -1, "", "", res, freq, -1))
             job, task = names[code]
             log.append((now, "start", inst, job, task, res, freq, -1))
             heapq.heappush(heap, (now + dur, END, ref, r, now, freq))

@@ -480,6 +480,40 @@ def test_simulate_deterministic_across_invocations(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("power", lambda pe: pe["power"].update({"1.0": [5, 5]})),
+    ("frequencies", lambda pe: pe.update(frequencies=["1", 1.0])),
+])
+@pytest.mark.parametrize("verb", VERBS + [["sweep", "--axis", "period=100,200", "--runs", "1", "--seed", "1"]])
+def test_a_frequency_given_twice_is_a_config_error(tmp_path, capsys, verb, field, edit):
+    """Two spellings of one frequency, "1" and "1.0", would let the later
+    power entry silently replace the first, so every verb exits 2 and names
+    the field and both spellings."""
+    path = _chain2_with(tmp_path, lambda data: edit(data["platform"]["processors"][0]))
+    assert _run(verb, path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"processors[0].{field}: frequency " in err and '"1"' in err and "1.0" in err
+    assert not (tmp_path / "out").exists()
+
+
+SWEEP = ["sweep", "--axis", "period=100,200", "--runs", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("verb", [["verify"], ["simulate", "--runs", "1", "--seed", "1"],
+                                  SWEEP, SWEEP + ["--workers", "2"]],
+                         ids=["verify", "simulate", "sweep", "sweep-workers-2"])
+def test_an_out_naming_a_file_is_a_config_error(tmp_path, capsys, verb):
+    """An --out naming an existing file cannot hold the outputs: the verb
+    exits 2, a sweep worker's error included, names the path it could not
+    write, and leaves the file as it was."""
+    blocker = tmp_path / "out"
+    blocker.write_text("keep\n")
+    assert _run(verb, CHAIN2, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {blocker}{os.sep}") and "cannot write" in err
+    assert blocker.read_text() == "keep\n"
+
+
 def test_outdir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("TASKDSE_OUT", str(tmp_path / "envout"))
     assert cli.main(["simulate", CHAIN2, "--runs", "1", "--seed", "1"]) == 0

@@ -50,7 +50,7 @@ from taskdse.reachability import (
     _renamed,
     reach_bounds,
 )
-from taskdse.schedulers import DONE, SchedulerState, strict_view
+from taskdse.schedulers import DONE, SchedulerState, strict_pick
 from taskdse.zones import LE_ZERO, clock_window, relayout, zone_includes
 from test_parity import priority_variants, two_jobs
 from taskdse.simulator import run_campaign
@@ -375,7 +375,7 @@ def permuted(net: Network, moves, d: DState) -> DState:
 def renamed_zone(net: Network, moves, idx: dict, mat):
     """The zone of a renamed state, laid out by `idx`: each run clock
     follows its task code, through one relayout."""
-    code_map = {c: e for src, dst in moves for c, e in zip(net.codes[src], net.codes[dst])}
+    code_map = {c: e for src, dst in moves for c, e in zip(net.compiled.on_pe[src], net.compiled.on_pe[dst])}
     src_of = {(p if p[0] != RUN else (RUN, p[1], code_map.get(p[2], p[2]))): i
               for p, i in idx.items()}
     return relayout(mat, [0] + [src_of[p] for p in sorted(src_of)])
@@ -444,10 +444,10 @@ def test_mirror_check_agrees_with_the_renamed_swap(name, m, monkeypatch):
 def test_one_relayout_per_successor(m, monkeypatch):
     """Each successor's zone is carried from the firing zone into its
     canonical layout by a single relayout: band16(12) pushes 174
-    successors, mapping_stream 270 and blockwise(4) 671, each with one.
-    Each layout is built once, for the initial state and for each pushed
-    successor; the frontier keeps its clock index, so a popped state is
-    not laid out again."""
+    successors, mapping_stream 270 and blockwise(4) 671, each with one, and
+    the initial state is pushed the same way from the one-point zone.
+    Each layout is built once, in the push; the frontier keeps its clock
+    index, so a popped state is not laid out again."""
     counts = {"relayout": 0, "_push": 0, "_layout": 0}
     for name in counts:
         def counted(*args, _fn=getattr(reachability, name), _name=name):
@@ -456,7 +456,7 @@ def test_one_relayout_per_successor(m, monkeypatch):
         monkeypatch.setattr(reachability, name, counted)
     reach_bounds(m)
     assert counts["relayout"] == counts["_push"] > 0
-    assert counts["_layout"] == counts["_push"] + 1
+    assert counts["_layout"] == counts["_push"]
 
 
 def test_search_leaves_every_stored_state_frozen(monkeypatch):
@@ -977,7 +977,7 @@ def test_stored_states_hold_only_the_live_backlog(name, monkeypatch):
 
 
 def test_formal_strict_scan_never_visits_a_completed_instance(monkeypatch):
-    """The formal engine hands strict_view only its live instances, so the
+    """The formal engine hands strict_pick only its live instances, so the
     scan is as long as the backlog, not the analysed prefix."""
     sizes, visited = [], set()
 
@@ -985,9 +985,9 @@ def test_formal_strict_scan_never_visits_a_completed_instance(monkeypatch):
         assert all(any(s != DONE for s in st) for st in live.values())
         sizes.append(len(live))
         visited.update(live)
-        return strict_view(live, compiled, r)
+        return strict_pick(live, compiled, r)
 
-    monkeypatch.setattr(schedulers, "strict_view", checked)
+    monkeypatch.setattr(schedulers, "strict_pick", checked)
     m = two_jobs("strict_priority_local")
     r = reach_bounds(m)
     assert r.terminal_reached and sorted(r.instance_latency) == list(range(6))

@@ -25,6 +25,8 @@ from taskdse.schedulers import (
     LINK,
     LOCAL,
     PENDING,
+    QUEUED,
+    RUNNING,
     SHARED,
     Dispatch,
     SchedulerState,
@@ -37,12 +39,12 @@ from taskdse.schedulers import (
     next_dispatch,
     queue_key,
     release,
-    strict_view,
+    strict_pick,
     thaw,
 )
 from taskdse.simulator import CompiledModel
 
-from test_parity import two_jobs
+from test_parity import priority_variants, two_jobs
 
 
 def _platform(n=2, ics=()):
@@ -224,6 +226,53 @@ def test_strict_priority_local_finishes_instance_before_next():
     assert d.ref == ref(1, "j", "t")
 
 
+def _strict_oracle(cm, live, r):
+    """The hold-back choice by brute force: among the waiting tasks on
+    processor slot r of the oldest instance that has one, the highest
+    priority, the lowest code among equals, and whether it is enabled."""
+    for i, st in live.items():
+        waiting = [k for k in range(len(cm.tasks)) if k in cm.on_pe[r] and st[k] < RUNNING]
+        if waiting:
+            top = max(cm.priority[k] for k in waiting)
+            k = min(k for k in waiting if cm.priority[k] == top)
+            return TaskRef(i, k), all(st[p] == DONE for p in cm.preds[k])
+    return None
+
+
+@pytest.mark.parametrize("priorities", ["given", "equal", "random"])
+@pytest.mark.parametrize("name", [n for n in priority_variants() if n.endswith("-strict_priority_local")])
+def test_strict_pick_matches_a_brute_force_oracle(name, priorities):
+    """On random backlogs of the strict-priority variants, with their own
+    priorities, all equal ones and random ties, strict_pick returns the
+    oracle's choice, and next_dispatch on an otherwise busy platform starts
+    it at its pinned or lowest frequency when it is enabled and holds
+    otherwise."""
+    rng = random.Random(f"{name} {priorities}")
+    m = priority_variants()[name]
+    if priorities != "given":
+        m.deployment.priorities = {t.id: rng.randint(0, 1) if priorities == "random" else 0
+                                   for jt in m.job_types for t in jt.tasks}
+    cm = CompiledModel(m)
+    picked = held = 0
+    for _ in range(300):
+        live = {i: [rng.choice((PENDING, QUEUED, RUNNING, DONE)) for _ in cm.tasks]
+                for i in rng.sample(range(6), rng.randint(0, 4))}  # admission order, not index order
+        for r, lowest in enumerate(cm.lowest):
+            want = _strict_oracle(cm, live, r)
+            assert schedulers.strict_pick(live, cm, r) == want
+            busy = SchedulerState(cm.idle.queues, tuple(None if s == r else TaskRef(9, 0)
+                                                        for s in range(len(cm.resources))))
+            d = next_dispatch(busy, cm, live)
+            if want is not None and want[1]:
+                pinned = cm.pinned[want[0].code]
+                assert d == Dispatch(want[0], r, lowest if pinned is None else pinned, None)
+                picked += 1
+            else:
+                assert d is None
+                held += want is not None
+    assert picked and held
+
+
 @pytest.mark.parametrize("policy", ["fifo_local", "strict_priority_local"])
 def test_the_backlog_is_indexed_by_task_code(policy):
     """An instance's statuses cover every task code, and the other job
@@ -245,7 +294,8 @@ def test_the_backlog_is_indexed_by_task_code(policy):
     ended = set()
     while live:
         for r in range(len(cm.lowest)):
-            assert all(ref.code in own[ref.instance] for ref, _enabled in strict_view(live, cm, r))
+            pick = strict_pick(live, cm, r)
+            assert pick is None or pick[0].code in own[pick[0].instance]
         while (d := next_dispatch(st, cm, live)) is not None:
             assert d.ref.code in own[d.ref.instance]
             apply_dispatch(st, d, live)

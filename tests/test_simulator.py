@@ -6,11 +6,11 @@ import pytest
 
 from taskdse import fixtures, metrics, schedulers, simulator
 from taskdse.generators import Generator
-from taskdse.model import (Deployment, JobType, Platform, Processor, SystemModel, TaskSpec,
+from taskdse.model import (DataEdge, Deployment, JobType, Platform, Processor, SystemModel, TaskSpec,
                            WorkInterval, validate_model)
 from taskdse.metrics import MetricSpec, busy_intervals, extract
 from taskdse.rng import stream_for
-from taskdse.schedulers import DONE, strict_view
+from taskdse.schedulers import DONE, strict_pick
 from taskdse.simulator import CompiledModel, run_campaign, simulate
 from taskdse.timebase import SCALE, to_ticks
 
@@ -218,17 +218,42 @@ def test_each_processor_runs_a_task_at_its_own_frequency():
     }
 
 
+def test_equal_frequencies_on_a_slot_are_one_object():
+    """A task pinned to its processor's lowest frequency runs at that
+    slot's own lowest-frequency object, and two tasks pinned to one higher
+    frequency share one object, although every pin is an object of its own.
+    So each slot's trace logs a single freq_set, from the identity test."""
+    f1, f2 = Fraction(1), Fraction(2)
+    pes = [Processor(f"PE{i}", [f1, f2], {f1: (0.1, 0.9), f2: (0.2, 2.0)}) for i in range(2)]
+    job = JobType("j", [TaskSpec(t, WorkInterval.of(1, 2)) for t in ("a", "b", "c", "d")],
+                  [DataEdge("a", "b"), DataEdge("c", "d")])
+    dep = Deployment(policy="fifo_local", mapping={"a": "PE0", "b": "PE0", "c": "PE1", "d": "PE1"},
+                     task_frequency={"a": Fraction(1), "c": Fraction(2), "d": Fraction("2")})
+    m = SystemModel([job], Platform(pes), [Generator("j", "periodic", period=to_ticks(10), count=2)],
+                    dep)
+    assert validate_model(m) == []
+    cm = CompiledModel(m)
+    a, b, c, d = range(4)
+    assert cm.pinned[a] is not cm.lowest[0] and cm.pinned[c] is not cm.pinned[d]
+    assert cm.freq[a][0] is cm.freq[b][0] is cm.lowest[0]
+    assert cm.freq[c][1] is cm.freq[d][1] and cm.freq[c][1] == f2
+    t = simulate(m, stream_for(1, 0))
+    assert [e.line().split(" ", 1)[1] for e in t.events if e.kind == "freq_set"] == [
+        "freq_set pe=PE0 f=1", "freq_set pe=PE1 f=2"]
+    assert sum(e.kind == "start" for e in t.events) == 8
+
+
 def test_strict_scan_never_visits_a_completed_instance(monkeypatch):
-    """The simulator hands strict_view only its live instances, so the scan
+    """The simulator hands strict_pick only its live instances, so the scan
     is as long as the backlog, not the campaign."""
     sizes = []
 
     def checked(live, compiled, r):
         assert all(any(s != DONE for s in st) for st in live.values())
         sizes.append(len(live))
-        return strict_view(live, compiled, r)
+        return strict_pick(live, compiled, r)
 
-    monkeypatch.setattr(schedulers, "strict_view", checked)
+    monkeypatch.setattr(schedulers, "strict_pick", checked)
     m = fixtures.mapping_stream(period=4500, policy="strict_priority_local", count=40)
     m.deployment.priorities = {f"blk{i:02d}": 16 - i for i in range(16)}
     assert validate_model(m) == []
